@@ -12,15 +12,19 @@ runs from ``src/`` or is installed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ComparisonError, ConfigError, GenerationError
 from .linear_roles import SpeakerListener, SpeakerSpeaker
-from .potential_field import FieldParams
+from .numerics import Vec2
+from .potential_field import FieldParams, Obstacle
 from .table_sim import (
     CommStrategy,
     DynamicRoles,
@@ -51,10 +55,11 @@ class Condition:
     dynamic strategies and fixed to 0 for the static ones."""
 
     strategy: str
-    T: int
+    # decoder defaults: a config may omit T, geometry and cv
+    T: int = field(metadata={"default": 0})
     n: int
-    geometry: str
-    cv: float
+    geometry: str = field(metadata={"default": "known"})
+    cv: float = field(metadata={"default": 0.0})
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_NAMES:
@@ -96,6 +101,11 @@ class RadiusSpec:
     r_min: float = 0.3
     r_max: float = 0.7
 
+    def __post_init__(self):
+        # the radius rules games apply, checked before any game runs
+        Obstacle(Vec2(0.0, 0.0), self.r_fixed)
+        UnknownRadius(self.r_min, self.r_max)
+
 
 @dataclass(frozen=True)
 class TrendAssert:
@@ -108,10 +118,10 @@ class TrendAssert:
 
     kind: str
     a: Condition
-    b: Condition | None = None
-    value: float | None = None
-    significant: bool = False
-    alpha: float = 0.05
+    b: Condition | None = field(default=None, metadata={"echo_if": lambda ta: ta.b is not None})
+    value: float | None = field(default=None, metadata={"echo_if": lambda ta: ta.value is not None})
+    significant: bool = field(default=False, metadata={"echo_if": lambda ta: ta.significant})
+    alpha: float = field(default=0.05, metadata={"echo_if": lambda ta: ta.significant})
 
     def __post_init__(self):
         if self.kind not in ("greater", "at_least"):
@@ -127,7 +137,9 @@ class BenchmarkConfig:
     conditions: tuple[Condition, ...]
     games_per_condition: int = 1000
     base_seed: int = 20260809
-    field_params: FieldParams = FieldParams(w_att=1.0, w_rep=1.0, w_v=0.1, rho0=1.0)
+    field_params: FieldParams = field(
+        default=FieldParams(w_att=1.0, w_rep=1.0, w_v=0.1, rho0=1.0), metadata={"key": "field"}
+    )
     limits: Limits = Limits()
     workspace: Workspace = Workspace()
     radii: RadiusSpec = RadiusSpec()
@@ -337,13 +349,15 @@ def compare_conditions(
 ) -> Comparison:
     """Paired difference in success between two conditions of one report.
 
-    Requires both conditions to have been run on the same seed sequence;
-    raises ComparisonError otherwise.
+    Requires both conditions to have been run on the same seed sequence and
+    the same environments; raises ComparisonError otherwise.
     """
     ra = report.result_for(cond_a)
     rb = report.result_for(cond_b)
     if ra.seeds != rb.seeds:
         raise ComparisonError("conditions were not run on the same seed sequence")
+    if ra.env_hash != rb.env_hash:
+        raise ComparisonError("conditions were not run on the same environments")
     n_pos = sum(1 for sa, sb in zip(ra.success, rb.success) if sa and not sb)
     n_neg = sum(1 for sa, sb in zip(ra.success, rb.success) if sb and not sa)
     return Comparison(
@@ -382,200 +396,110 @@ def evaluate_asserts(report: BenchmarkReport, asserts) -> list[str]:
 # config and report serialization
 
 
+# The schema is the dataclasses above. Field metadata adjusts the JSON form:
+# "key" names the JSON key when it differs from the field name, "default"
+# gives the decoder a default the dataclass cannot carry, and "echo_if" is a
+# predicate of the owning object that decides whether the field is echoed.
+
+# resolved once per class: resolving the string annotations costs about as
+# much as decoding a whole config
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {
+            f.metadata.get("key", f.name): _encode(getattr(value, f.name))
+            for f in fields(value)
+            if "echo_if" not in f.metadata or f.metadata["echo_if"](value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(tp, value, base, where: str):
+    """Strictly decode JSON `value` as type `tp`.
+
+    A dataclass section takes its missing keys from `base`, the enclosing
+    default, when there is one, and otherwise from its field defaults.
+    Raises TypeError or ValueError; config_from_dict turns them into
+    ConfigError.
+    """
+    if tp in (bool, str):
+        if not isinstance(value, tp):
+            raise TypeError(f"{where}: expected a {tp.__name__}, got {value!r}")
+        return value
+    if tp in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{where}: expected a number, got {value!r}")
+        if tp is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{where}: expected an integer, got {value!r}")
+        return tp(value)
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value, base, where)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise TypeError(f"{where}: expected an object, got {value!r}")
+        schema = {f.metadata.get("key", f.name): f for f in fields(tp)}
+        unknown = set(value) - set(schema)
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for key, f in schema.items():
+            inner = f.metadata.get("default", f.default) if base is None else getattr(base, f.name)
+            if key in value:
+                nested = inner if is_dataclass(inner) else None
+                kwargs[f.name] = _decode(_type_hints(tp)[f.name], value[key], nested, f"{where}.{key}")
+            elif inner is not MISSING:
+                kwargs[f.name] = inner
+            else:
+                raise ValueError(f"{where}: missing key {key!r}")
+        return tp(**kwargs)
+    if origin is tuple or (isinstance(tp, type) and issubclass(tp, tuple)):
+        if not isinstance(value, list):
+            raise TypeError(f"{where}: expected a list, got {value!r}")
+        if origin is None:  # a NamedTuple such as Vec2
+            items = tuple(_type_hints(tp).values())
+        elif args[1:] == (Ellipsis,):
+            items = args[:1] * len(value)
+        else:
+            items = args
+        if len(value) != len(items):
+            raise ValueError(f"{where}: expected {len(items)} elements, got {value!r}")
+        decoded = [_decode(t, v, None, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
+        return tuple(decoded) if origin else tp(*decoded)
+    raise TypeError(f"{where}: unsupported type {tp!r}")
+
+
 def config_to_dict(config: BenchmarkConfig) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "base_seed": config.base_seed,
-        "games_per_condition": config.games_per_condition,
-        "conditions": [
-            {
-                "strategy": c.strategy,
-                "T": c.T,
-                "n": c.n,
-                "geometry": c.geometry,
-                "cv": c.cv,
-            }
-            for c in config.conditions
-        ],
-        "field": {
-            "w_att": config.field_params.w_att,
-            "w_rep": config.field_params.w_rep,
-            "w_v": config.field_params.w_v,
-            "rho0": config.field_params.rho0,
-        },
-        "limits": {
-            "max_steps": config.limits.max_steps,
-            "goal_eps": config.limits.goal_eps,
-            "dt": config.limits.dt,
-            "v_max": config.limits.v_max,
-        },
-        "workspace": {
-            "start": list(config.workspace.start),
-            "goal": list(config.workspace.goal),
-            "x_range": list(config.workspace.x_range),
-            "y_range": list(config.workspace.y_range),
-            "clearance": config.workspace.clearance,
-            "table_half_length": config.workspace.table_half_length,
-            "retry_cap": config.workspace.retry_cap,
-        },
-        "radii": {
-            "r_fixed": config.radii.r_fixed,
-            "r_min": config.radii.r_min,
-            "r_max": config.radii.r_max,
-        },
-        "asserts": [assert_to_dict(a) for a in config.asserts],
-    }
-
-
-def assert_to_dict(ta: TrendAssert) -> dict:
-    d: dict = {"kind": ta.kind, "a": condition_to_dict(ta.a)}
-    if ta.b is not None:
-        d["b"] = condition_to_dict(ta.b)
-    if ta.value is not None:
-        d["value"] = ta.value
-    if ta.significant:
-        d["significant"] = True
-        d["alpha"] = ta.alpha
-    return d
-
-
-def condition_to_dict(c: Condition) -> dict:
-    return {"strategy": c.strategy, "T": c.T, "n": c.n, "geometry": c.geometry, "cv": c.cv}
-
-
-def _condition_from_dict(d: dict) -> Condition:
-    allowed = {"strategy", "T", "n", "geometry", "cv"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown condition keys: {sorted(unknown)}")
-    try:
-        return Condition(
-            strategy=d["strategy"],
-            T=int(d.get("T", 0)),
-            n=int(d["n"]),
-            geometry=d.get("geometry", "known"),
-            cv=float(d.get("cv", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"condition is missing key {exc}") from exc
-
-
-def _assert_from_dict(d: dict) -> TrendAssert:
-    allowed = {"kind", "a", "b", "value", "significant", "alpha"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown assert keys: {sorted(unknown)}")
-    return TrendAssert(
-        kind=d.get("kind", ""),
-        a=_condition_from_dict(d["a"]),
-        b=_condition_from_dict(d["b"]) if "b" in d else None,
-        value=float(d["value"]) if "value" in d else None,
-        significant=bool(d.get("significant", False)),
-        alpha=float(d.get("alpha", 0.05)),
-    )
-
-
-def _expect_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    """The config echo: the JSON form of `config` that reports carry."""
+    return {"format_version": FORMAT_VERSION, **_encode(config)}
 
 
 def config_from_dict(d: dict) -> BenchmarkConfig:
-    """Parse and strictly validate a benchmark config. Every field has a
-    committed default; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
-    _expect_keys(
-        d,
-        {
-            "format_version",
-            "base_seed",
-            "games_per_condition",
-            "conditions",
-            "field",
-            "limits",
-            "workspace",
-            "radii",
-            "asserts",
-        },
-        "config",
-    )
-    if d.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ConfigError(f"unsupported format_version {d.get('format_version')}")
-    if "conditions" not in d or not d["conditions"]:
-        raise ConfigError("config must list at least one condition")
-    defaults = BenchmarkConfig(conditions=(Condition("explicit", 0, 0, "known", 0.0),))
+    """Parse and strictly validate a benchmark config.
 
-    fp = d.get("field", {})
-    _expect_keys(fp, {"w_att", "w_rep", "w_v", "rho0"}, "field")
-    field_params = FieldParams(
-        w_att=float(fp.get("w_att", defaults.field_params.w_att)),
-        w_rep=float(fp.get("w_rep", defaults.field_params.w_rep)),
-        w_v=float(fp.get("w_v", defaults.field_params.w_v)),
-        rho0=float(fp.get("rho0", defaults.field_params.rho0)),
-    )
-    lm = d.get("limits", {})
-    _expect_keys(lm, {"max_steps", "goal_eps", "dt", "v_max"}, "limits")
-    raw_vmax = lm.get("v_max", defaults.limits.v_max)
-    limits = Limits(
-        max_steps=int(lm.get("max_steps", defaults.limits.max_steps)),
-        goal_eps=float(lm.get("goal_eps", defaults.limits.goal_eps)),
-        dt=float(lm.get("dt", defaults.limits.dt)),
-        v_max=None if raw_vmax is None else float(raw_vmax),
-    )
-    ws = d.get("workspace", {})
-    _expect_keys(
-        ws,
-        {"start", "goal", "x_range", "y_range", "clearance", "table_half_length", "retry_cap"},
-        "workspace",
-    )
-    dws = defaults.workspace
-    workspace = Workspace(
-        start=_vec(ws.get("start", list(dws.start))),
-        goal=_vec(ws.get("goal", list(dws.goal))),
-        x_range=_pair(ws.get("x_range", list(dws.x_range))),
-        y_range=_pair(ws.get("y_range", list(dws.y_range))),
-        clearance=float(ws.get("clearance", dws.clearance)),
-        table_half_length=float(ws.get("table_half_length", dws.table_half_length)),
-        retry_cap=int(ws.get("retry_cap", dws.retry_cap)),
-    )
-    rd = d.get("radii", {})
-    _expect_keys(rd, {"r_fixed", "r_min", "r_max"}, "radii")
-    radii = RadiusSpec(
-        r_fixed=float(rd.get("r_fixed", defaults.radii.r_fixed)),
-        r_min=float(rd.get("r_min", defaults.radii.r_min)),
-        r_max=float(rd.get("r_max", defaults.radii.r_max)),
-    )
+    The schema is the dataclasses of this module: every key names a field,
+    every section but the conditions has a committed default, unknown keys
+    are rejected and scalars must have their field's JSON type. Any invalid
+    config raises ConfigError, which `rolecomms` reports with exit code 2.
+    """
     try:
-        conditions = tuple(_condition_from_dict(c) for c in d["conditions"])
-        asserts = tuple(_assert_from_dict(a) for a in d.get("asserts", []))
+        if not isinstance(d, dict):
+            raise TypeError("config root must be a JSON object")
+        d = dict(d)
+        version = d.pop("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        return _decode(BenchmarkConfig, d, None, "config")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return BenchmarkConfig(
-        conditions=conditions,
-        games_per_condition=int(d.get("games_per_condition", defaults.games_per_condition)),
-        base_seed=int(d.get("base_seed", defaults.base_seed)),
-        field_params=field_params,
-        limits=limits,
-        workspace=workspace,
-        radii=radii,
-        asserts=asserts,
-    )
-
-
-def _vec(v):
-    from .numerics import Vec2
-
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"expected a 2-element coordinate, got {v!r}")
-    return Vec2(float(v[0]), float(v[1]))
-
-
-def _pair(v) -> tuple[float, float]:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"expected a 2-element range, got {v!r}")
-    return (float(v[0]), float(v[1]))
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:
@@ -587,11 +511,7 @@ def report_to_dict(report: BenchmarkReport) -> dict:
         "config": report.config,
         "conditions": [
             {
-                "strategy": r.condition.strategy,
-                "T": r.condition.T,
-                "n": r.condition.n,
-                "geometry": r.condition.geometry,
-                "cv": r.condition.cv,
+                **_encode(r.condition),
                 "games": r.games,
                 "successes": r.successes,
                 "lambda": r.lambda_,

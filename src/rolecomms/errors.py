@@ -22,7 +22,7 @@ class AnalysisError(RuntimeError):
 
 
 class ComparisonError(ValueError):
-    """Two benchmark conditions cannot be compared (mismatched seed sequences)."""
+    """Two benchmark conditions cannot be compared (unpaired seeds or environments)."""
 
 
 class GenerationError(RuntimeError):

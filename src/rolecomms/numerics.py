@@ -77,9 +77,6 @@ class Rng:
         """Uniform draw in the half-open interval (0, 1]."""
         return ((self.next_u64() >> 11) + 1) * (1.0 / 9007199254740992.0)
 
-    def spawn(self, salt: int) -> "Rng":
-        return Rng(derive_seed(self._state, salt))
-
 
 def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     """One sample from N(mean, stddev^2) via the Box-Muller transform.

@@ -17,7 +17,7 @@ limits, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GenerationError
@@ -112,17 +112,14 @@ class InferredObstacle(Obstacle):
 class AgentBelief:
     """What one agent knows about the world.
 
-    observed: the obstacles this agent sees directly. received: archive of
-    every explicit delivery, keyed by (sender, obstacle index); the key set
-    only grows within a game. received_latest: the single actionable
-    partner-obstacle estimate, replaced by each delivery; motion uses this
-    one-slot summary, mirroring how the listener's inference keeps exactly
-    one obstacle. inferred: at most one obstacle reconstructed from the
+    observed: the obstacles this agent sees directly. received_latest: the
+    single actionable partner-obstacle estimate, replaced by each explicit
+    delivery, mirroring how the listener's inference keeps exactly one
+    obstacle. inferred: at most one obstacle reconstructed from the
     partner's actions.
     """
 
     observed: tuple[Obstacle, ...]
-    received: dict[tuple[int, int], Obstacle] = field(default_factory=dict)
     received_latest: Obstacle | None = None
     inferred: InferredObstacle | None = None
 
@@ -265,6 +262,12 @@ class Workspace:
     clearance: float = 1.2
     table_half_length: float = 0.5
     retry_cap: int = 200
+
+    def __post_init__(self):
+        if self.retry_cap < 1:
+            raise ValueError("retry_cap must be >= 1")
+        # the environment's own rules, checked before any environment is generated
+        Environment((), self.start, self.goal, KnownRadius(0.0), self.table_half_length)
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +536,14 @@ def run_game(
                 senders = ()
             if senders:
                 for sender in senders:
-                    idx = closest_observed_index(beliefs[sender].observed, pos[sender])
-                    if idx is None:
+                    obs = build_message(beliefs[sender], pos[sender])
+                    if obs is None:
                         continue
-                    obs = beliefs[sender].observed[idx]
                     mcx, mcy, mr = corrupt((obs.center[0], obs.center[1], obs.radius), cv, rng)
                     receiver = 2 if sender == 1 else 1
-                    delivered = Obstacle(center=Vec2(mcx, mcy), radius=max(mr, 0.0))
-                    beliefs[receiver].received[(sender, idx)] = delivered
-                    beliefs[receiver].received_latest = delivered
+                    beliefs[receiver].received_latest = Obstacle(
+                        center=Vec2(mcx, mcy), radius=max(mr, 0.0)
+                    )
                 for agent in (1, 2):
                     b = beliefs[agent]
                     motion[agent] = tuple(
@@ -649,7 +651,7 @@ def run_game(
     return SimOutcome(
         success=outcome_kind == "none",
         steps=steps,
-        failure_kind=outcome_kind if outcome_kind != "none" else "none",
+        failure_kind=outcome_kind,
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
 

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -204,6 +205,15 @@ class TestCompare:
         with pytest.raises(ComparisonError):
             compare_conditions(broken, cond_a, cond_b)
 
+    def test_mismatched_environments_rejected(self):
+        report, cond_a, cond_b = self.synthetic_report([True] * 10, [False] * 10)
+        other_env = replace(report.results[1], env_hash="y")
+        broken = BenchmarkReport(
+            config={}, fingerprint="f", results=(report.results[0], other_env)
+        )
+        with pytest.raises(ComparisonError):
+            compare_conditions(broken, cond_a, cond_b)
+
     def test_failure_mean_excludes_successes(self):
         seeds = (0, 1, 2, 3)
         r = ConditionResult(
@@ -270,11 +280,18 @@ class TestConfigSerialization:
         assert config.limits.max_steps == 200
         assert config.field_params.w_att == 1.0
 
-    def test_committed_configs_parse(self, config_dir):
-        for name in ("table1.json", "fig3.json", "noise.json"):
-            config = config_from_dict(json.loads((config_dir / name).read_text()))
+    def test_committed_configs_parse(self, config_dir, golden_dir):
+        raws = []
+        for name in ("table1.json", "fig3.json", "noise.json", "noise_base.json"):
+            raw = json.loads((config_dir / name).read_text())
+            config = config_from_dict(raw)
             assert config.games_per_condition == 1000
             assert config.base_seed == 0
+            raws.append(raw)
+        raws.append(json.loads((golden_dir / "tiny_report.json").read_text())["config"])
+        for raw in raws:
+            # each committed config is its own echo
+            assert config_to_dict(config_from_dict(raw)) == raw
 
 
 class TestReportFormats:

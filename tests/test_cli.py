@@ -134,6 +134,9 @@ class TestSimulate:
         assert "error" in err
 
 
+_DELETE = object()
+
+
 @pytest.fixture()
 def tiny_bench_config(tmp_path):
     config = {
@@ -202,6 +205,60 @@ class TestBench:
         out_dir = tmp_path / "never"
         code, _, err = run_cli(capsys, "bench", "--config", str(path), "--out", str(out_dir))
         assert code == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("asserts", 0, "a"), _DELETE),
+            (("limits", "dt"), 0),
+            (("field", "w_v"), -1),
+            (("games_per_condition",), "x"),
+            (("field",), None),
+            (("radii", "r_fixed"), -1),
+            (("radii", "r_min"), 0.9),  # above r_max = 0.7
+            (("workspace", "retry_cap"), 0),
+            (("asserts", 0, "significant"), "false"),
+            (("conditions", 0, "T"), 2.7),
+            (("conditions", 0, "n"), True),
+            (("conditions", 0, "cv"), "0.1"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_invalid_value_exits_2_with_one_error_line(self, capsys, tmp_path, path, value):
+        config = {
+            "base_seed": 5,
+            "games_per_condition": 4,
+            "conditions": [
+                {"strategy": "dynamic", "T": 1, "n": 2, "geometry": "known", "cv": 0.0},
+                {"strategy": "speaker_speaker", "T": 0, "n": 2, "geometry": "known", "cv": 0.0},
+            ],
+            "field": {"w_att": 1.0, "w_v": 0.1},
+            "limits": {"dt": 1.0},
+            "radii": {"r_fixed": 0.5},
+            "workspace": {"retry_cap": 200},
+            "asserts": [
+                {
+                    "kind": "greater",
+                    "a": {"strategy": "dynamic", "T": 1, "n": 2},
+                    "b": {"strategy": "speaker_speaker", "n": 2},
+                    "significant": True,
+                }
+            ],
+        }
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_worker_flag_does_not_change_bytes(self, capsys, tiny_bench_config, tmp_path):

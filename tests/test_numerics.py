@@ -167,11 +167,6 @@ class TestRng:
         seeds = {derive_seed(7, salt) for salt in range(100)}
         assert len(seeds) == 100
 
-    def test_spawned_stream_differs(self):
-        parent = Rng(9)
-        child = parent.spawn(1)
-        assert [parent.next_u64() for _ in range(10)] != [child.next_u64() for _ in range(10)]
-
 
 class TestGaussian:
     def test_zero_stddev_returns_mean_exactly(self):

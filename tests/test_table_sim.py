@@ -409,20 +409,17 @@ def _clamp_test(v, v_max):
 
 
 class TestBeliefBookkeeping:
-    def test_received_archive_grows_and_latest_replaces(self):
+    def test_received_latest_replaces(self):
         b = AgentBelief(observed=())
         first = Obstacle(Vec2(1, 1), 0.3)
         second = Obstacle(Vec2(2, 2), 0.4)
-        b.received[(1, 0)] = first
         b.received_latest = first
         assert b.motion_obstacles(use_inferred=False) == [first]
-        b.received[(1, 1)] = second
         b.received_latest = second
-        assert set(b.received) == {(1, 0), (1, 1)}
         assert b.motion_obstacles(use_inferred=False) == [second]
 
     def test_explicit_game_belief_keys_grow(self):
-        # deliveries within a real game only ever add archive keys
+        # obstacles on both sides: several explicit delivery rounds run in a real game
         obstacles = [
             TaggedObstacle(Vec2(3.5, 1.0), 0.5, owner=1),
             TaggedObstacle(Vec2(6.0, -1.0), 0.5, owner=2),

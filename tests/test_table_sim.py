@@ -490,13 +490,18 @@ class TestTrajectoryCsv:
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
 
     def test_golden_format(self, config_dir, golden_dir):
-        env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
-        out = run_game(env, DynamicRoles(period=1), self.params,
-                       Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35), 0,
-                       record_trajectory=True)
-        lines = trajectory_csv_lines(out.trajectory)
-        golden = (golden_dir / "fig2_dynamic_t1.csv").read_text().splitlines()
-        assert lines == golden
+        limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
+        fig2_env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
+        # the second case pins periodic explicit delivery with channel noise
+        cases = (
+            ("fig2_dynamic_t1.csv", fig2_env, DynamicRoles(period=1), 0),
+            ("explicit_t3_cv01.csv", generate_environment(3, 4, KnownRadius(0.5), Workspace()),
+             Explicit(period=3, noise_cv=0.1), 3),
+        )
+        for name, env, strategy, seed in cases:
+            out = run_game(env, strategy, self.params, limits, seed, record_trajectory=True)
+            lines = trajectory_csv_lines(out.trajectory)
+            assert lines == (golden_dir / name).read_text().splitlines(), name
 
     def test_rerun_identical(self, config_dir):
         env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))

@@ -50,7 +50,6 @@ from .potential_field import (
     repulsive_grad,
 )
 from .table_sim import (
-    AgentBelief,
     CommStrategy,
     DynamicRoles,
     Environment,
@@ -62,7 +61,6 @@ from .table_sim import (
     TableState,
     UnknownRadius,
     Workspace,
-    build_message,
     corrupt,
     generate_environment,
     infer_obstacle,

@@ -66,16 +66,15 @@ class Condition:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.geometry not in GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.strategy == "dynamic" and self.T < 1:
-            raise ConfigError("dynamic roles require T >= 1")
-        if self.strategy == "explicit" and self.T < 0:
-            raise ConfigError("explicit requires T >= 0")
         if self.strategy in ("speaker_listener", "speaker_speaker") and self.T != 0:
             raise ConfigError("static strategies take no period; set T to 0")
         if self.n < 0:
             raise ConfigError("obstacle count must be >= 0")
-        if self.cv < 0:
-            raise ConfigError("cv must be >= 0")
+        try:
+            # the strategy's own rules on T and cv, checked before any game runs
+            self.comm_strategy()
+        except ValueError as exc:
+            raise ConfigError(f"{self.strategy}: {exc}") from exc
 
     def comm_strategy(self) -> CommStrategy:
         if self.strategy == "explicit":
@@ -265,7 +264,9 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     every condition with the same (n, geometry), which makes cross-strategy
     comparisons paired. Games whose environment generation fails are skipped
     and recorded; the skip set is seed-determined, hence identical across
-    conditions sharing (n, geometry). The result is independent of `workers`.
+    conditions sharing (n, geometry). A condition with every seed skipped
+    raises ConfigError. The result is independent of `workers`, and at most
+    one process per task is started.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
     tasks = []
@@ -274,6 +275,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
             tasks.append((config, cond_idx, seeds[lo : lo + chunk_size]))
 
     rows: list[tuple[int, int, bool, int, str]] = []
+    workers = min(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
             rows.extend(_run_chunk(task))
@@ -294,6 +296,8 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
         outcomes = by_condition[cond_idx]
         kept = [s for s in seeds if outcomes[s][2] != "generation_skip"]
         skipped = tuple(s for s in seeds if outcomes[s][2] == "generation_skip")
+        if not kept:
+            raise ConfigError(f"{condition}: every seed failed environment generation")
         geo_key = (condition.n, condition.geometry)
         if geo_key not in env_hashes:
             env_hashes[geo_key] = _env_sequence_hash(condition, config, seeds)

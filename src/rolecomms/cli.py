@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import ConfigError
+from .errors import ConfigError, GenerationError
 from .linear_roles import (
     DynamicAlternating,
     SpeakerListener,
@@ -39,9 +39,7 @@ from .linear_roles import (
     stability_report,
 )
 from .table_sim import (
-    KnownRadius,
     SimOutcome,
-    UnknownRadius,
     environment_from_dict,
     generate_environment,
     run_game,
@@ -186,21 +184,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _strategy_from_args(args):
-    period = args.T if args.strategy in ("explicit", "dynamic") else 0
-    cond = bench_mod.Condition(
-        strategy=args.strategy,
-        T=period,
-        n=0,
-        geometry=args.geometry,
-        cv=args.cv,
-    )
-    return cond.comm_strategy()
-
-
 def _cmd_simulate(args) -> int:
+    period = args.T if args.strategy in ("explicit", "dynamic") else 0
     try:
         config = _bench_config_for_cli(args)
+        condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
     except ConfigError as exc:
         return _fail(str(exc))
     if args.env is not None:
@@ -209,18 +197,14 @@ def _cmd_simulate(args) -> int:
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
             return _fail(f"unreadable environment: {exc}")
     else:
-        if args.geometry == "known":
-            mode = KnownRadius(r_fixed=config.radii.r_fixed)
-        else:
-            mode = UnknownRadius(r_min=config.radii.r_min, r_max=config.radii.r_max)
-        env = generate_environment(args.seed, args.n, mode, config.workspace)
-    try:
-        strategy = _strategy_from_args(args)
-    except ConfigError as exc:
-        return _fail(str(exc))
+        mode = condition.geometry_mode(config.radii)
+        try:
+            env = generate_environment(args.seed, args.n, mode, config.workspace)
+        except GenerationError as exc:
+            return _fail(str(exc))
     outcome = run_game(
         env,
-        strategy,
+        condition.comm_strategy(),
         config.field_params,
         config.limits,
         args.seed,
@@ -268,15 +252,17 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
+    """Worker count from --workers or ROLECOMMS_THREADS, within [1, cpu count]."""
+    requested = args.workers
     env_value = os.environ.get("ROLECOMMS_THREADS")
-    if env_value:
+    if requested is None and env_value:
         try:
-            return max(1, int(env_value))
+            requested = int(env_value)
         except ValueError:
             raise ConfigError(f"ROLECOMMS_THREADS must be an integer, got {env_value!r}")
-    return 1
+    if requested is None:
+        return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _write_report(report: bench_mod.BenchmarkReport, out_dir: str) -> None:
@@ -289,10 +275,9 @@ def _write_report(report: bench_mod.BenchmarkReport, out_dir: str) -> None:
 def _cmd_bench(args) -> int:
     try:
         config = _bench_config_for_cli(args)
-        workers = _resolve_workers(args)
+        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
     except ConfigError as exc:
         return _fail(str(exc))
-    report = bench_mod.run_benchmark(config, workers=workers)
     _write_report(report, args.out)
     failures = bench_mod.evaluate_asserts(report, config.asserts)
     for failure in failures:
@@ -315,19 +300,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = _bench_config_for_cli(args)
-        workers = _resolve_workers(args)
-    except ConfigError as exc:
-        return _fail(str(exc))
     from dataclasses import replace
 
-    expanded = []
-    for cond in config.conditions:
-        for cv in args.cv:
-            expanded.append(replace(cond, cv=cv))
-    config = replace(config, conditions=tuple(expanded), asserts=())
-    report = bench_mod.run_benchmark(config, workers=workers)
+    try:
+        config = _bench_config_for_cli(args)
+        expanded = tuple(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv)
+        config = replace(config, conditions=expanded, asserts=())
+        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
+    except ConfigError as exc:
+        return _fail(str(exc))
     _write_report(report, args.out)
     print(
         json.dumps(

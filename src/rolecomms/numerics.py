@@ -31,9 +31,6 @@ class Vec2(NamedTuple):
     def __sub__(self, other):
         return Vec2(self.x - other[0], self.y - other[1])
 
-    def scaled(self, c: float) -> "Vec2":
-        return Vec2(self.x * c, self.y * c)
-
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y)
 

@@ -108,30 +108,6 @@ class InferredObstacle(Obstacle):
     saturated: bool = False
 
 
-@dataclass
-class AgentBelief:
-    """What one agent knows about the world.
-
-    observed: the obstacles this agent sees directly. received_latest: the
-    single actionable partner-obstacle estimate, replaced by each explicit
-    delivery, mirroring how the listener's inference keeps exactly one
-    obstacle. inferred: at most one obstacle reconstructed from the
-    partner's actions.
-    """
-
-    observed: tuple[Obstacle, ...]
-    received_latest: Obstacle | None = None
-    inferred: InferredObstacle | None = None
-
-    def motion_obstacles(self, use_inferred: bool) -> list[Obstacle]:
-        out: list[Obstacle] = list(self.observed)
-        if self.received_latest is not None:
-            out.append(self.received_latest)
-        if use_inferred and self.inferred is not None:
-            out.append(self.inferred)
-        return out
-
-
 @dataclass(frozen=True)
 class Explicit:
     """Message-passing about the closest observed obstacle.
@@ -347,15 +323,6 @@ def closest_observed_index(observed: Sequence[Obstacle], own_pos: Vec2) -> int |
     return best
 
 
-def build_message(belief: AgentBelief, own_pos: Vec2) -> Obstacle | None:
-    """The obstacle an explicit message carries: the closest observed one.
-
-    Returns None when the agent observes nothing (the receiver is left
-    unchanged)."""
-    idx = closest_observed_index(belief.observed, own_pos)
-    return None if idx is None else belief.observed[idx]
-
-
 def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
     """Add zero-mean Gaussian noise with stddev cv*|x| to each component.
 
@@ -478,18 +445,14 @@ def run_game(
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = Rng(derive_seed(seed, _GAME_STREAM))
     start_state = initial_table_state(env)
-    beliefs = {
-        1: AgentBelief(observed=env.owned_by(1)),
-        2: AgentBelief(observed=env.owned_by(2)),
-    }
     attractors = (Attractor(env.goal),)
     nominal_r = env.geometry_mode.nominal_radius
     cv = strategy.noise_cv
     gx, gy = env.goal
     trajectory: list[TrajectoryStep] | None = [] if record_trajectory else None
 
-    # The inner loop carries the table pose and belief contents as plain
-    # floats/tuples; _field_velocity and the inlined dynamics reproduce
+    # The inner loop carries the table pose and each agent's obstacles as
+    # plain floats/tuples; _field_velocity and the inlined dynamics reproduce
     # agent_velocity and table_step arithmetic exactly (pinned by tests).
     cx_, cy_ = start_state.center
     heading = start_state.heading
@@ -499,22 +462,22 @@ def run_game(
     v_max = limits.v_max
     goal_eps = limits.goal_eps
     env_obs = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles)
-    # per-agent motion tuples (observed + received); rebuilt on delivery
-    motion = {
-        agent: tuple((o.center[0], o.center[1], o.radius) for o in beliefs[agent].observed)
+    observed = {agent: env.owned_by(agent) for agent in (1, 2)}
+    own = {
+        agent: tuple((o.center[0], o.center[1], o.radius) for o in observed[agent])
         for agent in (1, 2)
     }
+    # motion: own obstacles plus at most one received one. Each explicit
+    # delivery replaces the previous received obstacle, so an agent acts on
+    # one partner estimate, as a listener keeps exactly one inferred obstacle.
+    motion = dict(own)
+    inferred: dict[int, InferredObstacle | None] = {1: None, 2: None}
 
-    if isinstance(strategy, Explicit):
-        kind = "explicit"
-        period = strategy.period
-    elif isinstance(strategy, DynamicRoles):
-        kind = "roles"
-        period = strategy.period
-    elif isinstance(strategy.allocation, SpeakerListener):
-        kind = "roles"
-    else:
-        kind = "speakers"
+    explicit = isinstance(strategy, Explicit)
+    dynamic = isinstance(strategy, DynamicRoles)
+    period = strategy.period if explicit or dynamic else 0
+    allocation = getattr(strategy, "allocation", None)
+    static_speaker = allocation.speaker if isinstance(allocation, SpeakerListener) else None
 
     outcome_kind = "timeout"
     steps = limits.max_steps
@@ -527,56 +490,48 @@ def run_game(
         p2y = cy_ - half_len * sin_h
         pos = {1: (p1x, p1y), 2: (p2x, p2y)}
 
-        if kind == "explicit":
+        # speaker None: both agents speak (Explicit, StaticRoles(SpeakerSpeaker()))
+        if explicit:
             if period == 0:
                 senders = (1, 2)
             elif step > 0 and step % period == 0:
                 senders = (1,) if (step // period) % 2 == 1 else (2,)
             else:
                 senders = ()
-            if senders:
-                for sender in senders:
-                    obs = build_message(beliefs[sender], pos[sender])
-                    if obs is None:
-                        continue
-                    mcx, mcy, mr = corrupt((obs.center[0], obs.center[1], obs.radius), cv, rng)
-                    receiver = 2 if sender == 1 else 1
-                    beliefs[receiver].received_latest = Obstacle(
-                        center=Vec2(mcx, mcy), radius=max(mr, 0.0)
-                    )
-                for agent in (1, 2):
-                    b = beliefs[agent]
-                    motion[agent] = tuple(
-                        (o.center[0], o.center[1], o.radius)
-                        for o in b.motion_obstacles(use_inferred=False)
-                    )
-            roles = ("S", "S")
-            v1 = _field_velocity(p1x, p1y, gx, gy, motion[1], w_att, w_rep, w_v, rho0)
-            v2 = _field_velocity(p2x, p2y, gx, gy, motion[2], w_att, w_rep, w_v, rho0)
-        elif kind == "speakers":
+            for sender in senders:
+                idx = closest_observed_index(observed[sender], pos[sender])
+                if idx is None:
+                    continue
+                o = observed[sender][idx]
+                mcx, mcy, mr = corrupt((o.center[0], o.center[1], o.radius), cv, rng)
+                receiver = 3 - sender
+                motion[receiver] = own[receiver] + ((mcx, mcy, max(mr, 0.0)),)
+            speaker = None
+        elif dynamic:
+            flips = (step // period) % 2
+            speaker = strategy.initial_speaker if flips == 0 else 3 - strategy.initial_speaker
+        else:
+            speaker = static_speaker
+
+        if speaker is None:
             roles = ("S", "S")
             v1 = _field_velocity(p1x, p1y, gx, gy, motion[1], w_att, w_rep, w_v, rho0)
             v2 = _field_velocity(p2x, p2y, gx, gy, motion[2], w_att, w_rep, w_v, rho0)
         else:
-            if isinstance(strategy, DynamicRoles):
-                flips = (step // period) % 2
-                speaker = strategy.initial_speaker if flips == 0 else 3 - strategy.initial_speaker
-            else:
-                speaker = strategy.allocation.speaker
             listener = 3 - speaker
             sx, sy = pos[speaker]
             v_spk = _field_velocity(sx, sy, gx, gy, motion[speaker], w_att, w_rep, w_v, rho0)
             observed_v = corrupt(v_spk, cv, rng)
-            inferred = infer_obstacle(
+            new = infer_obstacle(
                 Vec2(observed_v[0], observed_v[1]),
                 Vec2(sx, sy),
                 attractors,
                 params,
                 nominal_r,
             )
-            if inferred is not None:
-                beliefs[listener].inferred = inferred
-            inf = beliefs[listener].inferred
+            if new is not None:
+                inferred[listener] = new
+            inf = inferred[listener]
             lx, ly = pos[listener]
             listener_obs = motion[listener]
             if inf is not None:
@@ -608,8 +563,8 @@ def run_game(
                     v2=Vec2(v2[0], v2[1]),
                     role1=roles[0],
                     role2=roles[1],
-                    inferred1=beliefs[1].inferred,
-                    inferred2=beliefs[2].inferred,
+                    inferred1=inferred[1],
+                    inferred2=inferred[2],
                 )
             )
 

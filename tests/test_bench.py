@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import rolecomms
+from rolecomms import bench
 from rolecomms.bench import (
     BenchmarkConfig,
     Condition,
@@ -22,6 +23,7 @@ from rolecomms.bench import (
     sign_test_p,
 )
 from rolecomms.errors import ComparisonError, ConfigError
+from rolecomms.table_sim import Workspace
 
 
 def small_config(conditions, games=30, **kwargs):
@@ -128,6 +130,50 @@ class TestRunBenchmark:
             by_key[("dynamic", 1, 4, "known", 0.0)].env_hash
             != by_key[("dynamic", 1, 2, "known", 0.0)].env_hash
         )
+
+    def test_partial_skips_are_paired_and_partition_the_seeds(self):
+        # a tight workspace: 19 of the 40 default-base-seed environments with
+        # 8 obstacles fail generation
+        conditions = [
+            Condition("dynamic", 1, 8, "known", 0.0),
+            Condition("speaker_speaker", 0, 8, "known", 0.0),
+        ]
+        config = BenchmarkConfig(
+            conditions=tuple(conditions),
+            games_per_condition=40,
+            workspace=Workspace(clearance=3.2, retry_cap=3),
+        )
+        report = run_benchmark(config)
+        sequence = [config.base_seed + i for i in range(40)]
+        first, second = report.results
+        assert len(first.skipped_seeds) == 19
+        assert first.skipped_seeds == second.skipped_seeds
+        for r in report.results:
+            assert not set(r.seeds) & set(r.skipped_seeds)
+            assert sorted(r.seeds + r.skipped_seeds) == sequence
+            assert r.games == 21
+
+    def test_pool_never_larger_than_task_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        config = small_config([Condition("dynamic", 1, 2, "known", 0.0)], games=30)
+        pooled = run_benchmark(config, workers=64, chunk_size=10)
+        assert sizes == [3]
+        assert report_json(pooled) == report_json(run_benchmark(config, chunk_size=10))
 
     def test_lambda_is_exact_ratio(self):
         report = run_benchmark(small_config([Condition("speaker_speaker", 0, 8, "known", 0.0)]))

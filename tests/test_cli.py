@@ -1,14 +1,24 @@
+import argparse
 import json
+import os
 
 import pytest
 
-from rolecomms.cli import build_parser, main
+from rolecomms.cli import _resolve_workers, build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a workspace with no room for any obstacle: every seed fails generation
+NO_ROOM_CONFIG = {
+    "games_per_condition": 3,
+    "conditions": [{"strategy": "dynamic", "T": 1, "n": 2}],
+    "workspace": {"clearance": 10.0, "retry_cap": 5},
+}
 
 
 @pytest.fixture()
@@ -132,6 +142,20 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--env", str(missing))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", "-1"), ("--n", "2", "--config", "{no_room}")],
+        ids=["negative_n", "generation_fails"],
+    )
+    def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
+        no_room = tmp_path / "no_room.json"
+        no_room.write_text(json.dumps(NO_ROOM_CONFIG))
+        argv = [a.format(no_room=no_room) for a in argv]
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _DELETE = object()
@@ -260,6 +284,33 @@ class TestBench:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [("bench",), ("sweep", "--cv", "0", "0.1")],
+                             ids=["bench", "sweep"])
+    def test_all_seeds_skipped_exits_2(self, capsys, tmp_path, command):
+        config_path = tmp_path / "no_room.json"
+        config_path.write_text(json.dumps(NO_ROOM_CONFIG))
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli(
+            capsys, command[0], "--config", str(config_path), "--out", str(out_dir), *command[1:]
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "every seed failed environment generation" in err
+        assert not out_dir.exists()
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 1
+        assert _resolve_workers(argparse.Namespace(workers=3)) == 3
+        assert _resolve_workers(argparse.Namespace(workers=10_000)) == 4
+        assert _resolve_workers(argparse.Namespace(workers=0)) == 1
+        monkeypatch.setenv("ROLECOMMS_THREADS", "10000")
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 4
+        assert _resolve_workers(argparse.Namespace(workers=2)) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_workers(argparse.Namespace(workers=8)) == 1
 
     def test_worker_flag_does_not_change_bytes(self, capsys, tiny_bench_config, tmp_path):
         outs = []

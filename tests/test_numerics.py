@@ -205,4 +205,3 @@ class TestVec2:
         assert v.norm() == 5.0
         assert (v + Vec2(1.0, 1.0)) == Vec2(4.0, 5.0)
         assert (v - Vec2(1.0, 1.0)) == Vec2(2.0, 3.0)
-        assert v.scaled(2.0) == Vec2(6.0, 8.0)

@@ -16,7 +16,6 @@ from rolecomms.potential_field import (
     repulsive_magnitude,
 )
 from rolecomms.table_sim import (
-    AgentBelief,
     DynamicRoles,
     Environment,
     Explicit,
@@ -27,7 +26,6 @@ from rolecomms.table_sim import (
     TaggedObstacle,
     UnknownRadius,
     Workspace,
-    build_message,
     closest_observed_index,
     corrupt,
     environment_from_dict,
@@ -191,24 +189,17 @@ class TestInference:
 
 
 class TestMessages:
-    def test_single_observed(self):
-        b = AgentBelief(observed=(Obstacle(Vec2(1, 1), 0.3),))
-        assert build_message(b, Vec2(0, 0)) == b.observed[0]
-
-    def test_picks_nearer(self):
-        near = Obstacle(Vec2(1, 0), 0.3)
-        far = Obstacle(Vec2(5, 0), 0.3)
-        b = AgentBelief(observed=(far, near))
-        assert build_message(b, Vec2(0, 0)) == near
-
     def test_tie_breaks_to_lowest_index(self):
         a = Obstacle(Vec2(2, 0), 0.3)
         c = Obstacle(Vec2(-2, 0), 0.3)
         assert closest_observed_index((a, c), Vec2(0, 0)) == 0
         assert closest_observed_index((c, a), Vec2(0, 0)) == 0
-
-    def test_empty_observed_returns_none(self):
-        assert build_message(AgentBelief(observed=()), Vec2(0, 0)) is None
+        # a single obstacle, the nearer of two, and nothing observed
+        near = Obstacle(Vec2(1, 0), 0.3)
+        far = Obstacle(Vec2(5, 0), 0.3)
+        assert closest_observed_index((far,), Vec2(0, 0)) == 0
+        assert closest_observed_index((far, near), Vec2(0, 0)) == 1
+        assert closest_observed_index((), Vec2(0, 0)) is None
 
 
 class TestCorrupt:
@@ -367,6 +358,19 @@ class TestRunGame:
             assert ts.state.center[1] == pytest.approx(state.center[1], abs=1e-9)
             state = ts.state
 
+    def test_periodic_explicit_game_runs_several_deliveries(self):
+        # obstacles on both sides: several explicit delivery rounds run in a real game
+        obstacles = [
+            TaggedObstacle(Vec2(3.5, 1.0), 0.5, owner=1),
+            TaggedObstacle(Vec2(6.0, -1.0), 0.5, owner=2),
+            TaggedObstacle(Vec2(7.5, 1.2), 0.5, owner=1),
+            TaggedObstacle(Vec2(4.5, -1.5), 0.5, owner=2),
+        ]
+        env = make_env(obstacles)
+        params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
+        out = run_game(env, Explicit(period=4), params, Limits(), seed=3)
+        assert out.steps > 8  # several delivery rounds happened
+
     def test_speaker_strictness_blinds_current_speaker(self):
         # an obstacle only agent 1 can see, placed on agent 2's side: while
         # agent 2 speaks it must ignore what it inferred earlier
@@ -405,31 +409,7 @@ def _clamp_test(v, v_max):
     speed = v.norm()
     if v_max is None or speed <= v_max:
         return v
-    return v.scaled(v_max / speed)
-
-
-class TestBeliefBookkeeping:
-    def test_received_latest_replaces(self):
-        b = AgentBelief(observed=())
-        first = Obstacle(Vec2(1, 1), 0.3)
-        second = Obstacle(Vec2(2, 2), 0.4)
-        b.received_latest = first
-        assert b.motion_obstacles(use_inferred=False) == [first]
-        b.received_latest = second
-        assert b.motion_obstacles(use_inferred=False) == [second]
-
-    def test_explicit_game_belief_keys_grow(self):
-        # obstacles on both sides: several explicit delivery rounds run in a real game
-        obstacles = [
-            TaggedObstacle(Vec2(3.5, 1.0), 0.5, owner=1),
-            TaggedObstacle(Vec2(6.0, -1.0), 0.5, owner=2),
-            TaggedObstacle(Vec2(7.5, 1.2), 0.5, owner=1),
-            TaggedObstacle(Vec2(4.5, -1.5), 0.5, owner=2),
-        ]
-        env = make_env(obstacles)
-        params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-        out = run_game(env, Explicit(period=4), params, Limits(), seed=3)
-        assert out.steps > 8  # several delivery rounds happened
+    return Vec2(v[0] * (v_max / speed), v[1] * (v_max / speed))
 
 
 class TestEnvironmentGeneration:

@@ -254,14 +254,14 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
 def _resolve_workers(args) -> int:
     """Worker count from --workers or ROLECOMMS_THREADS, within [1, cpu count]."""
     requested = args.workers
-    env_value = os.environ.get("ROLECOMMS_THREADS")
-    if requested is None and env_value:
+    if requested is None:
+        env_value = os.environ.get("ROLECOMMS_THREADS")
+        if not env_value:
+            return 1
         try:
             requested = int(env_value)
         except ValueError:
             raise ConfigError(f"ROLECOMMS_THREADS must be an integer, got {env_value!r}")
-    if requested is None:
-        return 1
     return max(1, min(requested, os.cpu_count() or 1))
 
 

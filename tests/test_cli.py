@@ -351,6 +351,16 @@ class TestSweep:
         cvs = sorted({c["cv"] for c in report["conditions"]})
         assert cvs == [0.001, 0.01, 0.1]
 
+    def test_negative_cv_exits_2(self, capsys, tiny_bench_config, tmp_path):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", str(tiny_bench_config), "--out", str(out_dir),
+            "--cv", "0.1", "-0.1",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
 
 class TestHelp:
     def test_subcommands_listed(self, capsys):

@@ -50,14 +50,11 @@ from .potential_field import (
     repulsive_grad,
 )
 from .table_sim import (
-    CommStrategy,
-    DynamicRoles,
     Environment,
-    Explicit,
     KnownRadius,
     Limits,
     SimOutcome,
-    StaticRoles,
+    Strategy,
     TableState,
     UnknownRadius,
     Workspace,

@@ -22,18 +22,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ComparisonError, ConfigError, GenerationError
-from .linear_roles import SpeakerListener, SpeakerSpeaker
 from .numerics import Vec2
 from .potential_field import FieldParams, Obstacle
 from .table_sim import (
-    CommStrategy,
-    DynamicRoles,
     Environment,
-    Explicit,
     GeometryMode,
     KnownRadius,
     Limits,
-    StaticRoles,
+    Strategy,
     UnknownRadius,
     Workspace,
     environment_to_dict,
@@ -43,7 +39,6 @@ from .table_sim import (
 
 FORMAT_VERSION = 1
 
-STRATEGY_NAMES = ("explicit", "dynamic", "speaker_listener", "speaker_speaker")
 GEOMETRY_NAMES = ("known", "unknown")
 
 REPORT_CSV_HEADER = "strategy,T,n,cv,lambda,failure_mean_steps,games"
@@ -51,8 +46,8 @@ REPORT_CSV_HEADER = "strategy,T,n,cv,lambda,failure_mean_steps,games"
 
 @dataclass(frozen=True)
 class Condition:
-    """One benchmark cell. T is meaningful for explicit (0 = realtime) and
-    dynamic strategies and fixed to 0 for the static ones."""
+    """One benchmark cell: a table_sim.Strategy (name, period T, noise cv)
+    played on n obstacles of the given geometry."""
 
     strategy: str
     # decoder defaults: a config may omit T, geometry and cv
@@ -62,28 +57,18 @@ class Condition:
     cv: float = field(metadata={"default": 0.0})
 
     def __post_init__(self):
-        if self.strategy not in STRATEGY_NAMES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.geometry not in GEOMETRY_NAMES:
-            raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.strategy in ("speaker_listener", "speaker_speaker") and self.T != 0:
-            raise ConfigError("static strategies take no period; set T to 0")
-        if self.n < 0:
-            raise ConfigError("obstacle count must be >= 0")
         try:
-            # the strategy's own rules on T and cv, checked before any game runs
+            # the strategy's own rules on name, T and cv, checked before any game runs
             self.comm_strategy()
         except ValueError as exc:
             raise ConfigError(f"{self.strategy}: {exc}") from exc
+        if self.geometry not in GEOMETRY_NAMES:
+            raise ConfigError(f"unknown geometry {self.geometry!r}")
+        if self.n < 0:
+            raise ConfigError("obstacle count must be >= 0")
 
-    def comm_strategy(self) -> CommStrategy:
-        if self.strategy == "explicit":
-            return Explicit(period=self.T, noise_cv=self.cv)
-        if self.strategy == "dynamic":
-            return DynamicRoles(period=self.T, noise_cv=self.cv)
-        if self.strategy == "speaker_listener":
-            return StaticRoles(allocation=SpeakerListener(1), noise_cv=self.cv)
-        return StaticRoles(allocation=SpeakerSpeaker(), noise_cv=self.cv)
+    def comm_strategy(self) -> Strategy:
+        return Strategy(self.strategy, self.T, self.cv)
 
     def geometry_mode(self, workspace_radii: "RadiusSpec") -> GeometryMode:
         if self.geometry == "known":
@@ -210,36 +195,36 @@ def _environment_for(seed: int, condition: Condition, config: BenchmarkConfig) -
 def _run_chunk(args) -> list[tuple[int, int, bool, int, str]]:
     """Worker task: play a block of (condition, seed) games.
 
-    Returns (condition_index, seed, success, steps, failure_kind) rows;
-    generation failures are marked with failure_kind 'generation_skip'.
+    Returns (condition_index, seed, success, steps, failure_kind) rows. The
+    seeds are ones whose environment generates.
     """
     config, cond_idx, seeds = args
     condition = config.conditions[cond_idx]
     strategy = condition.comm_strategy()
     rows = []
     for seed in seeds:
-        try:
-            env = _environment_for(seed, condition, config)
-        except GenerationError:
-            rows.append((cond_idx, seed, False, 0, "generation_skip"))
-            continue
+        env = _environment_for(seed, condition, config)
         outcome = run_game(env, strategy, config.field_params, config.limits, seed)
         rows.append((cond_idx, seed, outcome.success, outcome.steps, outcome.failure_kind))
     return rows
 
 
-def _env_sequence_hash(condition: Condition, config: BenchmarkConfig, seeds) -> str:
+def _env_sequence_hash(condition: Condition, config: BenchmarkConfig, seeds) -> tuple[str, tuple]:
+    """Digest of the condition's environment sequence, and the seeds whose
+    environment generation fails."""
     digest = hashlib.sha256()
+    skipped = []
     for seed in seeds:
         try:
             env = _environment_for(seed, condition, config)
         except GenerationError:
             digest.update(f"skip:{seed}".encode())
+            skipped.append(seed)
             continue
         digest.update(
             json.dumps(environment_to_dict(env), sort_keys=True, separators=(",", ":")).encode()
         )
-    return digest.hexdigest()
+    return digest.hexdigest(), tuple(skipped)
 
 
 def config_fingerprint(config_echo: dict) -> str:
@@ -264,15 +249,26 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     every condition with the same (n, geometry), which makes cross-strategy
     comparisons paired. Games whose environment generation fails are skipped
     and recorded; the skip set is seed-determined, hence identical across
-    conditions sharing (n, geometry). A condition with every seed skipped
-    raises ConfigError. The result is independent of `workers`, and at most
-    one process per task is started.
+    conditions sharing (n, geometry). Every environment sequence is hashed,
+    and its skips found, before any game is played, so a condition with every
+    seed skipped raises ConfigError at once. The result is independent of
+    `workers`, and at most one process per task is started.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
+    sequences: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+    for condition in config.conditions:
+        geo_key = (condition.n, condition.geometry)
+        if geo_key not in sequences:
+            sequences[geo_key] = _env_sequence_hash(condition, config, seeds)
+        if len(sequences[geo_key][1]) == len(seeds):
+            raise ConfigError(f"{condition}: every seed failed environment generation")
+    kept = {key: sorted(set(seeds).difference(skipped)) for key, (_, skipped) in sequences.items()}
+
     tasks = []
-    for cond_idx in range(len(config.conditions)):
-        for lo in range(0, len(seeds), chunk_size):
-            tasks.append((config, cond_idx, seeds[lo : lo + chunk_size]))
+    for cond_idx, condition in enumerate(config.conditions):
+        played = kept[(condition.n, condition.geometry)]
+        for lo in range(0, len(played), chunk_size):
+            tasks.append((config, cond_idx, played[lo : lo + chunk_size]))
 
     rows: list[tuple[int, int, bool, int, str]] = []
     workers = min(workers, len(tasks))
@@ -290,26 +286,21 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     for cond_idx, seed, success, steps, kind in rows:
         by_condition[cond_idx][seed] = (success, steps, kind)
 
-    env_hashes: dict[tuple, str] = {}
     results = []
     for cond_idx, condition in enumerate(config.conditions):
         outcomes = by_condition[cond_idx]
-        kept = [s for s in seeds if outcomes[s][2] != "generation_skip"]
-        skipped = tuple(s for s in seeds if outcomes[s][2] == "generation_skip")
-        if not kept:
-            raise ConfigError(f"{condition}: every seed failed environment generation")
         geo_key = (condition.n, condition.geometry)
-        if geo_key not in env_hashes:
-            env_hashes[geo_key] = _env_sequence_hash(condition, config, seeds)
+        env_hash, skipped = sequences[geo_key]
+        played = kept[geo_key]
         results.append(
             ConditionResult(
                 condition=condition,
-                seeds=tuple(kept),
-                success=tuple(outcomes[s][0] for s in kept),
-                steps=tuple(outcomes[s][1] for s in kept),
-                failure_kinds=tuple(outcomes[s][2] for s in kept),
+                seeds=tuple(played),
+                success=tuple(outcomes[s][0] for s in played),
+                steps=tuple(outcomes[s][1] for s in played),
+                failure_kinds=tuple(outcomes[s][2] for s in played),
                 skipped_seeds=skipped,
-                env_hash=env_hashes[geo_key],
+                env_hash=env_hash,
             )
         )
 

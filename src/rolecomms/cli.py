@@ -39,6 +39,7 @@ from .linear_roles import (
     stability_report,
 )
 from .table_sim import (
+    STRATEGY_NAMES,
     SimOutcome,
     environment_from_dict,
     generate_environment,
@@ -212,17 +213,17 @@ def _cmd_simulate(args) -> int:
     )
     if args.trajectory_out is not None:
         write_trajectory_csv(outcome.trajectory, args.trajectory_out)
-    _print_json(_outcome_summary(outcome, args))
+    _print_json(_outcome_summary(outcome, condition, args))
     return 0
 
 
-def _outcome_summary(outcome: SimOutcome, args) -> dict:
+def _outcome_summary(outcome: SimOutcome, condition: bench_mod.Condition, args) -> dict:
     return {
         "kind": "sim_outcome",
         "seed": args.seed,
-        "strategy": args.strategy,
-        "T": args.T,
-        "cv": args.cv,
+        "strategy": condition.strategy,
+        "T": condition.T,
+        "cv": condition.cv,
         "success": outcome.success,
         "steps": outcome.steps,
         "failure_kind": outcome.failure_kind,
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--geometry", choices=("known", "unknown"), default="known")
     p_sim.add_argument(
         "--strategy",
-        choices=bench_mod.STRATEGY_NAMES,
+        choices=STRATEGY_NAMES,
         default="dynamic",
     )
     p_sim.add_argument("--T", type=int, default=1, help="period for explicit/dynamic")

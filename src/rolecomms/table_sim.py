@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GenerationError
-from .linear_roles import SpeakerListener, SpeakerSpeaker
 from .numerics import Rng, Vec2, derive_seed, gaussian
 from .potential_field import (
     ATTRACTOR_EPS,
@@ -95,6 +94,8 @@ class Environment:
     def __post_init__(self):
         if not self.table_half_length > 0:
             raise ValueError("table_half_length must be > 0")
+        if not all(math.isfinite(x) for x in (*self.start, *self.goal, self.table_half_length)):
+            raise ValueError("start, goal and table_half_length must be finite")
 
     def owned_by(self, agent: int) -> tuple[TaggedObstacle, ...]:
         return tuple(o for o in self.obstacles if o.owner == agent)
@@ -108,58 +109,40 @@ class InferredObstacle(Obstacle):
     saturated: bool = False
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """Message-passing about the closest observed obstacle.
+STRATEGY_NAMES = ("explicit", "dynamic", "speaker_listener", "speaker_speaker")
 
-    period >= 1: one message goes out after each full period elapses (steps
-    period, 2*period, ...), with the sender alternating between the agents,
-    mirroring how roles alternate with the same period. period 0 is
-    realtime: both agents send every step from the first step on.
+
+@dataclass(frozen=True)
+class Strategy:
+    """How the agents communicate, and the noise cv of the channel.
+
+    explicit: messages about the closest observed obstacle. period >= 1: one
+    message goes out after each full period elapses (steps period, 2*period,
+    ...), with the sender alternating between the agents, mirroring how roles
+    alternate with the same period. period 0 is realtime: both agents send
+    every step from the first step on.
+    dynamic: speaker and listener roles alternate every `period` steps, agent
+    1 speaking first.
+    speaker_listener: agent 1 speaks and agent 2 listens for the whole game.
+    speaker_speaker: both agents speak for the whole game.
+    The two static strategies take period 0.
     """
 
-    period: int
+    name: str
+    period: int = 0
     noise_cv: float = 0.0
 
     def __post_init__(self):
-        if self.period < 0:
+        if self.name not in STRATEGY_NAMES:
+            raise ValueError(f"unknown strategy, expected one of {', '.join(STRATEGY_NAMES)}")
+        if self.name == "explicit" and self.period < 0:
             raise ValueError("period must be >= 0")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be >= 0")
-
-
-@dataclass(frozen=True)
-class DynamicRoles:
-    """Alternate speaker and listener roles every `period` steps."""
-
-    period: int
-    initial_speaker: int = 1
-    noise_cv: float = 0.0
-
-    def __post_init__(self):
-        if self.period < 1:
+        if self.name == "dynamic" and self.period < 1:
             raise ValueError("period must be >= 1")
-        if self.initial_speaker not in (1, 2):
-            raise ValueError("initial_speaker must be 1 or 2")
+        if self.name in ("speaker_listener", "speaker_speaker") and self.period != 0:
+            raise ValueError("static strategies take period 0")
         if self.noise_cv < 0:
             raise ValueError("noise_cv must be >= 0")
-
-
-@dataclass(frozen=True)
-class StaticRoles:
-    """Fixed allocation for the whole game: SpeakerListener or SpeakerSpeaker."""
-
-    allocation: SpeakerListener | SpeakerSpeaker
-    noise_cv: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.allocation, (SpeakerListener, SpeakerSpeaker)):
-            raise ValueError(f"unsupported static allocation {self.allocation!r}")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be >= 0")
-
-
-CommStrategy = Explicit | DynamicRoles | StaticRoles
 
 
 @dataclass(frozen=True)
@@ -215,7 +198,6 @@ class TrajectoryStep:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    success: bool
     steps: int
     failure_kind: str  # "collision" | "timeout" | "none"
     trajectory: tuple[TrajectoryStep, ...] | None = None
@@ -223,8 +205,10 @@ class SimOutcome:
     def __post_init__(self):
         if self.failure_kind not in ("collision", "timeout", "none"):
             raise ValueError(f"unknown failure kind {self.failure_kind!r}")
-        if self.success and self.failure_kind != "none":
-            raise ValueError("successful games cannot carry a failure kind")
+
+    @property
+    def success(self) -> bool:
+        return self.failure_kind == "none"
 
 
 @dataclass(frozen=True)
@@ -421,7 +405,7 @@ def initial_table_state(env: Environment) -> TableState:
 
 def run_game(
     env: Environment,
-    strategy: CommStrategy,
+    strategy: Strategy,
     params: FieldParams,
     limits: Limits,
     seed: int,
@@ -441,8 +425,6 @@ def run_game(
     across role switches until a new inference replaces it. Observed partner
     actions are the unclamped commands, so inference inverts the exact field.
     """
-    if not isinstance(strategy, (Explicit, DynamicRoles, StaticRoles)):
-        raise ValueError(f"unknown strategy {strategy!r}")
     rng = Rng(derive_seed(seed, _GAME_STREAM))
     start_state = initial_table_state(env)
     attractors = (Attractor(env.goal),)
@@ -473,11 +455,10 @@ def run_game(
     motion = dict(own)
     inferred: dict[int, InferredObstacle | None] = {1: None, 2: None}
 
-    explicit = isinstance(strategy, Explicit)
-    dynamic = isinstance(strategy, DynamicRoles)
-    period = strategy.period if explicit or dynamic else 0
-    allocation = getattr(strategy, "allocation", None)
-    static_speaker = allocation.speaker if isinstance(allocation, SpeakerListener) else None
+    explicit = strategy.name == "explicit"
+    dynamic = strategy.name == "dynamic"
+    period = strategy.period
+    static_speaker = 1 if strategy.name == "speaker_listener" else None
 
     outcome_kind = "timeout"
     steps = limits.max_steps
@@ -490,7 +471,7 @@ def run_game(
         p2y = cy_ - half_len * sin_h
         pos = {1: (p1x, p1y), 2: (p2x, p2y)}
 
-        # speaker None: both agents speak (Explicit, StaticRoles(SpeakerSpeaker()))
+        # speaker None: both agents speak (explicit, speaker_speaker)
         if explicit:
             if period == 0:
                 senders = (1, 2)
@@ -508,8 +489,7 @@ def run_game(
                 motion[receiver] = own[receiver] + ((mcx, mcy, max(mr, 0.0)),)
             speaker = None
         elif dynamic:
-            flips = (step // period) % 2
-            speaker = strategy.initial_speaker if flips == 0 else 3 - strategy.initial_speaker
+            speaker = 1 + (step // period) % 2
         else:
             speaker = static_speaker
 
@@ -604,7 +584,6 @@ def run_game(
             break
 
     return SimOutcome(
-        success=outcome_kind == "none",
         steps=steps,
         failure_kind=outcome_kind,
         trajectory=tuple(trajectory) if trajectory is not None else None,

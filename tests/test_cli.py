@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import os
 
 import pytest
 
+from rolecomms import bench
 from rolecomms.cli import _resolve_workers, build_parser, main
 
 
@@ -13,12 +15,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# a workspace with no room for any obstacle: every seed fails generation
+# a workspace with no room for any obstacle: every seed of the n = 2
+# condition fails generation, while the n = 0 condition could be played
 NO_ROOM_CONFIG = {
     "games_per_condition": 3,
-    "conditions": [{"strategy": "dynamic", "T": 1, "n": 2}],
+    "conditions": [{"strategy": "dynamic", "T": 1, "n": 0}, {"strategy": "dynamic", "T": 1, "n": 2}],
     "workspace": {"clearance": 10.0, "retry_cap": 5},
 }
+
+
+def env_file(tmp_path, name, **overrides):
+    env = {
+        "start": [0.0, 0.0],
+        "goal": [10.0, 0.0],
+        "geometry_mode": {"kind": "known", "r_fixed": 0.5},
+        "obstacles": [],
+        **overrides,
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(env))
+    return path
 
 
 @pytest.fixture()
@@ -104,6 +120,13 @@ class TestSimulate:
         assert doc["success"] is True
         assert doc["seed"] == 3
 
+    def test_static_strategy_echoes_the_period_played(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "0", "--strategy", "speaker_speaker", "--T", "5"
+        )
+        assert code == 0
+        assert json.loads(out)["T"] == 0
+
     def test_fig2_scenario(self, capsys, config_dir, tmp_path):
         traj = tmp_path / "traj.csv"
         code, out, _ = run_cli(
@@ -145,13 +168,25 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--n", "-1"), ("--n", "2", "--config", "{no_room}")],
-        ids=["negative_n", "generation_fails"],
+        [
+            ("--n", "-1"),
+            ("--n", "2", "--config", "{no_room}"),
+            ("--env", "{nan_goal}"),
+            ("--env", "{inf_start}"),
+            ("--env", "{inf_half_length}"),
+        ],
+        ids=["negative_n", "generation_fails", "nan_goal", "inf_start", "inf_half_length"],
     )
     def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         no_room = tmp_path / "no_room.json"
         no_room.write_text(json.dumps(NO_ROOM_CONFIG))
-        argv = [a.format(no_room=no_room) for a in argv]
+        files = {
+            "no_room": no_room,
+            "nan_goal": env_file(tmp_path, "nan_goal.json", goal=[math.nan, 0.0]),
+            "inf_start": env_file(tmp_path, "inf_start.json", start=[math.inf, 0.0]),
+            "inf_half_length": env_file(tmp_path, "inf_half_length.json", table_half_length=math.inf),
+        }
+        argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 2
         assert out == ""
@@ -287,13 +322,24 @@ class TestBench:
 
     @pytest.mark.parametrize("command", [("bench",), ("sweep", "--cv", "0", "0.1")],
                              ids=["bench", "sweep"])
-    def test_all_seeds_skipped_exits_2(self, capsys, tmp_path, command):
+    def test_all_seeds_skipped_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        games = []
+        run_game = bench.run_game
+
+        def counting_run_game(*args, **kwargs):
+            games.append(args)
+            return run_game(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_game", counting_run_game)
+        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
         config_path = tmp_path / "no_room.json"
         config_path.write_text(json.dumps(NO_ROOM_CONFIG))
         out_dir = tmp_path / "never"
         code, _, err = run_cli(
             capsys, command[0], "--config", str(config_path), "--out", str(out_dir), *command[1:]
         )
+        # the unplaceable condition is found before any game of the other is played
+        assert games == []
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "every seed failed environment generation" in err

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from rolecomms.errors import GenerationError
-from rolecomms.linear_roles import SpeakerListener, SpeakerSpeaker
 from rolecomms.numerics import Rng, Vec2, bisect
 from rolecomms.potential_field import (
     Attractor,
@@ -16,12 +15,10 @@ from rolecomms.potential_field import (
     repulsive_magnitude,
 )
 from rolecomms.table_sim import (
-    DynamicRoles,
     Environment,
-    Explicit,
     KnownRadius,
     Limits,
-    StaticRoles,
+    Strategy,
     TableState,
     TaggedObstacle,
     UnknownRadius,
@@ -270,10 +267,10 @@ class TestRunGame:
     def test_empty_environment_goes_straight(self):
         env = make_env([])
         for strategy in (
-            Explicit(period=0),
-            DynamicRoles(period=1),
-            StaticRoles(SpeakerSpeaker()),
-            StaticRoles(SpeakerListener(1)),
+            Strategy("explicit", period=0),
+            Strategy("dynamic", period=1),
+            Strategy("speaker_speaker"),
+            Strategy("speaker_listener"),
         ):
             out = run_game(env, strategy, self.params, self.limits, seed=1)
             assert out.success
@@ -282,16 +279,16 @@ class TestRunGame:
 
     def test_deterministic_repeat(self):
         env = generate_environment(11, 4, KnownRadius(0.5), Workspace())
-        a = run_game(env, DynamicRoles(period=1, noise_cv=0.1), self.params, self.limits, 11,
+        a = run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), self.params, self.limits, 11,
                      record_trajectory=True)
-        b = run_game(env, DynamicRoles(period=1, noise_cv=0.1), self.params, self.limits, 11,
+        b = run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), self.params, self.limits, 11,
                      record_trajectory=True)
         assert a == b
 
     def test_fig2_scenario_contrast(self, config_dir):
         env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
-        blind = run_game(env, StaticRoles(SpeakerSpeaker()), self.params, self.limits, 0)
-        roles = run_game(env, DynamicRoles(period=1), self.params, self.limits, 0,
+        blind = run_game(env, Strategy("speaker_speaker"), self.params, self.limits, 0)
+        roles = run_game(env, Strategy("dynamic", period=1), self.params, self.limits, 0,
                          record_trajectory=True)
         assert not blind.success and blind.failure_kind == "collision"
         assert roles.success
@@ -301,7 +298,7 @@ class TestRunGame:
 
     def test_listener_infers_only_while_listening(self):
         env = make_env([TaggedObstacle(Vec2(5.0, 0.3), 0.5, owner=1)])
-        out = run_game(env, StaticRoles(SpeakerListener(1)), self.params, self.limits, 0,
+        out = run_game(env, Strategy("speaker_listener"), self.params, self.limits, 0,
                        record_trajectory=True)
         saw_inference = any(ts.inferred2 is not None for ts in out.trajectory)
         assert saw_inference
@@ -310,7 +307,7 @@ class TestRunGame:
 
     def test_roles_alternate_with_period(self):
         env = make_env([])
-        out = run_game(env, DynamicRoles(period=4), self.params, self.limits, 0,
+        out = run_game(env, Strategy("dynamic", period=4), self.params, self.limits, 0,
                        record_trajectory=True)
         for ts in out.trajectory:
             expected_speaker_is_1 = (ts.step // 4) % 2 == 0
@@ -319,7 +316,7 @@ class TestRunGame:
 
     def test_rigidity_along_trajectory(self):
         env = generate_environment(13, 8, KnownRadius(0.5), Workspace())
-        out = run_game(env, DynamicRoles(period=1), self.params, self.limits, 13,
+        out = run_game(env, Strategy("dynamic", period=1), self.params, self.limits, 13,
                        record_trajectory=True)
         for ts in out.trajectory:
             span = (ts.state.q1 - ts.state.q2).norm()
@@ -334,7 +331,7 @@ class TestRunGame:
             TaggedObstacle(Vec2(6.5, -0.7), 0.5, owner=2),
         ]
         env = make_env(obstacles)
-        out = run_game(env, Explicit(period=0), self.params, self.limits, 0,
+        out = run_game(env, Strategy("explicit", period=0), self.params, self.limits, 0,
                        record_trajectory=True)
         state = initial_table_state(env)
         attractors = [Attractor(env.goal)]
@@ -368,14 +365,14 @@ class TestRunGame:
         ]
         env = make_env(obstacles)
         params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-        out = run_game(env, Explicit(period=4), params, Limits(), seed=3)
+        out = run_game(env, Strategy("explicit", period=4), params, Limits(), seed=3)
         assert out.steps > 8  # several delivery rounds happened
 
     def test_speaker_strictness_blinds_current_speaker(self):
         # an obstacle only agent 1 can see, placed on agent 2's side: while
         # agent 2 speaks it must ignore what it inferred earlier
         env = make_env([TaggedObstacle(Vec2(5.0, 0.0), 0.5, owner=1)])
-        out = run_game(env, DynamicRoles(period=8), self.params, self.limits, 0,
+        out = run_game(env, Strategy("dynamic", period=8), self.params, self.limits, 0,
                        record_trajectory=True)
         attractors = [Attractor(env.goal)]
         state = initial_table_state(env)
@@ -394,15 +391,28 @@ class TestRunGame:
         with pytest.raises(ValueError):
             Limits(dt=-1.0)
 
-    def test_strategy_validation(self):
+    @pytest.mark.parametrize(
+        "name, period, noise_cv",
+        [
+            ("telepathy", 0, 0.0),
+            ("explicit", -1, 0.0),
+            ("dynamic", 0, 0.0),
+            ("dynamic", 1, -0.5),
+            ("speaker_listener", 1, 0.0),
+            ("speaker_speaker", 4, 0.0),
+        ],
+        ids=[
+            "unknown_name",
+            "explicit_negative_period",
+            "dynamic_zero_period",
+            "negative_cv",
+            "speaker_listener_with_period",
+            "speaker_speaker_with_period",
+        ],
+    )
+    def test_strategy_validation(self, name, period, noise_cv):
         with pytest.raises(ValueError):
-            DynamicRoles(period=0)
-        with pytest.raises(ValueError):
-            Explicit(period=-1)
-        with pytest.raises(ValueError):
-            DynamicRoles(period=1, noise_cv=-0.5)
-        with pytest.raises(ValueError):
-            StaticRoles(allocation="speaker_listener")
+            Strategy(name, period, noise_cv)
 
 
 def _clamp_test(v, v_max):
@@ -474,9 +484,9 @@ class TestTrajectoryCsv:
         fig2_env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
         # the second case pins periodic explicit delivery with channel noise
         cases = (
-            ("fig2_dynamic_t1.csv", fig2_env, DynamicRoles(period=1), 0),
+            ("fig2_dynamic_t1.csv", fig2_env, Strategy("dynamic", period=1), 0),
             ("explicit_t3_cv01.csv", generate_environment(3, 4, KnownRadius(0.5), Workspace()),
-             Explicit(period=3, noise_cv=0.1), 3),
+             Strategy("explicit", period=3, noise_cv=0.1), 3),
         )
         for name, env, strategy, seed in cases:
             out = run_game(env, strategy, self.params, limits, seed, record_trajectory=True)
@@ -486,8 +496,8 @@ class TestTrajectoryCsv:
     def test_rerun_identical(self, config_dir):
         env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
         limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
-        a = run_game(env, DynamicRoles(period=1, noise_cv=0.1), self.params, limits, 1,
+        a = run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), self.params, limits, 1,
                      record_trajectory=True)
-        b = run_game(env, DynamicRoles(period=1, noise_cv=0.1), self.params, limits, 1,
+        b = run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), self.params, limits, 1,
                      record_trajectory=True)
         assert trajectory_csv_lines(a.trajectory) == trajectory_csv_lines(b.trajectory)

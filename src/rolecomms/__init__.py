@@ -10,6 +10,8 @@ Library layout:
 - table_sim: the two-agent table-carrying game with implicit and explicit
   communication
 - bench: seeded, paired Monte-Carlo experiment harness
+- codec: the one strict JSON codec, for bench configs, environment files
+  and system files
 - cli: `rolecomms` command-line entry point
 """
 

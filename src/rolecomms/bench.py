@@ -12,19 +12,17 @@ runs from ``src/`` or is installed.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import types
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
+from .codec import decode, encode
 from .errors import ComparisonError, ConfigError, GenerationError
-from .numerics import Vec2
-from .potential_field import FieldParams, Obstacle
+from .potential_field import FieldParams
 from .table_sim import (
+    GEOMETRY_KINDS,
     Environment,
     GeometryMode,
     KnownRadius,
@@ -32,14 +30,13 @@ from .table_sim import (
     Strategy,
     UnknownRadius,
     Workspace,
-    environment_to_dict,
     generate_environment,
     run_game,
 )
 
 FORMAT_VERSION = 1
 
-GEOMETRY_NAMES = ("known", "unknown")
+GEOMETRY_NAMES = tuple(GEOMETRY_KINDS)
 
 REPORT_CSV_HEADER = "strategy,T,n,cv,lambda,failure_mean_steps,games"
 
@@ -70,10 +67,10 @@ class Condition:
     def comm_strategy(self) -> Strategy:
         return Strategy(self.strategy, self.T, self.cv)
 
-    def geometry_mode(self, workspace_radii: "RadiusSpec") -> GeometryMode:
-        if self.geometry == "known":
-            return KnownRadius(r_fixed=workspace_radii.r_fixed)
-        return UnknownRadius(r_min=workspace_radii.r_min, r_max=workspace_radii.r_max)
+    def geometry_mode(self, radii: "RadiusSpec") -> GeometryMode:
+        # RadiusSpec names each geometry's parameters as the geometry does
+        mode = GEOMETRY_KINDS[self.geometry]
+        return mode(*(getattr(radii, f.name) for f in fields(mode)))
 
     def key(self) -> tuple:
         return (self.strategy, self.T, self.n, self.geometry, self.cv)
@@ -87,7 +84,7 @@ class RadiusSpec:
 
     def __post_init__(self):
         # the radius rules games apply, checked before any game runs
-        Obstacle(Vec2(0.0, 0.0), self.r_fixed)
+        KnownRadius(self.r_fixed)
         UnknownRadius(self.r_min, self.r_max)
 
 
@@ -221,9 +218,7 @@ def _env_sequence_hash(condition: Condition, config: BenchmarkConfig, seeds) -> 
             digest.update(f"skip:{seed}".encode())
             skipped.append(seed)
             continue
-        digest.update(
-            json.dumps(environment_to_dict(env), sort_keys=True, separators=(",", ":")).encode()
-        )
+        digest.update(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
     return digest.hexdigest(), tuple(skipped)
 
 
@@ -391,110 +386,27 @@ def evaluate_asserts(report: BenchmarkReport, asserts) -> list[str]:
 # config and report serialization
 
 
-# The schema is the dataclasses above. Field metadata adjusts the JSON form:
-# "key" names the JSON key when it differs from the field name, "default"
-# gives the decoder a default the dataclass cannot carry, and "echo_if" is a
-# predicate of the owning object that decides whether the field is echoed.
-
-# resolved once per class: resolving the string annotations costs about as
-# much as decoding a whole config
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _encode(value):
-    if is_dataclass(value):
-        return {
-            f.metadata.get("key", f.name): _encode(getattr(value, f.name))
-            for f in fields(value)
-            if "echo_if" not in f.metadata or f.metadata["echo_if"](value)
-        }
-    if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(tp, value, base, where: str):
-    """Strictly decode JSON `value` as type `tp`.
-
-    A dataclass section takes its missing keys from `base`, the enclosing
-    default, when there is one, and otherwise from its field defaults.
-    Raises TypeError or ValueError; config_from_dict turns them into
-    ConfigError.
-    """
-    if tp in (bool, str):
-        if not isinstance(value, tp):
-            raise TypeError(f"{where}: expected a {tp.__name__}, got {value!r}")
-        return value
-    if tp in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"{where}: expected a number, got {value!r}")
-        if tp is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{where}: expected an integer, got {value!r}")
-        return tp(value)
-    origin = typing.get_origin(tp)
-    args = typing.get_args(tp)
-    if origin is types.UnionType:
-        if value is None and type(None) in args:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value, base, where)
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise TypeError(f"{where}: expected an object, got {value!r}")
-        schema = {f.metadata.get("key", f.name): f for f in fields(tp)}
-        unknown = set(value) - set(schema)
-        if unknown:
-            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-        kwargs = {}
-        for key, f in schema.items():
-            inner = f.metadata.get("default", f.default) if base is None else getattr(base, f.name)
-            if key in value:
-                nested = inner if is_dataclass(inner) else None
-                kwargs[f.name] = _decode(_type_hints(tp)[f.name], value[key], nested, f"{where}.{key}")
-            elif inner is not MISSING:
-                kwargs[f.name] = inner
-            else:
-                raise ValueError(f"{where}: missing key {key!r}")
-        return tp(**kwargs)
-    if origin is tuple or (isinstance(tp, type) and issubclass(tp, tuple)):
-        if not isinstance(value, list):
-            raise TypeError(f"{where}: expected a list, got {value!r}")
-        if origin is None:  # a NamedTuple such as Vec2
-            items = tuple(_type_hints(tp).values())
-        elif args[1:] == (Ellipsis,):
-            items = args[:1] * len(value)
-        else:
-            items = args
-        if len(value) != len(items):
-            raise ValueError(f"{where}: expected {len(items)} elements, got {value!r}")
-        decoded = [_decode(t, v, None, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
-        return tuple(decoded) if origin else tp(*decoded)
-    raise TypeError(f"{where}: unsupported type {tp!r}")
-
-
 def config_to_dict(config: BenchmarkConfig) -> dict:
     """The config echo: the JSON form of `config` that reports carry."""
-    return {"format_version": FORMAT_VERSION, **_encode(config)}
+    return {"format_version": FORMAT_VERSION, **encode(config)}
 
 
 def config_from_dict(d: dict) -> BenchmarkConfig:
     """Parse and strictly validate a benchmark config.
 
-    The schema is the dataclasses of this module: every key names a field,
-    every section but the conditions has a committed default, unknown keys
-    are rejected and scalars must have their field's JSON type. Any invalid
-    config raises ConfigError, which `rolecomms` reports with exit code 2.
+    The schema is the dataclasses of this module, decoded by codec.decode:
+    every key names a field, every section but the conditions has a
+    committed default, unknown keys are rejected and scalars must have their
+    field's JSON type. Any invalid config raises ConfigError, which
+    `rolecomms` reports with exit code 2.
     """
-    try:
-        if not isinstance(d, dict):
-            raise TypeError("config root must be a JSON object")
-        d = dict(d)
-        version = d.pop("format_version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {version!r}")
-        return _decode(BenchmarkConfig, d, None, "config")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if not isinstance(d, dict):
+        raise ConfigError("config root must be a JSON object")
+    d = dict(d)
+    version = d.pop("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported format_version {version!r}")
+    return decode(BenchmarkConfig, d, "config")
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:
@@ -506,7 +418,7 @@ def report_to_dict(report: BenchmarkReport) -> dict:
         "config": report.config,
         "conditions": [
             {
-                **_encode(r.condition),
+                **encode(r.condition),
                 "games": r.games,
                 "successes": r.successes,
                 "lambda": r.lambda_,

@@ -22,11 +22,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
+from .codec import decode
 from .errors import ConfigError, GenerationError
 from .linear_roles import (
     DynamicAlternating,
@@ -40,8 +40,8 @@ from .linear_roles import (
 )
 from .table_sim import (
     STRATEGY_NAMES,
+    Environment,
     SimOutcome,
-    environment_from_dict,
     generate_environment,
     run_game,
     write_trajectory_csv,
@@ -70,25 +70,22 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
 
 
-def _load_system(path: str) -> tuple[TeamLinearSystem, dict]:
-    d = _load_json(path, "system")
-    allowed = {"A", "B", "Kstar", "W", "sigma_s2_sq"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown system keys: {sorted(unknown)}")
-    for key in ("A", "B", "Kstar"):
-        if key not in d:
-            raise ConfigError(f"system file is missing {key!r}")
-    try:
-        sys_ = TeamLinearSystem(
-            A=np.asarray(d["A"], dtype=float),
-            B=np.asarray(d["B"], dtype=float),
-            Kstar=np.asarray(d["Kstar"], dtype=float),
-            W=tuple(float(w) for w in d.get("W", ())),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system matrices: {exc}")
-    return sys_, d
+@dataclass(frozen=True)
+class SystemFile:
+    """The JSON system file of `rolecomms analyze`."""
+
+    A: tuple[tuple[float, ...], ...]
+    B: tuple[tuple[float, ...], ...]
+    Kstar: tuple[tuple[float, ...], ...]
+    W: tuple[float, ...] = ()
+    sigma_s2_sq: float | None = None
+
+    def __post_init__(self):
+        # the system's own rules on shapes and variances, checked on decoding
+        self.team()
+
+    def team(self) -> TeamLinearSystem:
+        return TeamLinearSystem(A=self.A, B=self.B, Kstar=self.Kstar, W=self.W)
 
 
 def _print_json(payload: dict) -> None:
@@ -97,9 +94,10 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     try:
-        system, raw = _load_system(args.system)
+        spec = decode(SystemFile, _load_json(args.system, "system"), "system")
     except ConfigError as exc:
         return _fail(str(exc))
+    system = spec.team()
 
     if args.mode == "stability":
         alloc = _ALLOC_CHOICES[args.alloc]
@@ -160,9 +158,9 @@ def _cmd_analyze(args) -> int:
         return 0
 
     # kl mode
-    if "sigma_s2_sq" not in raw:
+    sigma_s2_sq = spec.sigma_s2_sq
+    if sigma_s2_sq is None:
         return _fail("kl mode needs sigma_s2_sq (partner-state prior variance) in the system file")
-    sigma_s2_sq = float(raw["sigma_s2_sq"])
     if args.sigma1_sq is None or args.sigma2_sq is None:
         pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
         sigma1_sq = pair.sigma1_sq if args.sigma1_sq is None else args.sigma1_sq
@@ -194,8 +192,8 @@ def _cmd_simulate(args) -> int:
         return _fail(str(exc))
     if args.env is not None:
         try:
-            env = environment_from_dict(_load_json(args.env, "environment"))
-        except (ConfigError, ValueError, KeyError, TypeError) as exc:
+            env = decode(Environment, _load_json(args.env, "environment"), "environment")
+        except ConfigError as exc:
             return _fail(f"unreadable environment: {exc}")
     else:
         mode = condition.geometry_mode(config.radii)
@@ -246,8 +244,6 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
     if getattr(args, "base_seed", None) is not None:
         kwargs["base_seed"] = args.base_seed
     if kwargs:
-        from dataclasses import replace
-
         config = replace(config, **kwargs)
     return config
 
@@ -301,8 +297,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
-
     try:
         config = _bench_config_for_cli(args)
         expanded = tuple(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv)
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--env", default=None, help="JSON environment file")
     p_sim.add_argument("--seed", type=int, default=0, help="environment/game seed")
     p_sim.add_argument("--n", type=int, default=2, help="obstacle count for generated envs")
-    p_sim.add_argument("--geometry", choices=("known", "unknown"), default="known")
+    p_sim.add_argument("--geometry", choices=bench_mod.GEOMETRY_NAMES, default="known")
     p_sim.add_argument(
         "--strategy",
         choices=STRATEGY_NAMES,

@@ -1,0 +1,132 @@
+"""The package's one JSON codec, for bench configs, environment files and
+system files: each is a dataclass, and its fields are the schema.
+
+Field metadata adjusts the JSON form: "key" names the JSON key when it
+differs from the field name, "default" gives the decoder a default the
+dataclass cannot carry, "echo_if" is a predicate of the owning object that
+decides whether the field is encoded, and "kinds" maps the names of a tagged
+union to its classes, the JSON object naming its class under "kind".
+
+Decoding is strict: an unknown or missing key, a wrong JSON type, a fraction
+for an int, a non-finite number and a ValueError from a dataclass's own
+checks each raise ConfigError, which `rolecomms` reports with exit code 2.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+
+from .errors import ConfigError
+
+# resolved once per class: resolving the string annotations costs about as
+# much as decoding a whole config
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def encode(value):
+    """The JSON value of a dataclass, tuple, list or scalar."""
+    if is_dataclass(value):
+        return {
+            f.metadata.get("key", f.name): _encode_field(f, getattr(value, f.name))
+            for f in fields(value)
+            if "echo_if" not in f.metadata or f.metadata["echo_if"](value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    return value
+
+
+def _encode_field(f, value):
+    kinds = f.metadata.get("kinds")
+    if kinds is None:
+        return encode(value)
+    (kind,) = [name for name, cls in kinds.items() if type(value) is cls]
+    return {"kind": kind, **encode(value)}
+
+
+def decode(tp, value, where: str):
+    """Strictly decode the JSON value `value` as type `tp`.
+
+    Raises ConfigError with a message that starts at `where`, the name of
+    the value, and follows keys and indices to the offending part.
+    """
+    try:
+        return _decode(tp, value, None, where)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _decode(tp, value, base, where: str):
+    """decode, raising TypeError, ValueError or OverflowError. A dataclass
+    section takes its missing keys from `base`, the enclosing default, when
+    there is one, and otherwise from its field defaults."""
+    if tp in (bool, str):
+        if not isinstance(value, tp):
+            raise TypeError(f"{where}: expected a {tp.__name__}, got {value!r}")
+        return value
+    if tp in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{where}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: expected a finite number, got {value!r}")
+        if tp is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{where}: expected an integer, got {value!r}")
+        return tp(value)
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value, base, where)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise TypeError(f"{where}: expected an object, got {value!r}")
+        schema = {f.metadata.get("key", f.name): f for f in fields(tp)}
+        unknown = set(value) - set(schema)
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for key, f in schema.items():
+            inner = f.metadata.get("default", f.default) if base is None else getattr(base, f.name)
+            if key in value:
+                nested = inner if is_dataclass(inner) else None
+                if "kinds" in f.metadata:
+                    field_tp, item = _untag(f.metadata["kinds"], value[key], f"{where}.{key}")
+                else:
+                    field_tp, item = _type_hints(tp)[f.name], value[key]
+                kwargs[f.name] = _decode(field_tp, item, nested, f"{where}.{key}")
+            elif inner is not MISSING:
+                kwargs[f.name] = inner
+            else:
+                raise ValueError(f"{where}: missing key {key!r}")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    if origin is tuple or (isinstance(tp, type) and issubclass(tp, tuple)):
+        if not isinstance(value, list):
+            raise TypeError(f"{where}: expected a list, got {value!r}")
+        if origin is None:  # a NamedTuple such as Vec2
+            items = tuple(_type_hints(tp).values())
+        elif args[1:] == (Ellipsis,):
+            items = args[:1] * len(value)
+        else:
+            items = args
+        if len(value) != len(items):
+            raise ValueError(f"{where}: expected {len(items)} elements, got {value!r}")
+        decoded = [_decode(t, v, None, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
+        return tuple(decoded) if origin else tp(*decoded)
+    raise TypeError(f"{where}: unsupported type {tp!r}")
+
+
+def _untag(kinds: dict, value, where: str):
+    """The class a tagged JSON object names under "kind", and its other keys."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"{where}.kind: expected one of {', '.join(kinds)}, got {kind!r}")
+    return kinds[kind], {k: v for k, v in value.items() if k != "kind"}

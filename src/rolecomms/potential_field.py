@@ -12,8 +12,8 @@ rho0; the velocity law adds it with a positive sign, pushing the agent out:
 rho is the distance from the agent to the obstacle *boundary* (center
 distance minus radius), floored at RHO_MIN; the attractive term vanishes
 within ATTRACTOR_EPS of the attractor. An optional speed cap bounds the
-returned velocity so a single integration step cannot tunnel through an
-obstacle.
+returned velocity, but the game checks collision only at the end of each
+step, so a step can still carry the table through an obstacle.
 """
 
 from __future__ import annotations

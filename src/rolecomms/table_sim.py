@@ -17,7 +17,7 @@ limits, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GenerationError
@@ -49,6 +49,10 @@ class KnownRadius:
 
     r_fixed: float
 
+    def __post_init__(self):
+        # the radius rule of Obstacle
+        Obstacle(Vec2(0.0, 0.0), self.r_fixed)
+
     @property
     def nominal_radius(self) -> float:
         return self.r_fixed
@@ -72,10 +76,13 @@ class UnknownRadius:
 
 GeometryMode = KnownRadius | UnknownRadius
 
+# the JSON "kind" of each geometry mode, and the names bench and cli accept
+GEOMETRY_KINDS = {"known": KnownRadius, "unknown": UnknownRadius}
+
 
 @dataclass(frozen=True)
 class TaggedObstacle(Obstacle):
-    owner: int = 1
+    owner: int
 
     def __post_init__(self):
         super().__post_init__()
@@ -88,7 +95,7 @@ class Environment:
     obstacles: tuple[TaggedObstacle, ...]
     start: Vec2
     goal: Vec2
-    geometry_mode: GeometryMode
+    geometry_mode: GeometryMode = field(metadata={"kinds": GEOMETRY_KINDS})
     table_half_length: float = 0.5
 
     def __post_init__(self):
@@ -141,8 +148,8 @@ class Strategy:
             raise ValueError("period must be >= 1")
         if self.name in ("speaker_listener", "speaker_speaker") and self.period != 0:
             raise ValueError("static strategies take period 0")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be >= 0")
+        if not (self.noise_cv >= 0 and math.isfinite(self.noise_cv)):
+            raise ValueError(f"noise_cv must be finite and >= 0, got {self.noise_cv}")
 
 
 @dataclass(frozen=True)
@@ -637,7 +644,7 @@ def _clamp_xy(vx, vy, v_max):
 
 
 # ---------------------------------------------------------------------------
-# environment generation and serialization
+# environment generation
 
 
 def generate_environment(
@@ -689,59 +696,6 @@ def generate_environment(
         goal=workspace.goal,
         geometry_mode=geometry_mode,
         table_half_length=workspace.table_half_length,
-    )
-
-
-def geometry_to_dict(mode: GeometryMode) -> dict:
-    if isinstance(mode, KnownRadius):
-        return {"kind": "known", "r_fixed": mode.r_fixed}
-    return {"kind": "unknown", "r_min": mode.r_min, "r_max": mode.r_max}
-
-
-def geometry_from_dict(d: dict) -> GeometryMode:
-    kind = d.get("kind")
-    if kind == "known":
-        return KnownRadius(r_fixed=float(d["r_fixed"]))
-    if kind == "unknown":
-        return UnknownRadius(r_min=float(d["r_min"]), r_max=float(d["r_max"]))
-    raise ValueError(f"unknown geometry kind {kind!r}")
-
-
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "start": [env.start[0], env.start[1]],
-        "goal": [env.goal[0], env.goal[1]],
-        "table_half_length": env.table_half_length,
-        "geometry_mode": geometry_to_dict(env.geometry_mode),
-        "obstacles": [
-            {
-                "center": [o.center[0], o.center[1]],
-                "radius": o.radius,
-                "owner": o.owner,
-            }
-            for o in env.obstacles
-        ],
-    }
-
-
-def environment_from_dict(d: dict) -> Environment:
-    allowed = {"start", "goal", "table_half_length", "geometry_mode", "obstacles"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown environment keys: {sorted(unknown)}")
-    return Environment(
-        obstacles=tuple(
-            TaggedObstacle(
-                center=Vec2(*[float(c) for c in o["center"]]),
-                radius=float(o["radius"]),
-                owner=int(o["owner"]),
-            )
-            for o in d["obstacles"]
-        ),
-        start=Vec2(*[float(c) for c in d["start"]]),
-        goal=Vec2(*[float(c) for c in d["goal"]]),
-        geometry_mode=geometry_from_dict(d["geometry_mode"]),
-        table_half_length=float(d.get("table_half_length", 0.5)),
     )
 
 

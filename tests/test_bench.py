@@ -22,8 +22,10 @@ from rolecomms.bench import (
     run_benchmark,
     sign_test_p,
 )
+from rolecomms.cli import SystemFile
+from rolecomms.codec import decode, encode
 from rolecomms.errors import ComparisonError, ConfigError
-from rolecomms.table_sim import Workspace
+from rolecomms.table_sim import Environment, Workspace
 
 
 def small_config(conditions, games=30, **kwargs):
@@ -340,6 +342,13 @@ class TestConfigSerialization:
         for raw in raws:
             # each committed config is its own echo
             assert config_to_dict(config_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize(
+        "name, tp", [("fig2_env.json", Environment), ("unstable_system.json", SystemFile)]
+    )
+    def test_committed_input_files_are_their_own_echo(self, config_dir, name, tp):
+        raw = json.loads((config_dir / name).read_text())
+        assert encode(decode(tp, raw, name)) == raw
 
 
 class TestReportFormats:

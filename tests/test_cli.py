@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,10 @@ NO_ROOM_CONFIG = {
     "conditions": [{"strategy": "dynamic", "T": 1, "n": 0}, {"strategy": "dynamic", "T": 1, "n": 2}],
     "workspace": {"clearance": 10.0, "retry_cap": 5},
 }
+
+
+def obstacle(**overrides):
+    return {"center": [5.0, 0.3], "radius": 0.5, "owner": 1, **overrides}
 
 
 def env_file(tmp_path, name, **overrides):
@@ -109,6 +114,28 @@ class TestAnalyze:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma_s2_sq", "abc"),
+            ("sigma_s2_sq", None),
+            ("W", ["0.5", "0.25"]),
+            ("Kstar", [[1.0, 0.6], [0.7]]),
+        ],
+        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix"],
+    )
+    def test_malformed_system_value_exits_2_with_one_error_line(
+        self, capsys, tmp_path, system_file, key, value
+    ):
+        system = json.loads(Path(system_file).read_text())
+        system[key] = value
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", "kl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_empty_env_goes_straight(self, capsys):
@@ -174,8 +201,28 @@ class TestSimulate:
             ("--env", "{nan_goal}"),
             ("--env", "{inf_start}"),
             ("--env", "{inf_half_length}"),
+            ("--env", "{fractional_owner}"),
+            ("--env", "{string_radius}"),
+            ("--env", "{string_center}"),
+            ("--env", "{negative_r_fixed}"),
+            ("--env", "{missing_owner}"),
+            ("--env", "{unknown_kind}"),
+            ("--env", "{unknown_key}"),
         ],
-        ids=["negative_n", "generation_fails", "nan_goal", "inf_start", "inf_half_length"],
+        ids=[
+            "negative_n",
+            "generation_fails",
+            "nan_goal",
+            "inf_start",
+            "inf_half_length",
+            "fractional_owner",
+            "string_radius",
+            "string_center",
+            "negative_r_fixed",
+            "missing_owner",
+            "unknown_kind",
+            "unknown_key",
+        ],
     )
     def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         no_room = tmp_path / "no_room.json"
@@ -185,6 +232,27 @@ class TestSimulate:
             "nan_goal": env_file(tmp_path, "nan_goal.json", goal=[math.nan, 0.0]),
             "inf_start": env_file(tmp_path, "inf_start.json", start=[math.inf, 0.0]),
             "inf_half_length": env_file(tmp_path, "inf_half_length.json", table_half_length=math.inf),
+            "fractional_owner": env_file(
+                tmp_path, "fractional_owner.json", obstacles=[obstacle(owner=1.7)]
+            ),
+            "string_radius": env_file(
+                tmp_path, "string_radius.json", obstacles=[obstacle(radius="0.5")]
+            ),
+            "string_center": env_file(
+                tmp_path, "string_center.json", obstacles=[obstacle(center=["1.5", 0])]
+            ),
+            "negative_r_fixed": env_file(
+                tmp_path, "negative_r_fixed.json",
+                geometry_mode={"kind": "known", "r_fixed": -1.0}, obstacles=[obstacle()],
+            ),
+            "missing_owner": env_file(
+                tmp_path, "missing_owner.json",
+                obstacles=[{"center": [5.0, 0.3], "radius": 0.5}],
+            ),
+            "unknown_kind": env_file(
+                tmp_path, "unknown_kind.json", geometry_mode={"kind": "fuzzy", "r_fixed": 0.5}
+            ),
+            "unknown_key": env_file(tmp_path, "unknown_key.json", obstacle_count=1),
         }
         argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, "simulate", *argv)
@@ -281,6 +349,9 @@ class TestBench:
             (("conditions", 0, "T"), 2.7),
             (("conditions", 0, "n"), True),
             (("conditions", 0, "cv"), "0.1"),
+            (("limits", "goal_eps"), math.inf),
+            (("limits", "dt"), math.inf),
+            (("conditions", 0, "cv"), math.nan),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -397,11 +468,12 @@ class TestSweep:
         cvs = sorted({c["cv"] for c in report["conditions"]})
         assert cvs == [0.001, 0.01, 0.1]
 
-    def test_negative_cv_exits_2(self, capsys, tiny_bench_config, tmp_path):
+    @pytest.mark.parametrize("cv", ["-0.1", "nan", "inf"], ids=["negative", "nan", "inf"])
+    def test_negative_cv_exits_2(self, capsys, tiny_bench_config, tmp_path, cv):
         out_dir = tmp_path / "never"
         code, _, err = run_cli(
             capsys, "sweep", "--config", str(tiny_bench_config), "--out", str(out_dir),
-            "--cv", "0.1", "-0.1",
+            "--cv", "0.1", cv,
         )
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1

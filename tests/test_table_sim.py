@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from rolecomms.errors import GenerationError
+from rolecomms.codec import decode, encode
+from rolecomms.errors import ConfigError, GenerationError
 from rolecomms.numerics import Rng, Vec2, bisect
 from rolecomms.potential_field import (
     Attractor,
@@ -25,8 +26,6 @@ from rolecomms.table_sim import (
     Workspace,
     closest_observed_index,
     corrupt,
-    environment_from_dict,
-    environment_to_dict,
     generate_environment,
     infer_obstacle,
     initial_table_state,
@@ -250,6 +249,10 @@ class TestFieldVelocityParity:
             assert fast[1] == slow[1]
 
 
+def load_fig2_env(config_dir):
+    return decode(Environment, json.loads((config_dir / "fig2_env.json").read_text()), "environment")
+
+
 def make_env(obstacles, half_length=0.5):
     return Environment(
         obstacles=tuple(obstacles),
@@ -286,7 +289,7 @@ class TestRunGame:
         assert a == b
 
     def test_fig2_scenario_contrast(self, config_dir):
-        env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
+        env = load_fig2_env(config_dir)
         blind = run_game(env, Strategy("speaker_speaker"), self.params, self.limits, 0)
         roles = run_game(env, Strategy("dynamic", period=1), self.params, self.limits, 0,
                          record_trajectory=True)
@@ -400,6 +403,8 @@ class TestRunGame:
             ("dynamic", 1, -0.5),
             ("speaker_listener", 1, 0.0),
             ("speaker_speaker", 4, 0.0),
+            ("explicit", 0, math.nan),
+            ("dynamic", 1, math.inf),
         ],
         ids=[
             "unknown_name",
@@ -408,6 +413,8 @@ class TestRunGame:
             "negative_cv",
             "speaker_listener_with_period",
             "speaker_speaker_with_period",
+            "nan_cv",
+            "inf_cv",
         ],
     )
     def test_strategy_validation(self, name, period, noise_cv):
@@ -465,15 +472,15 @@ class TestEnvironmentGeneration:
 
     def test_env_dict_round_trip(self):
         env = generate_environment(12, 4, UnknownRadius(0.3, 0.5), Workspace())
-        again = environment_from_dict(environment_to_dict(env))
+        again = decode(Environment, json.loads(json.dumps(encode(env))), "environment")
         assert env == again
 
     def test_env_dict_rejects_unknown_keys(self):
         env = generate_environment(12, 2, KnownRadius(0.5), Workspace())
-        d = environment_to_dict(env)
+        d = encode(env)
         d["extra"] = 1
-        with pytest.raises(ValueError):
-            environment_from_dict(d)
+        with pytest.raises(ConfigError, match="extra"):
+            decode(Environment, d, "environment")
 
 
 class TestTrajectoryCsv:
@@ -481,7 +488,7 @@ class TestTrajectoryCsv:
 
     def test_golden_format(self, config_dir, golden_dir):
         limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
-        fig2_env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
+        fig2_env = load_fig2_env(config_dir)
         # the second case pins periodic explicit delivery with channel noise
         cases = (
             ("fig2_dynamic_t1.csv", fig2_env, Strategy("dynamic", period=1), 0),
@@ -494,7 +501,7 @@ class TestTrajectoryCsv:
             assert lines == (golden_dir / name).read_text().splitlines(), name
 
     def test_rerun_identical(self, config_dir):
-        env = environment_from_dict(json.loads((config_dir / "fig2_env.json").read_text()))
+        env = load_fig2_env(config_dir)
         limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
         a = run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), self.params, limits, 1,
                      record_trajectory=True)

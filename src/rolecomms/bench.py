@@ -404,7 +404,7 @@ def config_from_dict(d: dict) -> BenchmarkConfig:
         raise ConfigError("config root must be a JSON object")
     d = dict(d)
     version = d.pop("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {version!r}")
     return decode(BenchmarkConfig, d, "config")
 

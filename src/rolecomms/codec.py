@@ -27,25 +27,28 @@ from .errors import ConfigError
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+@functools.cache
+def _field_plan(cls) -> tuple:
+    """Each field's (name, key, echo_if, kind name by class), read once per class."""
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), f.metadata.get("echo_if"),
+         {c: kind for kind, c in f.metadata["kinds"].items()} if "kinds" in f.metadata else None)
+        for f in fields(cls)
+    )
+
+
 def encode(value):
     """The JSON value of a dataclass, tuple, list or scalar."""
     if is_dataclass(value):
-        return {
-            f.metadata.get("key", f.name): _encode_field(f, getattr(value, f.name))
-            for f in fields(value)
-            if "echo_if" not in f.metadata or f.metadata["echo_if"](value)
-        }
+        out = {}
+        for name, key, echo_if, kinds in _field_plan(type(value)):
+            if echo_if is None or echo_if(value):
+                item = getattr(value, name)
+                out[key] = encode(item) if kinds is None else {"kind": kinds[type(item)], **encode(item)}
+        return out
     if isinstance(value, (tuple, list)):
         return [encode(v) for v in value]
     return value
-
-
-def _encode_field(f, value):
-    kinds = f.metadata.get("kinds")
-    if kinds is None:
-        return encode(value)
-    (kind,) = [name for name, cls in kinds.items() if type(value) is cls]
-    return {"kind": kind, **encode(value)}
 
 
 def decode(tp, value, where: str):
@@ -71,7 +74,11 @@ def _decode(tp, value, base, where: str):
     if tp in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"{where}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError as exc:  # an int beyond the range of a float
+            raise ValueError(f"{where}: {exc}") from exc
+        if not finite:
             raise ValueError(f"{where}: expected a finite number, got {value!r}")
         if tp is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where}: expected an integer, got {value!r}")

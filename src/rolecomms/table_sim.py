@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GenerationError
 from .numerics import Rng, Vec2, derive_seed, gaussian
@@ -28,7 +28,6 @@ from .potential_field import (
     Attractor,
     FieldParams,
     Obstacle,
-    attractive_grad,
     repulsive_magnitude,
 )
 
@@ -108,12 +107,21 @@ class Environment:
         return tuple(o for o in self.obstacles if o.owner == agent)
 
 
-@dataclass(frozen=True)
-class InferredObstacle(Obstacle):
+class InferredObstacle(NamedTuple):
     """Obstacle reconstructed from a partner's action; saturated marks a
-    residual stronger than the field can produce above the distance floor."""
+    residual stronger than the field can produce above the distance floor.
 
+    A tuple, cheap to build once per listener step; infer_obstacle applies
+    Obstacle's checks to each one it builds."""
+
+    cx: float
+    cy: float
+    radius: float
     saturated: bool = False
+
+    @property
+    def center(self) -> Vec2:
+        return Vec2(self.cx, self.cy)
 
 
 STRATEGY_NAMES = ("explicit", "dynamic", "speaker_listener", "speaker_speaker")
@@ -328,8 +336,8 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
 
 
 def infer_obstacle(
-    observed_partner_velocity: Vec2,
-    partner_pos: Vec2,
+    observed_partner_velocity: Sequence[float],
+    partner_pos: Sequence[float],
     attractors: Sequence[Attractor],
     params: FieldParams,
     nominal_radius: float,
@@ -353,24 +361,35 @@ def infer_obstacle(
     A residual at or above the field value at RHO_MIN saturates: the
     obstacle is placed at the floor distance and flagged, not rejected.
     """
+    px, py = partner_pos
     rx = observed_partner_velocity[0] / params.w_v
     ry = observed_partner_velocity[1] / params.w_v
     for att in attractors:
-        g = attractive_grad(partner_pos, att, params.w_att)
-        rx += g[0]
-        ry += g[1]
+        # attractive_grad, inlined: its zero vector near the goal still adds 0.0
+        dx = px - att.location[0]
+        dy = py - att.location[1]
+        dist = math.sqrt(dx * dx + dy * dy)
+        if dist < ATTRACTOR_EPS:
+            rx += 0.0
+            ry += 0.0
+        else:
+            scale = params.w_att / dist
+            rx += dx * scale
+            ry += dy * scale
     mag = math.sqrt(rx * rx + ry * ry)
     if mag < residual_eps:
         return None
-    saturated = False
-    if mag >= repulsive_magnitude(RHO_MIN, params):
-        rho = RHO_MIN
-        saturated = True
-    else:
-        rho = _invert_repulsive_magnitude(mag, params, tol)
+    saturated = mag >= repulsive_magnitude(RHO_MIN, params)
+    rho = RHO_MIN if saturated else _invert_repulsive_magnitude(mag, params, tol)
     offset = (rho + nominal_radius) / mag
-    center = Vec2(partner_pos[0] - rx * offset, partner_pos[1] - ry * offset)
-    return InferredObstacle(center=center, radius=nominal_radius, saturated=saturated)
+    cx = px - rx * offset
+    cy = py - ry * offset
+    # the checks of Obstacle
+    if not (nominal_radius >= 0 and math.isfinite(nominal_radius)):
+        raise ValueError(f"radius must be finite and >= 0, got {nominal_radius}")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError("obstacle center must be finite")
+    return InferredObstacle(cx, cy, nominal_radius, saturated)
 
 
 def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> float:
@@ -380,7 +399,9 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     [RHO_MIN, rho0] always contains exactly one root for
     0 < mag < curve(RHO_MIN). The loop halves the bracket exactly like
     numerics.bisect on the function repulsive_magnitude(rho) - mag, inlined
-    because this runs once per listener step.
+    because this runs once per listener step. For finite doubles f - mag is
+    zero or positive exactly when f equals or exceeds mag, so the loop
+    compares f with mag directly.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0
@@ -390,10 +411,11 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fmid = w_rep * (1.0 / mid - inv_rho0) * (1.0 / mid) - mag
-        if fmid == 0.0:
+        inv = 1.0 / mid
+        f = w_rep * (inv - inv_rho0) * inv
+        if f == mag:
             return mid
-        if fmid > 0:
+        if f > mag:
             lo = mid
         else:
             hi = mid
@@ -433,52 +455,51 @@ def run_game(
     actions are the unclamped commands, so inference inverts the exact field.
     """
     rng = Rng(derive_seed(seed, _GAME_STREAM))
-    start_state = initial_table_state(env)
     attractors = (Attractor(env.goal),)
     nominal_r = env.geometry_mode.nominal_radius
     cv = strategy.noise_cv
     gx, gy = env.goal
     trajectory: list[TrajectoryStep] | None = [] if record_trajectory else None
 
-    # The inner loop carries the table pose and each agent's obstacles as
-    # plain floats/tuples; _field_velocity and the inlined dynamics reproduce
-    # agent_velocity and table_step arithmetic exactly (pinned by tests).
-    cx_, cy_ = start_state.center
-    heading = start_state.heading
+    # The loop holds the table pose and each agent's state in locals (floats,
+    # and (cx, cy, radius) tuples for obstacles). It reproduces exactly the
+    # arithmetic of agent_velocity (in _field_velocity) with its speed cap,
+    # table_step, TableState.q1/q2 and table_collides.
+    cx_, cy_ = env.start
+    heading = initial_table_state(env).heading
     half_len = env.table_half_length
     w_att, w_rep, w_v, rho0 = params.w_att, params.w_rep, params.w_v, params.rho0
     dt = limits.dt
-    v_max = limits.v_max
+    # an absent cap is an infinite one: no speed exceeds it
+    v_cap = math.inf if limits.v_max is None else limits.v_max
     goal_eps = limits.goal_eps
     env_obs = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles)
-    observed = {agent: env.owned_by(agent) for agent in (1, 2)}
-    own = {
-        agent: tuple((o.center[0], o.center[1], o.radius) for o in observed[agent])
-        for agent in (1, 2)
-    }
+    observed1 = env.owned_by(1)
+    observed2 = env.owned_by(2)
+    own1 = tuple((o.center[0], o.center[1], o.radius) for o in observed1)
+    own2 = tuple((o.center[0], o.center[1], o.radius) for o in observed2)
     # motion: own obstacles plus at most one received one. Each explicit
     # delivery replaces the previous received obstacle, so an agent acts on
     # one partner estimate, as a listener keeps exactly one inferred obstacle.
-    motion = dict(own)
-    inferred: dict[int, InferredObstacle | None] = {1: None, 2: None}
+    motion1, motion2 = own1, own2
+    inf1 = inf2 = None
 
     explicit = strategy.name == "explicit"
     dynamic = strategy.name == "dynamic"
     period = strategy.period
-    static_speaker = 1 if strategy.name == "speaker_listener" else None
+    # None: both agents speak (explicit, speaker_speaker)
+    speaker = 1 if strategy.name == "speaker_listener" else None
+
+    # the agents' positions: the table's endpoints q1 and q2
+    cos_h = math.cos(heading)
+    sin_h = math.sin(heading)
+    p1x = cx_ + half_len * cos_h
+    p1y = cy_ + half_len * sin_h
+    p2x = cx_ - half_len * cos_h
+    p2y = cy_ - half_len * sin_h
 
     outcome_kind = "timeout"
-    steps = limits.max_steps
     for step in range(limits.max_steps):
-        cos_h = math.cos(heading)
-        sin_h = math.sin(heading)
-        p1x = cx_ + half_len * cos_h
-        p1y = cy_ + half_len * sin_h
-        p2x = cx_ - half_len * cos_h
-        p2y = cy_ - half_len * sin_h
-        pos = {1: (p1x, p1y), 2: (p2x, p2y)}
-
-        # speaker None: both agents speak (explicit, speaker_speaker)
         if explicit:
             if period == 0:
                 senders = (1, 2)
@@ -487,53 +508,54 @@ def run_game(
             else:
                 senders = ()
             for sender in senders:
-                idx = closest_observed_index(observed[sender], pos[sender])
+                observed, sender_pos = (observed1, (p1x, p1y)) if sender == 1 else (observed2, (p2x, p2y))
+                idx = closest_observed_index(observed, sender_pos)
                 if idx is None:
                     continue
-                o = observed[sender][idx]
+                o = observed[idx]
                 mcx, mcy, mr = corrupt((o.center[0], o.center[1], o.radius), cv, rng)
-                receiver = 3 - sender
-                motion[receiver] = own[receiver] + ((mcx, mcy, max(mr, 0.0)),)
-            speaker = None
+                received = ((mcx, mcy, max(mr, 0.0)),)
+                if sender == 1:
+                    motion2 = own2 + received
+                else:
+                    motion1 = own1 + received
         elif dynamic:
             speaker = 1 + (step // period) % 2
-        else:
-            speaker = static_speaker
 
         if speaker is None:
             roles = ("S", "S")
-            v1 = _field_velocity(p1x, p1y, gx, gy, motion[1], w_att, w_rep, w_v, rho0)
-            v2 = _field_velocity(p2x, p2y, gx, gy, motion[2], w_att, w_rep, w_v, rho0)
-        else:
-            listener = 3 - speaker
-            sx, sy = pos[speaker]
-            v_spk = _field_velocity(sx, sy, gx, gy, motion[speaker], w_att, w_rep, w_v, rho0)
-            observed_v = corrupt(v_spk, cv, rng)
-            new = infer_obstacle(
-                Vec2(observed_v[0], observed_v[1]),
-                Vec2(sx, sy),
-                attractors,
-                params,
-                nominal_r,
-            )
+            v1 = _field_velocity(p1x, p1y, gx, gy, motion1, w_att, w_rep, w_v, rho0)
+            v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
+        elif speaker == 1:
+            v1 = _field_velocity(p1x, p1y, gx, gy, motion1, w_att, w_rep, w_v, rho0)
+            new = infer_obstacle(corrupt(v1, cv, rng), (p1x, p1y), attractors, params, nominal_r)
             if new is not None:
-                inferred[listener] = new
-            inf = inferred[listener]
-            lx, ly = pos[listener]
-            listener_obs = motion[listener]
-            if inf is not None:
-                listener_obs = listener_obs + ((inf.center[0], inf.center[1], inf.radius),)
-            v_lst = _field_velocity(lx, ly, gx, gy, listener_obs, w_att, w_rep, w_v, rho0)
-            if speaker == 1:
-                v1, v2 = v_spk, v_lst
-                roles = ("S", "L")
-            else:
-                v1, v2 = v_lst, v_spk
-                roles = ("L", "S")
+                inf2 = new
+            obs = motion2 if inf2 is None else motion2 + (inf2[:3],)
+            v2 = _field_velocity(p2x, p2y, gx, gy, obs, w_att, w_rep, w_v, rho0)
+            roles = ("S", "L")
+        else:
+            v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
+            new = infer_obstacle(corrupt(v2, cv, rng), (p2x, p2y), attractors, params, nominal_r)
+            if new is not None:
+                inf1 = new
+            obs = motion1 if inf1 is None else motion1 + (inf1[:3],)
+            v1 = _field_velocity(p1x, p1y, gx, gy, obs, w_att, w_rep, w_v, rho0)
+            roles = ("L", "S")
 
-        # dynamics: table_step with the speed cap applied to each command
-        c1x, c1y = _clamp_xy(v1[0], v1[1], v_max)
-        c2x, c2y = _clamp_xy(v2[0], v2[1], v_max)
+        # dynamics: table_step with agent_velocity's speed cap on each command
+        c1x, c1y = v1
+        c2x, c2y = v2
+        speed = math.sqrt(c1x * c1x + c1y * c1y)
+        if speed > v_cap:
+            scale = v_cap / speed
+            c1x *= scale
+            c1y *= scale
+        speed = math.sqrt(c2x * c2x + c2y * c2y)
+        if speed > v_cap:
+            scale = v_cap / speed
+            c2x *= scale
+            c2y *= scale
         vcx = 0.5 * (c1x + c2x)
         vcy = 0.5 * (c1y + c2y)
         omega = (cos_h * (c1y - vcy) - sin_h * (c1x - vcx)) / half_len
@@ -550,25 +572,25 @@ def run_game(
                     v2=Vec2(v2[0], v2[1]),
                     role1=roles[0],
                     role2=roles[1],
-                    inferred1=inferred[1],
-                    inferred2=inferred[2],
+                    inferred1=inf1,
+                    inferred2=inf2,
                 )
             )
 
-        # collision: any obstacle disc against the table segment
+        # the new pose's endpoints: the segment tested here, next step's positions
         cos_h = math.cos(heading)
         sin_h = math.sin(heading)
-        ax = cx_ + half_len * cos_h
-        ay = cy_ + half_len * sin_h
-        bx = cx_ - half_len * cos_h
-        by = cy_ - half_len * sin_h
-        abx = bx - ax
-        aby = by - ay
+        p1x = cx_ + half_len * cos_h
+        p1y = cy_ + half_len * sin_h
+        p2x = cx_ - half_len * cos_h
+        p2y = cy_ - half_len * sin_h
+        # collision: any obstacle disc against the table segment
+        abx = p2x - p1x
+        aby = p2y - p1y
         denom = abx * abx + aby * aby
-        collided = False
         for ocx, ocy, orad in env_obs:
-            apx = ocx - ax
-            apy = ocy - ay
+            apx = ocx - p1x
+            apy = ocy - p1y
             t = (apx * abx + apy * aby) / denom
             if t < 0.0:
                 t = 0.0
@@ -577,21 +599,18 @@ def run_game(
             ddx = apx - t * abx
             ddy = apy - t * aby
             if math.sqrt(ddx * ddx + ddy * ddy) < orad:
-                collided = True
+                outcome_kind = "collision"
                 break
-        if collided:
-            outcome_kind = "collision"
-            steps = step + 1
+        if outcome_kind == "collision":
             break
         dxg = cx_ - gx
         dyg = cy_ - gy
         if math.sqrt(dxg * dxg + dyg * dyg) <= goal_eps:
             outcome_kind = "none"
-            steps = step + 1
             break
 
     return SimOutcome(
-        steps=steps,
+        steps=step + 1,
         failure_kind=outcome_kind,
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
@@ -623,7 +642,8 @@ def _field_velocity(px, py, gx, gy, obstacles, w_att, w_rep, w_v, rho0):
             continue
         if rho < RHO_MIN:
             rho = RHO_MIN
-        mag = w_rep * (1.0 / rho - inv_rho0) * (1.0 / rho)
+        inv = 1.0 / rho
+        mag = w_rep * (inv - inv_rho0) * inv
         if center_dist < ATTRACTOR_EPS:
             vx += mag
         else:
@@ -631,16 +651,6 @@ def _field_velocity(px, py, gx, gy, obstacles, w_att, w_rep, w_v, rho0):
             vx += dxo * s
             vy += dyo * s
     return (vx * w_v, vy * w_v)
-
-
-def _clamp_xy(vx, vy, v_max):
-    if v_max is None:
-        return vx, vy
-    speed = math.sqrt(vx * vx + vy * vy)
-    if speed <= v_max:
-        return vx, vy
-    scale = v_max / speed
-    return vx * scale, vy * scale
 
 
 # ---------------------------------------------------------------------------
@@ -708,41 +718,23 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"
+_INFERRED = "%.12g,%.12g,%.12g"
 
 
 def trajectory_csv_lines(trajectory: Sequence[TrajectoryStep]) -> list[str]:
     """Render a recorded trajectory as CSV lines (header included).
 
-    Velocities are the commanded (unclamped) actions. Inferred-obstacle
-    fields are empty while an agent has no inference.
+    Floats render as format(x, ".12g"), which "%.12g" matches. Velocities
+    are the commanded (unclamped) actions. Inferred-obstacle fields are
+    empty while an agent has no inference.
     """
     lines = [TRAJECTORY_COLUMNS]
     for ts in trajectory:
-        inf_fields = []
-        for inf in (ts.inferred1, ts.inferred2):
-            if inf is None:
-                inf_fields.extend(["", "", ""])
-            else:
-                inf_fields.extend([_fmt(inf.center[0]), _fmt(inf.center[1]), _fmt(inf.radius)])
-        lines.append(
-            ",".join(
-                [
-                    str(ts.step),
-                    _fmt(ts.state.center[0]),
-                    _fmt(ts.state.center[1]),
-                    _fmt(ts.state.heading),
-                    _fmt(ts.v1[0]),
-                    _fmt(ts.v1[1]),
-                    _fmt(ts.v2[0]),
-                    _fmt(ts.v2[1]),
-                    ts.role1,
-                    ts.role2,
-                ]
-                + inf_fields
-            )
-        )
+        inf1 = ",," if ts.inferred1 is None else _INFERRED % ts.inferred1[:3]
+        inf2 = ",," if ts.inferred2 is None else _INFERRED % ts.inferred2[:3]
+        row = (ts.step, *ts.state.center, ts.state.heading, *ts.v1, *ts.v2, ts.role1, ts.role2, inf1, inf2)
+        lines.append(_ROW % row)
     return lines
 
 

@@ -115,17 +115,19 @@ class TestAnalyze:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, start",
         [
-            ("sigma_s2_sq", "abc"),
-            ("sigma_s2_sq", None),
-            ("W", ["0.5", "0.25"]),
-            ("Kstar", [[1.0, 0.6], [0.7]]),
+            ("sigma_s2_sq", "abc", "system.sigma_s2_sq: "),
+            ("sigma_s2_sq", None, "kl mode needs sigma_s2_sq"),
+            ("W", ["0.5", "0.25"], "system.W[0]: "),
+            ("Kstar", [[1.0, 0.6], [0.7]], "system: "),
+            # beyond the range of a float; JSON writes it out as digits
+            ("A", [[10**400, 0], [0, 1]], "system.A[0][0]: "),
         ],
-        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix"],
+        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix", "huge_int"],
     )
     def test_malformed_system_value_exits_2_with_one_error_line(
-        self, capsys, tmp_path, system_file, key, value
+        self, capsys, tmp_path, system_file, key, value, start
     ):
         system = json.loads(Path(system_file).read_text())
         system[key] = value
@@ -134,7 +136,7 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", "kl")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: " + start) and err.count("\n") == 1
 
 
 class TestSimulate:
@@ -352,6 +354,8 @@ class TestBench:
             (("limits", "goal_eps"), math.inf),
             (("limits", "dt"), math.inf),
             (("conditions", 0, "cv"), math.nan),
+            (("format_version",), True),
+            (("format_version",), 1.0),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )

@@ -16,12 +16,15 @@ from rolecomms.potential_field import (
     repulsive_magnitude,
 )
 from rolecomms.table_sim import (
+    TRAJECTORY_COLUMNS,
     Environment,
+    InferredObstacle,
     KnownRadius,
     Limits,
     Strategy,
     TableState,
     TaggedObstacle,
+    TrajectoryStep,
     UnknownRadius,
     Workspace,
     closest_observed_index,
@@ -157,6 +160,15 @@ class TestInference:
         assert got is not None
         assert got.saturated
         assert (got.center - q).norm() == pytest.approx(1e-3 + 0.5)
+
+    @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
+    def test_invalid_nominal_radius_rejected(self, radius):
+        # the residual here is strong enough to infer an obstacle
+        q = Vec2(0.0, 0.0)
+        v = agent_velocity(q, self.goal, [Obstacle(Vec2(0.0, 1.0), 0.5)], self.params)
+        assert infer_obstacle(v, q, self.goal, self.params, 0.5) is not None
+        with pytest.raises(ValueError, match="radius"):
+            infer_obstacle(v, q, self.goal, self.params, radius)
 
     def test_matches_generic_bisection(self):
         # the inlined inversion must agree with numerics.bisect on the same curve
@@ -499,6 +511,42 @@ class TestTrajectoryCsv:
             out = run_game(env, strategy, self.params, limits, seed, record_trajectory=True)
             lines = trajectory_csv_lines(out.trajectory)
             assert lines == (golden_dir / name).read_text().splitlines(), name
+
+    def test_matches_format_rendering(self):
+        # every float column as format(x, ".12g"), over signed zeros, the
+        # extremes of the exponent range and a saturated inferred obstacle
+        def fmt(x):
+            return format(x, ".12g")
+
+        saturated = InferredObstacle(-0.0, 1e15, 0.5, saturated=True)
+        steps = [
+            TrajectoryStep(0, TableState(Vec2(0.0, -0.0), 1e-300, 0.5), Vec2(-0.0, 1e15),
+                           Vec2(1 / 3, -2e-7), "S", "L", None, saturated),
+            TrajectoryStep(1, TableState(Vec2(-1e15, 2.5), -0.0, 0.5), Vec2(1e-300, 0.0),
+                           Vec2(-1e-300, 123456789.123456789), "L", "S",
+                           InferredObstacle(5.000000000002, 0.299999999999, 1e-300), saturated),
+        ]
+        expected = [TRAJECTORY_COLUMNS]
+        for ts in steps:
+            row = [str(ts.step), fmt(ts.state.center[0]), fmt(ts.state.center[1]),
+                   fmt(ts.state.heading), fmt(ts.v1[0]), fmt(ts.v1[1]), fmt(ts.v2[0]),
+                   fmt(ts.v2[1]), ts.role1, ts.role2]
+            for inf in (ts.inferred1, ts.inferred2):
+                row += ["", "", ""] if inf is None else [fmt(inf.cx), fmt(inf.cy), fmt(inf.radius)]
+            expected.append(",".join(row))
+        assert trajectory_csv_lines(steps) == expected
+        assert expected[1] == "0,0,-0,1e-300,-0,1e+15,0.333333333333,-2e-07,S,L,,,,-0,1e+15,0.5"
+
+    def test_never_inferred_agent_leaves_its_columns_empty(self):
+        # under speaker_listener agent 1 always speaks, so only agent 2 infers
+        env = make_env([TaggedObstacle(Vec2(5.0, 0.3), 0.5, owner=1)])
+        limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
+        out = run_game(env, Strategy("speaker_listener"), self.params, limits, 0,
+                       record_trajectory=True)
+        rows = [line.split(",") for line in trajectory_csv_lines(out.trajectory)[1:]]
+        assert len(rows) == out.steps
+        assert all(row[10:13] == ["", "", ""] for row in rows)
+        assert any(row[13:16] != ["", "", ""] for row in rows)
 
     def test_rerun_identical(self, config_dir):
         env = load_fig2_env(config_dir)

@@ -81,6 +81,9 @@ class SystemFile:
     sigma_s2_sq: float | None = None
 
     def __post_init__(self):
+        for name in ("A", "B", "Kstar"):
+            if len({len(row) for row in getattr(self, name)}) > 1:
+                raise ValueError(f"{name}: every row must have the same length")
         # the system's own rules on shapes and variances, checked on decoding
         self.team()
 

@@ -2,9 +2,12 @@
 
 The random generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer with a
 golden-ratio Weyl increment). It is pinned by construction so that equal seeds
-produce bit-identical streams on every platform and Python version. Gaussian
-samples come from a Box-Muller transform of two raw draws per call, never from
-rejection sampling, so the stream position after k calls is always 2k draws.
+produce bit-identical streams on every platform and Python version: draw k
+(k = 1, 2, ...) of the stream seeded s is _mix64((s + k * _WEYL) mod 2**64),
+whether it is mixed alone or in a numpy uint64 block, whose arithmetic wraps
+the same way. Gaussian samples come from a Box-Muller transform of two raw
+draws per call, never from rejection sampling, so the stream position after k
+calls is always 2k draws.
 """
 
 from __future__ import annotations
@@ -19,6 +22,15 @@ from .errors import BracketingError, NumericError
 _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+
+# A stream mixes its first _HEAD draws one at a time, so short streams (an
+# environment's) never pay numpy's per-call cost, and later ones _BLOCK at once.
+_HEAD = 32
+_BLOCK = 256
+_WEYL_STEPS = np.array([k * _WEYL & _MASK64 for k in range(1, _BLOCK + 1)], dtype=np.uint64)
+# np.uint64, so that numpy 1.x's value-based casting cannot widen them to float
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class Vec2(NamedTuple):
@@ -57,22 +69,43 @@ def derive_seed(seed: int, *salts: int) -> int:
 class Rng:
     """Deterministic splitmix64 stream.
 
+    Draws past the first _HEAD come from numpy blocks, next draw last in `_block`.
+
     Single-owner: do not share one instance across concurrent tasks; derive
     child seeds with :func:`derive_seed` instead.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_head", "_block")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # the Weyl sum of the last draw computed
+        self._head = _HEAD
+        self._block: list[int] = []
 
     def next_u64(self) -> int:
-        self._state = (self._state + _WEYL) & _MASK64
-        return _mix64(self._state)
+        block = self._block
+        if block:
+            return block.pop()
+        if self._head:
+            self._head -= 1
+            self._state = (self._state + _WEYL) & _MASK64
+            return _mix64(self._state)
+        z = _WEYL_STEPS + np.uint64(self._state)
+        self._state = (self._state + _BLOCK * _WEYL) & _MASK64
+        # _mix64 of each element; uint64 arrays wrap without a warning
+        z ^= z >> _S30
+        z *= _M1
+        z ^= z >> _S27
+        z *= _M2
+        z ^= z >> _S31
+        self._block = block = z[::-1].tolist()
+        return block.pop()
 
     def uniform(self) -> float:
         """Uniform draw in the half-open interval (0, 1]."""
-        return ((self.next_u64() >> 11) + 1) * (1.0 / 9007199254740992.0)
+        block = self._block
+        z = block.pop() if block else self.next_u64()
+        return ((z >> 11) + 1) * (1.0 / 9007199254740992.0)
 
 
 def gaussian(rng: Rng, mean: float, stddev: float) -> float:

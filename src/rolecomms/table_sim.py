@@ -361,6 +361,9 @@ def infer_obstacle(
     A residual at or above the field value at RHO_MIN saturates: the
     obstacle is placed at the floor distance and flagged, not rejected.
     """
+    # the radius rule of Obstacle, checked whatever the data
+    if not (nominal_radius >= 0 and math.isfinite(nominal_radius)):
+        raise ValueError(f"radius must be finite and >= 0, got {nominal_radius}")
     px, py = partner_pos
     rx = observed_partner_velocity[0] / params.w_v
     ry = observed_partner_velocity[1] / params.w_v
@@ -384,9 +387,7 @@ def infer_obstacle(
     offset = (rho + nominal_radius) / mag
     cx = px - rx * offset
     cy = py - ry * offset
-    # the checks of Obstacle
-    if not (nominal_radius >= 0 and math.isfinite(nominal_radius)):
-        raise ValueError(f"radius must be finite and >= 0, got {nominal_radius}")
+    # the center check of Obstacle
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError("obstacle center must be finite")
     return InferredObstacle(cx, cy, nominal_radius, saturated)
@@ -630,8 +631,9 @@ def _field_velocity(px, py, gx, gy, obstacles, w_att, w_rep, w_v, rho0):
         vy = 0.0
     else:
         scale = w_att / dist
-        vx = -(dx * scale)
-        vy = -(dy * scale)
+        # as agent_velocity: 0.0 - 0.0 is 0.0, where -(0.0) is -0.0
+        vx = 0.0 - dx * scale
+        vy = 0.0 - dy * scale
     inv_rho0 = 1.0 / rho0
     for ocx, ocy, orad in obstacles:
         dxo = px - ocx

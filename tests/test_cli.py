@@ -120,11 +120,12 @@ class TestAnalyze:
             ("sigma_s2_sq", "abc", "system.sigma_s2_sq: "),
             ("sigma_s2_sq", None, "kl mode needs sigma_s2_sq"),
             ("W", ["0.5", "0.25"], "system.W[0]: "),
-            ("Kstar", [[1.0, 0.6], [0.7]], "system: "),
+            ("Kstar", [[1.0, 0.6], [0.7]], "system: Kstar: every row must have the same length"),
+            ("A", [[1.0], [0.6, 0.7]], "system: A: every row must have the same length"),
             # beyond the range of a float; JSON writes it out as digits
             ("A", [[10**400, 0], [0, 1]], "system.A[0][0]: "),
         ],
-        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix", "huge_int"],
+        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix", "ragged_A", "huge_int"],
     )
     def test_malformed_system_value_exits_2_with_one_error_line(
         self, capsys, tmp_path, system_file, key, value, start

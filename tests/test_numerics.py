@@ -6,7 +6,20 @@ import numpy as np
 import pytest
 
 from rolecomms.errors import BracketingError, NumericError
-from rolecomms.numerics import Rng, Vec2, bisect, derive_seed, eig2x2, eig_general, gaussian
+from rolecomms.numerics import (
+    _BLOCK,
+    _HEAD,
+    _MASK64,
+    _WEYL,
+    Rng,
+    Vec2,
+    _mix64,
+    bisect,
+    derive_seed,
+    eig2x2,
+    eig_general,
+    gaussian,
+)
 
 
 def char_poly_residual(m, lam):
@@ -166,6 +179,53 @@ class TestRng:
     def test_derive_seed_varies_with_salt(self):
         seeds = {derive_seed(7, salt) for salt in range(100)}
         assert len(seeds) == 100
+
+
+class TestBlockStream:
+    """Draws made ahead in numpy blocks equal the scalar definition."""
+
+    DRAWS = 1000
+    # the last scalar draw and the last draw of each block; the next call
+    # to gaussian at one of these takes its two draws across the boundary
+    BOUNDARIES = tuple(range(_HEAD, DRAWS, _BLOCK))
+
+    @staticmethod
+    def scalar_draw(seed: int, k: int) -> int:
+        return _mix64((seed + k * _WEYL) & _MASK64)
+
+    def scalar_uniform(self, seed: int, k: int) -> float:
+        return ((self.scalar_draw(seed, k) >> 11) + 1) * (1.0 / 9007199254740992.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 - _WEYL])
+    def test_mixed_calls_match_scalar_definition(self, seed):
+        rng = Rng(seed)
+        k = 1  # the next draw
+        cycle = 0
+        straddled = []
+        while k <= self.DRAWS:
+            if k in self.BOUNDARIES:
+                op = "gaussian"
+                straddled.append(k)
+            elif k + 1 in self.BOUNDARIES or k == self.DRAWS:
+                op = "uniform"
+            else:
+                op = ("next_u64", "uniform", "gaussian")[cycle % 3]
+                cycle += 1
+            if op == "next_u64":
+                assert rng.next_u64() == self.scalar_draw(seed, k)
+                k += 1
+            elif op == "uniform":
+                assert rng.uniform() == self.scalar_uniform(seed, k)
+                k += 1
+            else:
+                u1 = self.scalar_uniform(seed, k)
+                u2 = self.scalar_uniform(seed, k + 1)
+                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                assert gaussian(rng, 0.5, 2.0) == 0.5 + 2.0 * z
+                k += 2
+        # the scalar/block switch and three block boundaries
+        assert straddled == list(self.BOUNDARIES) and len(straddled) == 4
+        assert rng.next_u64() == self.scalar_draw(seed, self.DRAWS + 1)
 
 
 class TestGaussian:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -170,6 +171,14 @@ class TestInference:
         with pytest.raises(ValueError, match="radius"):
             infer_obstacle(v, q, self.goal, self.params, radius)
 
+    def test_invalid_nominal_radius_rejected_without_inference(self):
+        # the residual is zero, so nothing would be inferred; the radius is
+        # checked all the same
+        q = Vec2(3.0, 1.0)
+        v = agent_velocity(q, self.goal, [], self.params)
+        with pytest.raises(ValueError, match="radius"):
+            infer_obstacle(v, q, self.goal, self.params, -1.0)
+
     def test_matches_generic_bisection(self):
         # the inlined inversion must agree with numerics.bisect on the same curve
         rng = random.Random(7)
@@ -234,10 +243,31 @@ class TestCorrupt:
             corrupt((1.0,), -0.1, Rng(8))
 
 
+def float_bits(x: float) -> int:
+    """The IEEE 754 bit pattern of x, so that 0.0 and -0.0 differ."""
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
 class TestFieldVelocityParity:
+    params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
+
+    def assert_bit_identical(self, q, goal, obstacles):
+        fast = _field_velocity(
+            q[0],
+            q[1],
+            goal[0],
+            goal[1],
+            tuple((o.center[0], o.center[1], o.radius) for o in obstacles),
+            self.params.w_att,
+            self.params.w_rep,
+            self.params.w_v,
+            self.params.rho0,
+        )
+        slow = agent_velocity(q, [Attractor(goal)], obstacles, self.params)
+        assert [float_bits(v) for v in fast] == [float_bits(v) for v in slow]
+
     def test_matches_public_agent_velocity(self):
         rng = random.Random(9)
-        params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
         goal = Vec2(10.0, 0.0)
         for _ in range(300):
             q = Vec2(rng.uniform(-1, 11), rng.uniform(-4, 4))
@@ -245,20 +275,17 @@ class TestFieldVelocityParity:
                 Obstacle(Vec2(rng.uniform(0, 10), rng.uniform(-3, 3)), rng.uniform(0.1, 0.8))
                 for _ in range(rng.randrange(0, 6))
             ]
-            fast = _field_velocity(
-                q[0],
-                q[1],
-                goal[0],
-                goal[1],
-                tuple((o.center[0], o.center[1], o.radius) for o in obstacles),
-                params.w_att,
-                params.w_rep,
-                params.w_v,
-                params.rho0,
-            )
-            slow = agent_velocity(q, [Attractor(goal)], obstacles, params)
-            assert fast[0] == slow[0]
-            assert fast[1] == slow[1]
+            self.assert_bit_identical(q, goal, obstacles)
+
+    @pytest.mark.parametrize(
+        "q",
+        [Vec2(3.0, 0.0), Vec2(10.0, -2.0), Vec2(10.0, 0.0)],
+        ids=["level_with_goal", "below_goal", "at_goal"],
+    )
+    def test_signed_zero_matches(self, q):
+        # an agent level with the goal has a zero attractive term on one
+        # axis; both laws must give +0.0 there, not -0.0
+        self.assert_bit_identical(q, Vec2(10.0, 0.0), [])
 
 
 def load_fig2_env(config_dir):

@@ -10,7 +10,7 @@ Subcommands:
   sweep     a bench expanded over a noise (cv) grid
 
 Exit codes: 0 success, 1 a trend assert listed in the bench config failed,
-2 usage or config error. All randomness is seed-driven and every artifact
+2 usage, config or file error. All randomness is seed-driven and every artifact
 from a seeded run embeds its seed; the ROLECOMMS_THREADS environment
 variable (or --workers) sets the worker pool size, which never affects
 outputs.
@@ -81,9 +81,6 @@ class SystemFile:
     sigma_s2_sq: float | None = None
 
     def __post_init__(self):
-        for name in ("A", "B", "Kstar"):
-            if len({len(row) for row in getattr(self, name)}) > 1:
-                raise ValueError(f"{name}: every row must have the same length")
         # the system's own rules on shapes and variances, checked on decoding
         self.team()
 
@@ -96,10 +93,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        spec = decode(SystemFile, _load_json(args.system, "system"), "system")
-    except ConfigError as exc:
-        return _fail(str(exc))
+    spec = decode(SystemFile, _load_json(args.system, "system"), "system")
     system = spec.team()
 
     if args.mode == "stability":
@@ -188,11 +182,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     period = args.T if args.strategy in ("explicit", "dynamic") else 0
-    try:
-        config = _bench_config_for_cli(args)
-        condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    config = _bench_config_for_cli(args)
+    condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
     if args.env is not None:
         try:
             env = decode(Environment, _load_json(args.env, "environment"), "environment")
@@ -200,10 +191,7 @@ def _cmd_simulate(args) -> int:
             return _fail(f"unreadable environment: {exc}")
     else:
         mode = condition.geometry_mode(config.radii)
-        try:
-            env = generate_environment(args.seed, args.n, mode, config.workspace)
-        except GenerationError as exc:
-            return _fail(str(exc))
+        env = generate_environment(args.seed, args.n, mode, config.workspace)
     outcome = run_game(
         env,
         condition.comm_strategy(),
@@ -265,20 +253,27 @@ def _resolve_workers(args) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _write_report(report: bench_mod.BenchmarkReport, out_dir: str) -> None:
-    out = Path(out_dir)
+def _run_into_out(config: bench_mod.BenchmarkConfig, args) -> bench_mod.BenchmarkReport:
+    """Create --out, so a bad path fails before any game is played, run the
+    benchmark, and write report.json and report.csv there. A config error
+    (such as every seed failing generation) leaves no new directory behind."""
+    out = Path(args.out)
+    fresh = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
+    except ConfigError:
+        if fresh:
+            out.rmdir()
+        raise
     (out / "report.json").write_text(bench_mod.report_json(report), encoding="utf-8")
     (out / "report.csv").write_text(bench_mod.report_csv(report), encoding="utf-8")
+    return report
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = _bench_config_for_cli(args)
-        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
-    except ConfigError as exc:
-        return _fail(str(exc))
-    _write_report(report, args.out)
+    config = _bench_config_for_cli(args)
+    report = _run_into_out(config, args)
     failures = bench_mod.evaluate_asserts(report, config.asserts)
     for failure in failures:
         print(f"assert failed: {failure}", file=sys.stderr)
@@ -300,14 +295,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = _bench_config_for_cli(args)
-        expanded = tuple(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv)
-        config = replace(config, conditions=expanded, asserts=())
-        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
-    except ConfigError as exc:
-        return _fail(str(exc))
-    _write_report(report, args.out)
+    config = _bench_config_for_cli(args)
+    expanded = tuple(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv)
+    config = replace(config, conditions=expanded, asserts=())
+    report = _run_into_out(config, args)
     print(
         json.dumps(
             {
@@ -396,7 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, GenerationError, OSError) as exc:
+        # every config or input error, and an output path that cannot be
+        # created or written, ends the command with one error line
+        return _fail(str(exc))
 
 
 def entrypoint() -> None:

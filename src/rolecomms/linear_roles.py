@@ -33,7 +33,10 @@ class TeamLinearSystem:
 
     def __post_init__(self):
         for name in ("A", "B", "Kstar"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = getattr(self, name)
+            if isinstance(m, (list, tuple)) and len({np.shape(row) for row in m}) > 1:
+                raise ValueError(f"{name}: every row must have the same length")
+            m = np.asarray(m, dtype=float)
             object.__setattr__(self, name, m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {m.shape}")

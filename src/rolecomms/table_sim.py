@@ -199,12 +199,19 @@ class TableState:
         )
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(NamedTuple):
+    """One game step as a flat row in CSV column order: the table pose after
+    the step, both commanded (unclamped) velocities, the roles ("S" or "L")
+    and each agent's current inferred obstacle, None before its first."""
+
     step: int
-    state: TableState
-    v1: Vec2
-    v2: Vec2
+    cx: float
+    cy: float
+    heading: float
+    v1x: float
+    v1y: float
+    v2x: float
+    v2y: float
     role1: str
     role2: str
     inferred1: InferredObstacle | None
@@ -454,6 +461,10 @@ def run_game(
     inferred obstacle only steers it while it is the listener, and persists
     across role switches until a new inference replaces it. Observed partner
     actions are the unclamped commands, so inference inverts the exact field.
+
+    With record_trajectory, the outcome carries one flat TrajectoryStep row
+    per step played: the table pose after the step, both commanded
+    velocities, the roles and each agent's current inferred obstacle.
     """
     rng = Rng(derive_seed(seed, _GAME_STREAM))
     attractors = (Attractor(env.goal),)
@@ -565,18 +576,7 @@ def run_game(
         heading += dt * omega
 
         if trajectory is not None:
-            trajectory.append(
-                TrajectoryStep(
-                    step=step,
-                    state=TableState(Vec2(cx_, cy_), heading, half_len),
-                    v1=Vec2(v1[0], v1[1]),
-                    v2=Vec2(v2[0], v2[1]),
-                    role1=roles[0],
-                    role2=roles[1],
-                    inferred1=inf1,
-                    inferred2=inf2,
-                )
-            )
+            trajectory.append(TrajectoryStep(step, cx_, cy_, heading, *v1, *v2, *roles, inf1, inf2))
 
         # the new pose's endpoints: the segment tested here, next step's positions
         cos_h = math.cos(heading)
@@ -735,8 +735,7 @@ def trajectory_csv_lines(trajectory: Sequence[TrajectoryStep]) -> list[str]:
     for ts in trajectory:
         inf1 = ",," if ts.inferred1 is None else _INFERRED % ts.inferred1[:3]
         inf2 = ",," if ts.inferred2 is None else _INFERRED % ts.inferred2[:3]
-        row = (ts.step, *ts.state.center, ts.state.heading, *ts.v1, *ts.v2, ts.role1, ts.role2, inf1, inf2)
-        lines.append(_ROW % row)
+        lines.append(_ROW % (*ts[:10], inf1, inf2))
     return lines
 
 

@@ -458,6 +458,7 @@ class TestBench:
         )
         assert code == 2
         assert "ROLECOMMS_THREADS" in err
+        assert not (tmp_path / "env2").exists()
 
 
 class TestSweep:
@@ -483,6 +484,36 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "--config", "{config}", "--out", "{file}"),
+            ("bench", "--config", "{config}", "--out", "{file}/out"),
+            ("sweep", "--config", "{config}", "--out", "{file}", "--cv", "0.1"),
+            ("simulate", "--n", "0", "--trajectory-out", "{tmp}/missing/traj.csv"),
+            ("simulate", "--n", "0", "--trajectory-out", "{tmp}"),
+        ],
+        ids=["bench_out_is_file", "bench_out_under_file", "sweep_out_is_file",
+             "simulate_missing_dir", "simulate_out_is_dir"],
+    )
+    def test_unwritable_output_exits_2_with_one_error_line(
+        self, capsys, monkeypatch, tiny_bench_config, tmp_path, argv
+    ):
+        def no_games(*args, **kwargs):
+            raise AssertionError("games were played before --out was created")
+
+        monkeypatch.setattr(bench, "run_benchmark", no_games)
+        existing = tmp_path / "existing"
+        existing.write_text("keep")
+        files = {"config": tiny_bench_config, "file": existing, "tmp": tmp_path}
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert existing.read_text() == "keep"
 
 
 class TestHelp:

@@ -65,6 +65,15 @@ class TestRoleGain:
             SpeakerListener(3)
 
 
+class TestTeamLinearSystem:
+    @pytest.mark.parametrize("name", ["A", "B", "Kstar"])
+    @pytest.mark.parametrize("ragged", [[[1.0, 0.6], [0.7]], ((1.0, 0.6), 0.7)], ids=["short_row", "scalar_row"])
+    def test_ragged_matrix_names_field_and_rule(self, name, ragged):
+        matrices = {"A": np.eye(2), "B": np.eye(2), "Kstar": np.eye(2), name: ragged}
+        with pytest.raises(ValueError, match=f"^{name}: every row must have the same length$"):
+            TeamLinearSystem(**matrices)
+
+
 class TestStability:
     def test_fixed_speaker_listener_always_unstable(self):
         rng = random.Random(17)

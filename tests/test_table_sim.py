@@ -335,7 +335,7 @@ class TestRunGame:
         assert not blind.success and blind.failure_kind == "collision"
         assert roles.success
         # the listener detours: lateral motion away from the obstacle side
-        min_cy = min(ts.state.center[1] for ts in roles.trajectory)
+        min_cy = min(ts.cy for ts in roles.trajectory)
         assert min_cy < -0.1
 
     def test_listener_infers_only_while_listening(self):
@@ -361,7 +361,8 @@ class TestRunGame:
         out = run_game(env, Strategy("dynamic", period=1), self.params, self.limits, 13,
                        record_trajectory=True)
         for ts in out.trajectory:
-            span = (ts.state.q1 - ts.state.q2).norm()
+            state = TableState(Vec2(ts.cx, ts.cy), ts.heading, env.table_half_length)
+            span = (state.q1 - state.q2).norm()
             assert abs(span - 1.0) < 1e-12
 
     def test_centralized_equivalence_explicit_realtime(self):
@@ -383,19 +384,19 @@ class TestRunGame:
             v2 = agent_velocity(state.q2, attractors, all_obs, self.params)
             # the game sums each agent's own obstacles before received ones,
             # so agreement is mathematical, not bitwise
-            assert ts.v1[0] == pytest.approx(v1[0], abs=1e-12)
-            assert ts.v1[1] == pytest.approx(v1[1], abs=1e-12)
-            assert ts.v2[0] == pytest.approx(v2[0], abs=1e-12)
-            assert ts.v2[1] == pytest.approx(v2[1], abs=1e-12)
+            assert ts.v1x == pytest.approx(v1[0], abs=1e-12)
+            assert ts.v1y == pytest.approx(v1[1], abs=1e-12)
+            assert ts.v2x == pytest.approx(v2[0], abs=1e-12)
+            assert ts.v2y == pytest.approx(v2[1], abs=1e-12)
             state = table_step(
                 state,
-                _clamp_test(ts.v1, self.limits.v_max),
-                _clamp_test(ts.v2, self.limits.v_max),
+                _clamp_test(Vec2(ts.v1x, ts.v1y), self.limits.v_max),
+                _clamp_test(Vec2(ts.v2x, ts.v2y), self.limits.v_max),
                 self.limits.dt,
             )
-            assert ts.state.center[0] == pytest.approx(state.center[0], abs=1e-9)
-            assert ts.state.center[1] == pytest.approx(state.center[1], abs=1e-9)
-            state = ts.state
+            assert ts.cx == pytest.approx(state.center[0], abs=1e-9)
+            assert ts.cy == pytest.approx(state.center[1], abs=1e-9)
+            state = TableState(Vec2(ts.cx, ts.cy), ts.heading, env.table_half_length)
 
     def test_periodic_explicit_game_runs_several_deliveries(self):
         # obstacles on both sides: several explicit delivery rounds run in a real game
@@ -422,8 +423,8 @@ class TestRunGame:
             if ts.role2 == "S" and ts.inferred2 is not None:
                 # speaking agent 2's command reflects no obstacles at all
                 v2 = agent_velocity(state.q2, attractors, [], self.params)
-                assert ts.v2 == v2
-            state = ts.state
+                assert (ts.v2x, ts.v2y) == v2
+            state = TableState(Vec2(ts.cx, ts.cy), ts.heading, env.table_half_length)
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -547,22 +548,28 @@ class TestTrajectoryCsv:
 
         saturated = InferredObstacle(-0.0, 1e15, 0.5, saturated=True)
         steps = [
-            TrajectoryStep(0, TableState(Vec2(0.0, -0.0), 1e-300, 0.5), Vec2(-0.0, 1e15),
-                           Vec2(1 / 3, -2e-7), "S", "L", None, saturated),
-            TrajectoryStep(1, TableState(Vec2(-1e15, 2.5), -0.0, 0.5), Vec2(1e-300, 0.0),
-                           Vec2(-1e-300, 123456789.123456789), "L", "S",
+            TrajectoryStep(0, 0.0, -0.0, 1e-300, -0.0, 1e15, 1 / 3, -2e-7, "S", "L", None, saturated),
+            TrajectoryStep(1, -1e15, 2.5, -0.0, 1e-300, 0.0, -1e-300, 123456789.123456789, "L", "S",
                            InferredObstacle(5.000000000002, 0.299999999999, 1e-300), saturated),
         ]
         expected = [TRAJECTORY_COLUMNS]
         for ts in steps:
-            row = [str(ts.step), fmt(ts.state.center[0]), fmt(ts.state.center[1]),
-                   fmt(ts.state.heading), fmt(ts.v1[0]), fmt(ts.v1[1]), fmt(ts.v2[0]),
-                   fmt(ts.v2[1]), ts.role1, ts.role2]
+            row = [str(ts.step), fmt(ts.cx), fmt(ts.cy), fmt(ts.heading), fmt(ts.v1x), fmt(ts.v1y),
+                   fmt(ts.v2x), fmt(ts.v2y), ts.role1, ts.role2]
             for inf in (ts.inferred1, ts.inferred2):
                 row += ["", "", ""] if inf is None else [fmt(inf.cx), fmt(inf.cy), fmt(inf.radius)]
             expected.append(",".join(row))
         assert trajectory_csv_lines(steps) == expected
         assert expected[1] == "0,0,-0,1e-300,-0,1e+15,0.333333333333,-2e-07,S,L,,,,-0,1e+15,0.5"
+
+    def test_step_fields_follow_the_csv_columns(self):
+        # one flat row per step, in column order; the heading is the theta column
+        columns = TRAJECTORY_COLUMNS.split(",")
+        assert TrajectoryStep._fields[:10] == tuple(
+            "heading" if c == "theta" else c for c in columns[:10]
+        )
+        assert TrajectoryStep._fields[10:] == ("inferred1", "inferred2")
+        assert columns[10:] == ["inf1x", "inf1y", "inf1r", "inf2x", "inf2y", "inf2r"]
 
     def test_never_inferred_agent_leaves_its_columns_empty(self):
         # under speaker_listener agent 1 always speaks, so only agent 2 infers

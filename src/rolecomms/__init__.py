@@ -6,9 +6,10 @@ Library layout:
 - discrete_roles: exact speaker/listener policies on finite spaces
 - linear_roles: role allocations, stability, rotation, and variance analysis
   for linear feedback teams
-- potential_field: attractive/repulsive planner terms and the velocity law
+- potential_field: the one potential-field velocity law both agents act with
 - table_sim: the two-agent table-carrying game with implicit and explicit
-  communication
+  communication; its game loop holds the table's kinematics and collision
+  test
 - bench: seeded, paired Monte-Carlo experiment harness
 - codec: the one strict JSON codec, for bench configs, environment files
   and system files
@@ -43,28 +44,19 @@ from .linear_roles import (
     stability_report,
 )
 from .numerics import Rng, Vec2, bisect, derive_seed, eig2x2, eig_general, gaussian
-from .potential_field import (
-    Attractor,
-    FieldParams,
-    Obstacle,
-    agent_velocity,
-    attractive_grad,
-    repulsive_grad,
-)
+from .potential_field import FieldParams, Obstacle, agent_velocity
 from .table_sim import (
     Environment,
     KnownRadius,
     Limits,
     SimOutcome,
     Strategy,
-    TableState,
     UnknownRadius,
     Workspace,
     corrupt,
     generate_environment,
     infer_obstacle,
     run_game,
-    table_step,
 )
 
 __version__ = "0.1.0"

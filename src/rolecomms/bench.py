@@ -137,7 +137,6 @@ class BenchmarkConfig:
 class ConditionResult:
     condition: Condition
     seeds: tuple[int, ...]
-    success: tuple[bool, ...]
     steps: tuple[int, ...]
     failure_kinds: tuple[str, ...]
     skipped_seeds: tuple[int, ...]
@@ -146,6 +145,11 @@ class ConditionResult:
     @property
     def games(self) -> int:
         return len(self.seeds)
+
+    @property
+    def success(self) -> tuple[bool, ...]:
+        """Per game, whether it succeeded: failure kind "none", as SimOutcome.success."""
+        return tuple(kind == "none" for kind in self.failure_kinds)
 
     @property
     def successes(self) -> int:
@@ -189,10 +193,10 @@ def _environment_for(seed: int, condition: Condition, config: BenchmarkConfig) -
     )
 
 
-def _run_chunk(args) -> list[tuple[int, int, bool, int, str]]:
+def _run_chunk(args) -> list[tuple[int, int, int, str]]:
     """Worker task: play a block of (condition, seed) games.
 
-    Returns (condition_index, seed, success, steps, failure_kind) rows. The
+    Returns (condition_index, seed, steps, failure_kind) rows. The
     seeds are ones whose environment generates.
     """
     config, cond_idx, seeds = args
@@ -202,7 +206,7 @@ def _run_chunk(args) -> list[tuple[int, int, bool, int, str]]:
     for seed in seeds:
         env = _environment_for(seed, condition, config)
         outcome = run_game(env, strategy, config.field_params, config.limits, seed)
-        rows.append((cond_idx, seed, outcome.success, outcome.steps, outcome.failure_kind))
+        rows.append((cond_idx, seed, outcome.steps, outcome.failure_kind))
     return rows
 
 
@@ -265,7 +269,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
         for lo in range(0, len(played), chunk_size):
             tasks.append((config, cond_idx, played[lo : lo + chunk_size]))
 
-    rows: list[tuple[int, int, bool, int, str]] = []
+    rows: list[tuple[int, int, int, str]] = []
     workers = min(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
@@ -275,11 +279,11 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
             for chunk in pool.map(_run_chunk, tasks):
                 rows.extend(chunk)
 
-    by_condition: dict[int, dict[int, tuple[bool, int, str]]] = {
+    by_condition: dict[int, dict[int, tuple[int, str]]] = {
         i: {} for i in range(len(config.conditions))
     }
-    for cond_idx, seed, success, steps, kind in rows:
-        by_condition[cond_idx][seed] = (success, steps, kind)
+    for cond_idx, seed, steps, kind in rows:
+        by_condition[cond_idx][seed] = (steps, kind)
 
     results = []
     for cond_idx, condition in enumerate(config.conditions):
@@ -291,9 +295,8 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
             ConditionResult(
                 condition=condition,
                 seeds=tuple(played),
-                success=tuple(outcomes[s][0] for s in played),
-                steps=tuple(outcomes[s][1] for s in played),
-                failure_kinds=tuple(outcomes[s][2] for s in played),
+                steps=tuple(outcomes[s][0] for s in played),
+                failure_kinds=tuple(outcomes[s][1] for s in played),
                 skipped_seeds=skipped,
                 env_hash=env_hash,
             )

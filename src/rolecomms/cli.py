@@ -192,6 +192,9 @@ def _cmd_simulate(args) -> int:
     else:
         mode = condition.geometry_mode(config.radii)
         env = generate_environment(args.seed, args.n, mode, config.workspace)
+    if args.trajectory_out is not None:
+        # created before the game, so a bad path fails before it is played
+        open(args.trajectory_out, "w").close()
     outcome = run_game(
         env,
         condition.comm_strategy(),

@@ -1,26 +1,26 @@
-"""Artificial potential-field planner: attractive/repulsive terms and velocity.
+"""Artificial potential-field planner: the one velocity law both agents use.
 
-Conventions. attractive_grad returns the gradient of the conical goal
-potential, a unit vector from the attractor toward the agent scaled by w_att;
-the velocity law negates it, pulling the agent in. repulsive_grad returns a
-vector from the obstacle toward the agent whose magnitude
-w_rep (1/rho - 1/rho0) (1/rho) falls to exactly zero at the effective range
-rho0; the velocity law adds it with a positive sign, pushing the agent out:
+agent_velocity is the law. An agent at p heading for the goal g commands
 
-    v(q) = w_v * (sum_j repulsive_grad_j(q) - sum_k attractive_grad_k(q))
+    v(p) = w_v * (sum_j rep_j(p) - att(p))
 
-rho is the distance from the agent to the obstacle *boundary* (center
-distance minus radius), floored at RHO_MIN; the attractive term vanishes
-within ATTRACTOR_EPS of the attractor. An optional speed cap bounds the
-returned velocity, but the game checks collision only at the end of each
-step, so a step can still carry the table through an obstacle.
+att(p) is the gradient of the conical goal potential: the unit vector from
+g toward p scaled by w_att, zero within ATTRACTOR_EPS of g. rep_j(p) points
+from obstacle j's center toward p with magnitude repulsive_magnitude(rho) =
+w_rep (1/rho - 1/rho0)(1/rho), which falls to exactly zero at the effective
+range rho0; rho is the distance from p to the obstacle *boundary* (center
+distance minus radius), floored at RHO_MIN. A listener inverts the same law
+to place its partner's obstacle (table_sim.infer_obstacle).
+
+The law has no speed cap: the game loop (table_sim.run_game) caps each
+command it applies, and checks collision only at the end of each step, so a
+step can still carry the table through an obstacle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .numerics import Vec2
 
@@ -54,88 +54,46 @@ class Obstacle:
             raise ValueError("obstacle center must be finite")
 
 
-@dataclass(frozen=True)
-class Attractor:
-    location: Vec2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.location[0]) and math.isfinite(self.location[1])):
-            raise ValueError("attractor location must be finite")
-
-
-def attractive_grad(q: Vec2, attractor: Attractor, w_att: float) -> Vec2:
-    """Gradient of the conical attractor potential at q.
-
-    Unit direction from the attractor to q, scaled by w_att; zero within
-    ATTRACTOR_EPS of the attractor where the direction is undefined.
-    """
-    dx = q[0] - attractor.location[0]
-    dy = q[1] - attractor.location[1]
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist < ATTRACTOR_EPS:
-        return Vec2(0.0, 0.0)
-    scale = w_att / dist
-    return Vec2(dx * scale, dy * scale)
-
-
 def repulsive_magnitude(rho: float, params: FieldParams) -> float:
     """w_rep (1/rho - 1/rho0)(1/rho), the repulsive strength at boundary distance rho."""
     return params.w_rep * (1.0 / rho - 1.0 / params.rho0) * (1.0 / rho)
 
 
-def repulsive_grad(q: Vec2, obs: Obstacle, params: FieldParams) -> Vec2:
-    """Repulsive field term at q for one obstacle; exactly zero beyond rho0.
+def agent_velocity(px, py, gx, gy, obstacles, w_att, w_rep, w_v, rho0):
+    """Commanded velocity (vx, vy) of an agent at (px, py) with the goal at
+    (gx, gy), over a sequence of (cx, cy, radius) obstacle triples.
 
-    Points from the obstacle toward q. rho is the distance to the obstacle
-    boundary, floored at RHO_MIN so the magnitude stays finite inside the
-    disc.
+    The weights come unpacked from FieldParams because the game loop calls
+    this several times per step. An agent at an obstacle's exact center is
+    pushed along +x.
     """
-    dx = q[0] - obs.center[0]
-    dy = q[1] - obs.center[1]
-    center_dist = math.sqrt(dx * dx + dy * dy)
-    rho = center_dist - obs.radius
-    if rho > params.rho0:
-        return Vec2(0.0, 0.0)
-    if rho < RHO_MIN:
-        rho = RHO_MIN
-    mag = repulsive_magnitude(rho, params)
-    if center_dist < ATTRACTOR_EPS:
-        # Agent at the exact obstacle center: push along +x deterministically.
-        return Vec2(mag, 0.0)
-    scale = mag / center_dist
-    return Vec2(dx * scale, dy * scale)
-
-
-def agent_velocity(
-    q: Vec2,
-    attractors: Sequence[Attractor],
-    obstacles: Sequence[Obstacle],
-    params: FieldParams,
-    v_max: float | None = None,
-) -> Vec2:
-    """Commanded velocity at q: w_v times the combined field terms.
-
-    Requires at least one attractor. When v_max is given, the result is
-    rescaled so its norm never exceeds v_max.
-    """
-    if not attractors:
-        raise ValueError("at least one attractor is required")
-    vx = 0.0
-    vy = 0.0
-    for att in attractors:
-        g = attractive_grad(q, att, params.w_att)
-        vx -= g[0]
-        vy -= g[1]
-    for obs in obstacles:
-        g = repulsive_grad(q, obs, params)
-        vx += g[0]
-        vy += g[1]
-    vx *= params.w_v
-    vy *= params.w_v
-    if v_max is not None:
-        speed = math.sqrt(vx * vx + vy * vy)
-        if speed > v_max:
-            scale = v_max / speed
-            vx *= scale
-            vy *= scale
-    return Vec2(vx, vy)
+    dx = px - gx
+    dy = py - gy
+    dist = math.sqrt(dx * dx + dy * dy)
+    if dist < ATTRACTOR_EPS:
+        vx = 0.0
+        vy = 0.0
+    else:
+        scale = w_att / dist
+        # 0.0 - 0.0 is 0.0, where -(0.0) would be -0.0
+        vx = 0.0 - dx * scale
+        vy = 0.0 - dy * scale
+    inv_rho0 = 1.0 / rho0
+    for ocx, ocy, orad in obstacles:
+        dxo = px - ocx
+        dyo = py - ocy
+        center_dist = math.sqrt(dxo * dxo + dyo * dyo)
+        rho = center_dist - orad
+        if rho > rho0:
+            continue
+        if rho < RHO_MIN:
+            rho = RHO_MIN
+        inv = 1.0 / rho
+        mag = w_rep * (inv - inv_rho0) * inv
+        if center_dist < ATTRACTOR_EPS:
+            vx += mag
+        else:
+            s = mag / center_dist
+            vx += dxo * s
+            vy += dyo * s
+    return (vx * w_v, vy * w_v)

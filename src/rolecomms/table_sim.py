@@ -25,11 +25,13 @@ from .numerics import Rng, Vec2, derive_seed, gaussian
 from .potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
-    Attractor,
     FieldParams,
     Obstacle,
     repulsive_magnitude,
 )
+
+# run_game calls the field law through this module attribute, so a tracer can wrap it
+from .potential_field import agent_velocity as _field_velocity
 
 _ENV_STREAM = 1
 _GAME_STREAM = 2
@@ -65,8 +67,8 @@ class UnknownRadius:
     r_max: float
 
     def __post_init__(self):
-        if not 0 < self.r_min <= self.r_max:
-            raise ValueError(f"need 0 < r_min <= r_max, got [{self.r_min}, {self.r_max}]")
+        if not (0 < self.r_min <= self.r_max and math.isfinite(self.r_max)):
+            raise ValueError(f"need 0 < r_min <= r_max, both finite, got [{self.r_min}, {self.r_max}]")
 
     @property
     def nominal_radius(self) -> float:
@@ -178,27 +180,6 @@ class Limits:
             raise ValueError("v_max must be > 0 when set")
 
 
-@dataclass(frozen=True)
-class TableState:
-    center: Vec2
-    heading: float
-    half_length: float
-
-    @property
-    def q1(self) -> Vec2:
-        return Vec2(
-            self.center[0] + self.half_length * math.cos(self.heading),
-            self.center[1] + self.half_length * math.sin(self.heading),
-        )
-
-    @property
-    def q2(self) -> Vec2:
-        return Vec2(
-            self.center[0] - self.half_length * math.cos(self.heading),
-            self.center[1] - self.half_length * math.sin(self.heading),
-        )
-
-
 class TrajectoryStep(NamedTuple):
     """One game step as a flat row in CSV column order: the table pose after
     the step, both commanded (unclamped) velocities, the roles ("S" or "L")
@@ -253,64 +234,6 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# dynamics
-
-
-def table_step(state: TableState, v1: Vec2, v2: Vec2, dt: float) -> TableState:
-    """Advance the rigid table one step under the agents' velocities.
-
-    The center translates with the mean velocity; the heading rate is the
-    cross product of the unit table axis with agent 1's relative velocity,
-    divided by the half length (the same value results from agent 2's arm by
-    antisymmetry). Endpoints are re-derived from center and heading, so
-    rigidity is exact.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    vcx = 0.5 * (v1[0] + v2[0])
-    vcy = 0.5 * (v1[1] + v2[1])
-    ux = math.cos(state.heading)
-    uy = math.sin(state.heading)
-    relx = v1[0] - vcx
-    rely = v1[1] - vcy
-    omega = (ux * rely - uy * relx) / state.half_length
-    return TableState(
-        center=Vec2(state.center[0] + dt * vcx, state.center[1] + dt * vcy),
-        heading=state.heading + dt * omega,
-        half_length=state.half_length,
-    )
-
-
-def segment_point_distance(a: Vec2, b: Vec2, p: Vec2) -> float:
-    """Distance from point p to the closed segment ab."""
-    abx = b[0] - a[0]
-    aby = b[1] - a[1]
-    apx = p[0] - a[0]
-    apy = p[1] - a[1]
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        return math.sqrt(apx * apx + apy * apy)
-    t = (apx * abx + apy * aby) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    dx = apx - t * abx
-    dy = apy - t * aby
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def table_collides(state: TableState, obstacles: Sequence[Obstacle]) -> bool:
-    """True when any obstacle disc intersects the table segment."""
-    q1 = state.q1
-    q2 = state.q2
-    for obs in obstacles:
-        if segment_point_distance(q1, q2, obs.center) < obs.radius:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # communication primitives
 
 
@@ -345,7 +268,7 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
 def infer_obstacle(
     observed_partner_velocity: Sequence[float],
     partner_pos: Sequence[float],
-    attractors: Sequence[Attractor],
+    goal: Sequence[float],
     params: FieldParams,
     nominal_radius: float,
     tol: float = DEFAULT_INFER_TOL,
@@ -354,14 +277,15 @@ def infer_obstacle(
     """Invert a speaker's velocity into a single obstacle explaining it.
 
     The residual is the repulsive field term implied by the observed
-    velocity once the shared attractors are accounted for:
+    velocity once the shared goal's attraction is accounted for:
 
-        residual = v / w_v + sum_k attractive_grad(partner_pos, k)
+        residual = v / w_v + att(partner_pos)
 
-    A residual below residual_eps means the motion is explained by the
-    attractors alone and nothing is inferred. Otherwise the repulsive
-    magnitude curve is inverted for the boundary distance rho by bisection
-    on (RHO_MIN, rho0], and the obstacle center is placed at
+    with att the attractive gradient of potential_field's law. A residual
+    below residual_eps means the motion is explained by the goal alone and
+    nothing is inferred. Otherwise the repulsive magnitude curve is inverted
+    for the boundary distance rho by bisection on (RHO_MIN, rho0], and the
+    obstacle center is placed at
 
         partner_pos - (rho + nominal_radius) * residual / |residual|
 
@@ -372,20 +296,20 @@ def infer_obstacle(
     if not (nominal_radius >= 0 and math.isfinite(nominal_radius)):
         raise ValueError(f"radius must be finite and >= 0, got {nominal_radius}")
     px, py = partner_pos
+    gx, gy = goal
     rx = observed_partner_velocity[0] / params.w_v
     ry = observed_partner_velocity[1] / params.w_v
-    for att in attractors:
-        # attractive_grad, inlined: its zero vector near the goal still adds 0.0
-        dx = px - att.location[0]
-        dy = py - att.location[1]
-        dist = math.sqrt(dx * dx + dy * dy)
-        if dist < ATTRACTOR_EPS:
-            rx += 0.0
-            ry += 0.0
-        else:
-            scale = params.w_att / dist
-            rx += dx * scale
-            ry += dy * scale
+    dx = px - gx
+    dy = py - gy
+    dist = math.sqrt(dx * dx + dy * dy)
+    if dist < ATTRACTOR_EPS:
+        # the zero attraction near the goal still adds 0.0, turning -0.0 into 0.0
+        rx += 0.0
+        ry += 0.0
+    else:
+        scale = params.w_att / dist
+        rx += dx * scale
+        ry += dy * scale
     mag = math.sqrt(rx * rx + ry * ry)
     if mag < residual_eps:
         return None
@@ -434,12 +358,6 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
 # game loop
 
 
-def initial_table_state(env: Environment) -> TableState:
-    """Table starts at `start`, held perpendicular to the start-goal line."""
-    heading = math.atan2(env.goal[1] - env.start[1], env.goal[0] - env.start[0]) + 0.5 * math.pi
-    return TableState(center=env.start, heading=heading, half_length=env.table_half_length)
-
-
 def run_game(
     env: Environment,
     strategy: Strategy,
@@ -467,18 +385,17 @@ def run_game(
     velocities, the roles and each agent's current inferred obstacle.
     """
     rng = Rng(derive_seed(seed, _GAME_STREAM))
-    attractors = (Attractor(env.goal),)
+    goal = env.goal
     nominal_r = env.geometry_mode.nominal_radius
     cv = strategy.noise_cv
-    gx, gy = env.goal
+    gx, gy = goal
     trajectory: list[TrajectoryStep] | None = [] if record_trajectory else None
 
     # The loop holds the table pose and each agent's state in locals (floats,
-    # and (cx, cy, radius) tuples for obstacles). It reproduces exactly the
-    # arithmetic of agent_velocity (in _field_velocity) with its speed cap,
-    # table_step, TableState.q1/q2 and table_collides.
+    # and (cx, cy, radius) tuples for obstacles). The table starts at `start`,
+    # held perpendicular to the start-goal line.
     cx_, cy_ = env.start
-    heading = initial_table_state(env).heading
+    heading = math.atan2(gy - cy_, gx - cx_) + 0.5 * math.pi
     half_len = env.table_half_length
     w_att, w_rep, w_v, rho0 = params.w_att, params.w_rep, params.w_v, params.rho0
     dt = limits.dt
@@ -540,7 +457,7 @@ def run_game(
             v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
         elif speaker == 1:
             v1 = _field_velocity(p1x, p1y, gx, gy, motion1, w_att, w_rep, w_v, rho0)
-            new = infer_obstacle(corrupt(v1, cv, rng), (p1x, p1y), attractors, params, nominal_r)
+            new = infer_obstacle(corrupt(v1, cv, rng), (p1x, p1y), goal, params, nominal_r)
             if new is not None:
                 inf2 = new
             obs = motion2 if inf2 is None else motion2 + (inf2[:3],)
@@ -548,14 +465,19 @@ def run_game(
             roles = ("S", "L")
         else:
             v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
-            new = infer_obstacle(corrupt(v2, cv, rng), (p2x, p2y), attractors, params, nominal_r)
+            new = infer_obstacle(corrupt(v2, cv, rng), (p2x, p2y), goal, params, nominal_r)
             if new is not None:
                 inf1 = new
             obs = motion1 if inf1 is None else motion1 + (inf1[:3],)
             v1 = _field_velocity(p1x, p1y, gx, gy, obs, w_att, w_rep, w_v, rho0)
             roles = ("L", "S")
 
-        # dynamics: table_step with agent_velocity's speed cap on each command
+        # dynamics: each command is scaled down to at most v_max. The center
+        # translates with the mean command; the heading rate is the cross
+        # product of the unit table axis with agent 1's command relative to
+        # the mean, over the half length (agent 2's arm gives the same value
+        # by antisymmetry). Endpoints are re-derived from center and heading,
+        # so the table stays exactly rigid.
         c1x, c1y = v1
         c2x, c2y = v2
         speed = math.sqrt(c1x * c1x + c1y * c1y)
@@ -615,44 +537,6 @@ def run_game(
         failure_kind=outcome_kind,
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
-
-
-def _field_velocity(px, py, gx, gy, obstacles, w_att, w_rep, w_v, rho0):
-    """Inline single-attractor agent_velocity over (cx, cy, radius) tuples.
-
-    Must stay arithmetic-identical to agent_velocity with one attractor; a
-    parity test enforces it.
-    """
-    dx = px - gx
-    dy = py - gy
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist < ATTRACTOR_EPS:
-        vx = 0.0
-        vy = 0.0
-    else:
-        scale = w_att / dist
-        # as agent_velocity: 0.0 - 0.0 is 0.0, where -(0.0) is -0.0
-        vx = 0.0 - dx * scale
-        vy = 0.0 - dy * scale
-    inv_rho0 = 1.0 / rho0
-    for ocx, ocy, orad in obstacles:
-        dxo = px - ocx
-        dyo = py - ocy
-        center_dist = math.sqrt(dxo * dxo + dyo * dyo)
-        rho = center_dist - orad
-        if rho > rho0:
-            continue
-        if rho < RHO_MIN:
-            rho = RHO_MIN
-        inv = 1.0 / rho
-        mag = w_rep * (inv - inv_rho0) * inv
-        if center_dist < ATTRACTOR_EPS:
-            vx += mag
-        else:
-            s = mag / center_dist
-            vx += dxo * s
-            vy += dyo * s
-    return (vx * w_v, vy * w_v)
 
 
 # ---------------------------------------------------------------------------

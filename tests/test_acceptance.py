@@ -35,7 +35,7 @@ from rolecomms.linear_roles import (
     stability_report,
 )
 from rolecomms.numerics import Rng, Vec2, gaussian
-from rolecomms.potential_field import Attractor, FieldParams, Obstacle, agent_velocity
+from rolecomms.potential_field import FieldParams, agent_velocity
 from rolecomms.table_sim import infer_obstacle
 
 UNSTABLE_A = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -303,7 +303,7 @@ def test_criterion_5_discrete_oracle_equivalence():
 
 def test_criterion_6_inference_round_trip():
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-    goal = (Attractor(Vec2(10.0, 0.0)),)
+    goal = Vec2(10.0, 0.0)
     radius = 0.5
     tol = 1e-12
     rng = random.Random(6)
@@ -316,7 +316,8 @@ def test_criterion_6_inference_round_trip():
             q[0] + (rho + radius) * math.cos(angle),
             q[1] + (rho + radius) * math.sin(angle),
         )
-        velocity = agent_velocity(q, goal, [Obstacle(center, radius)], params)
+        velocity = agent_velocity(q[0], q[1], goal[0], goal[1], [(center[0], center[1], radius)],
+                                  params.w_att, params.w_rep, params.w_v, params.rho0)
         got = infer_obstacle(velocity, q, goal, params, radius, tol=tol)
         assert got is not None
         worst = max(worst, (got.center - center).norm())

@@ -216,7 +216,6 @@ class TestCompare:
                 ConditionResult(
                     condition=cond,
                     seeds=seeds,
-                    success=tuple(succ),
                     steps=tuple(100 for _ in seeds),
                     failure_kinds=tuple("none" if s else "timeout" for s in succ),
                     skipped_seeds=(),
@@ -243,7 +242,6 @@ class TestCompare:
         clipped = ConditionResult(
             condition=cond_b,
             seeds=tuple(range(5)),
-            success=(True,) * 5,
             steps=(10,) * 5,
             failure_kinds=("none",) * 5,
             skipped_seeds=(),
@@ -269,7 +267,6 @@ class TestCompare:
         r = ConditionResult(
             condition=Condition("dynamic", 1, 2, "known", 0.0),
             seeds=seeds,
-            success=(True, False, False, True),
             steps=(50, 120, 200, 60),
             failure_kinds=("none", "collision", "timeout", "none"),
             skipped_seeds=(),

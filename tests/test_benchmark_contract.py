@@ -4,7 +4,10 @@
 report digests in `perfbench/reference/`, and traces rounds by swapping
 module attributes by name. Block 0 of each workload is played here once
 plain and once traced, so that a change of outcome, report bytes or a traced
-name fails these tests before it fails the benchmark.
+name fails these tests before it fails the benchmark. A traced name that is
+still swapped but no longer called (say, a function the game loop stopped
+looking up by that name) would read 0 in a per-layer metric; the traced
+round must therefore reach every layer it reached before.
 """
 
 import importlib
@@ -15,6 +18,32 @@ import pytest
 from rolecomms import bench, cli, table_sim
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+_BENCH_SPANS = {
+    "bench.run_benchmark",
+    "bench.env_hash",
+    "bench.run_chunk",
+    "bench.report_json",
+    "bench.report_csv",
+    "bench.evaluate_asserts",
+}
+_GAME_SPANS = {
+    "table_sim.generate_environment",
+    "table_sim.run_game",
+    "potential_field.field_eval",
+    "table_sim.infer_obstacle",
+    "table_sim.corrupt",
+}
+# the span names with at least one call in a traced round of block 0
+TRACED_LAYERS = {
+    "table1": _BENCH_SPANS | _GAME_SPANS,
+    "noise-w2": _BENCH_SPANS
+    | _GAME_SPANS
+    | {"bench.pool_wait", "trace.merge", "numerics.gaussian", "table_sim.closest_observed_index"},
+    "simulate-trace": _GAME_SPANS
+    | {"table_sim.closest_observed_index", "table_sim.trajectory_csv_lines"},
+}
 
 
 @pytest.fixture()
@@ -32,11 +61,14 @@ def test_block_0_matches_the_reference_plain_and_traced(perfbench_run):
         reference = run.load_reference(name)[0]
         workload = run.Workload(name, ROOT, bench, table_sim, cli)
         plain = workload.play_round(0)
-        saved = tracing.install(tracing.Tracer(), bench, table_sim)
+        tracer = tracing.Tracer()
+        saved = tracing.install(tracer, bench, table_sim)
         try:
             traced = workload.play_round(0)
         finally:
             tracing.uninstall(saved)
+        called = {span for span, entry in tracer.summary().items() if entry["calls"] > 0}
+        assert called == TRACED_LAYERS[name], name
         for result in (plain, traced):
             attempted, failed, problems = run.check_round(result, reference)
             assert (attempted, failed, problems) == (len(reference["rows"]), 0, []), name

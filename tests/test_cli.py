@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rolecomms import bench
+from rolecomms import bench, cli
 from rolecomms.cli import _resolve_workers, build_parser, main
 
 
@@ -506,6 +506,7 @@ class TestOutputPaths:
             raise AssertionError("games were played before --out was created")
 
         monkeypatch.setattr(bench, "run_benchmark", no_games)
+        monkeypatch.setattr(cli, "run_game", no_games)
         existing = tmp_path / "existing"
         existing.write_text("keep")
         files = {"config": tiny_bench_config, "file": existing, "tmp": tmp_path}

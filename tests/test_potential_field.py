@@ -7,28 +7,34 @@ from rolecomms.numerics import Vec2
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
-    Attractor,
     FieldParams,
     Obstacle,
     agent_velocity,
-    attractive_grad,
-    repulsive_grad,
 )
 
 
+def velocity(q, goal, obstacles, params):
+    """The law at q for (cx, cy, radius) obstacles, weights taken from params."""
+    return Vec2(*agent_velocity(q[0], q[1], goal[0], goal[1], obstacles,
+                                params.w_att, params.w_rep, params.w_v, params.rho0))
+
+
 class TestAttractiveGrad:
+    # no obstacles and w_v = 1: the velocity is minus the attractive gradient
+    params = FieldParams(w_att=1.0, w_rep=1.0, w_v=1.0, rho0=1.0)
+
     def test_unit_displacement(self):
-        g = attractive_grad(Vec2(1, 0), Attractor(Vec2(0, 0)), w_att=1.0)
-        assert g == Vec2(1.0, 0.0)
+        v = velocity(Vec2(1, 0), Vec2(0, 0), (), self.params)
+        assert v == Vec2(-1.0, 0.0)
 
     def test_zero_at_attractor(self):
-        g = attractive_grad(Vec2(0, 0), Attractor(Vec2(0, 0)), w_att=1.0)
-        assert g == Vec2(0.0, 0.0)
+        v = velocity(Vec2(0, 0), Vec2(0, 0), (), self.params)
+        assert v == Vec2(0.0, 0.0)
 
     def test_scaled_direction(self):
-        g = attractive_grad(Vec2(3, 4), Attractor(Vec2(0, 0)), w_att=2.0)
-        assert g[0] == pytest.approx(1.2)
-        assert g[1] == pytest.approx(1.6)
+        v = velocity(Vec2(3, 4), Vec2(0, 0), (), FieldParams(w_att=2.0, w_v=1.0))
+        assert v[0] == pytest.approx(-1.2)
+        assert v[1] == pytest.approx(-1.6)
 
     def test_constant_magnitude(self):
         rng = random.Random(0)
@@ -36,34 +42,35 @@ class TestAttractiveGrad:
             q = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             if q.norm() < ATTRACTOR_EPS:
                 continue
-            g = attractive_grad(q, Attractor(Vec2(0, 0)), w_att=1.7)
-            assert g.norm() == pytest.approx(1.7)
+            v = velocity(q, Vec2(0, 0), (), FieldParams(w_att=1.7, w_v=1.0))
+            assert v.norm() == pytest.approx(1.7)
 
 
 class TestRepulsiveGrad:
+    # the goal sits at the agent, so the attractive term is zero and, with
+    # w_v = 1, the velocity is the repulsive term alone
     params = FieldParams(w_att=1.0, w_rep=1.0, w_v=1.0, rho0=2.0)
+
+    def repulsion(self, q, obstacle):
+        return velocity(q, q, (obstacle,), self.params)
 
     def test_zero_exactly_at_range(self):
         # boundary distance exactly rho0: (1/rho0 - 1/rho0) = 0
-        g = repulsive_grad(Vec2(3.0, 0.0), Obstacle(Vec2(0, 0), 1.0), self.params)
-        assert g == Vec2(0.0, 0.0)
+        assert self.repulsion(Vec2(3.0, 0.0), (0.0, 0.0, 1.0)) == Vec2(0.0, 0.0)
 
     def test_zero_beyond_range(self):
-        g = repulsive_grad(Vec2(5.0, 0.0), Obstacle(Vec2(0, 0), 1.0), self.params)
-        assert g == Vec2(0.0, 0.0)
+        assert self.repulsion(Vec2(5.0, 0.0), (0.0, 0.0, 1.0)) == Vec2(0.0, 0.0)
 
     def test_hand_worked_magnitude(self):
         # rho = 2 - 1 = 1: magnitude (1/1 - 1/2)(1/1) = 0.5 along +x
-        g = repulsive_grad(Vec2(2.0, 0.0), Obstacle(Vec2(0, 0), 1.0), self.params)
+        g = self.repulsion(Vec2(2.0, 0.0), (0.0, 0.0, 1.0))
         assert g[0] == pytest.approx(0.5)
         assert g[1] == 0.0
 
     def test_continuous_approach_to_range_boundary(self):
-        obs = Obstacle(Vec2(0, 0), 1.0)
         prev = None
         for eps in (0.1, 0.01, 0.001, 0.0001):
-            g = repulsive_grad(Vec2(3.0 - eps, 0.0), obs, self.params)
-            mag = g.norm()
+            mag = self.repulsion(Vec2(3.0 - eps, 0.0), (0.0, 0.0, 1.0)).norm()
             if prev is not None:
                 assert mag < prev
             prev = mag
@@ -71,73 +78,52 @@ class TestRepulsiveGrad:
 
     def test_points_away_from_obstacle(self):
         rng = random.Random(1)
-        obs = Obstacle(Vec2(1.0, -2.0), 0.5)
+        obs = (1.0, -2.0, 0.5)
         for _ in range(50):
             q = Vec2(1.0 + rng.uniform(-2, 2), -2.0 + rng.uniform(-2, 2))
-            g = repulsive_grad(q, obs, self.params)
+            g = self.repulsion(q, obs)
             if g == Vec2(0.0, 0.0):
                 continue
-            dx = q[0] - obs.center[0]
-            dy = q[1] - obs.center[1]
-            assert g[0] * dx + g[1] * dy > 0
+            assert g[0] * (q[0] - obs[0]) + g[1] * (q[1] - obs[1]) > 0
 
     def test_floor_inside_disc(self):
         # deep inside the disc the magnitude is pinned at the floor value
-        obs = Obstacle(Vec2(0, 0), 1.0)
-        g_center_edge = repulsive_grad(Vec2(0.5, 0.0), obs, self.params)
+        g = self.repulsion(Vec2(0.5, 0.0), (0.0, 0.0, 1.0))
         expected = (1.0 / RHO_MIN - 0.5) * (1.0 / RHO_MIN)
-        assert g_center_edge.norm() == pytest.approx(expected)
+        assert g.norm() == pytest.approx(expected)
 
 
 class TestAgentVelocity:
     params = FieldParams(w_att=1.0, w_rep=1.0, w_v=0.5, rho0=1.0)
 
     def test_points_at_goal_without_obstacles(self):
-        v = agent_velocity(Vec2(0, 0), [Attractor(Vec2(10, 0))], [], self.params)
+        v = velocity(Vec2(0, 0), Vec2(10, 0), (), self.params)
         assert v[0] == pytest.approx(0.5)
         assert v[1] == pytest.approx(0.0)
 
     def test_mirror_symmetric_obstacles_cancel_laterally(self):
-        obstacles = [Obstacle(Vec2(5, 1.0), 0.5), Obstacle(Vec2(5, -1.0), 0.5)]
-        v = agent_velocity(Vec2(4.5, 0.0), [Attractor(Vec2(10, 0))], obstacles, self.params)
+        obstacles = ((5.0, 1.0, 0.5), (5.0, -1.0, 0.5))
+        v = velocity(Vec2(4.5, 0.0), Vec2(10, 0), obstacles, self.params)
         assert v[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_componentwise_combination(self):
-        # velocity = w_v * (sum of repulsive terms - sum of attractive terms)
+        # velocity = w_v * (repulsive term - attractive term): the goal alone,
+        # plus the obstacle alone (goal at the agent), gives the whole law
         q = Vec2(2.0, 1.0)
-        att = Attractor(Vec2(10, 0))
-        obs = Obstacle(Vec2(2.5, 0.5), 0.3)
-        a = attractive_grad(q, att, self.params.w_att)
-        r = repulsive_grad(q, obs, self.params)
-        v = agent_velocity(q, [att], [obs], self.params)
-        assert v[0] == pytest.approx(self.params.w_v * (r[0] - a[0]))
-        assert v[1] == pytest.approx(self.params.w_v * (r[1] - a[1]))
+        obs = (2.5, 0.5, 0.3)
+        attraction = velocity(q, Vec2(10, 0), (), self.params)
+        repulsion = velocity(q, q, (obs,), self.params)
+        v = velocity(q, Vec2(10, 0), (obs,), self.params)
+        assert v[0] == pytest.approx(attraction[0] + repulsion[0])
+        assert v[1] == pytest.approx(attraction[1] + repulsion[1])
 
     def test_homogeneous_in_field_weights(self):
         q = Vec2(1.0, 0.5)
-        att = [Attractor(Vec2(6, 0))]
-        obs = [Obstacle(Vec2(2, 0.2), 0.4)]
-        base = agent_velocity(q, att, obs, FieldParams(1.0, 1.0, 0.5, 1.0))
-        scaled = agent_velocity(q, att, obs, FieldParams(3.0, 3.0, 0.5, 1.0))
+        obs = ((2.0, 0.2, 0.4),)
+        base = velocity(q, Vec2(6, 0), obs, FieldParams(1.0, 1.0, 0.5, 1.0))
+        scaled = velocity(q, Vec2(6, 0), obs, FieldParams(3.0, 3.0, 0.5, 1.0))
         assert scaled[0] == pytest.approx(3.0 * base[0])
         assert scaled[1] == pytest.approx(3.0 * base[1])
-
-    def test_speed_cap(self):
-        v = agent_velocity(
-            Vec2(0, 0), [Attractor(Vec2(10, 0))], [], FieldParams(5.0, 1.0, 1.0, 1.0), v_max=0.25
-        )
-        assert v.norm() == pytest.approx(0.25)
-
-    def test_cap_preserves_direction(self):
-        raw = agent_velocity(Vec2(0, 1), [Attractor(Vec2(4, -2))], [], self.params)
-        capped = agent_velocity(
-            Vec2(0, 1), [Attractor(Vec2(4, -2))], [], self.params, v_max=raw.norm() / 2
-        )
-        assert capped[0] * raw[1] == pytest.approx(capped[1] * raw[0])
-
-    def test_requires_attractor(self):
-        with pytest.raises(ValueError):
-            agent_velocity(Vec2(0, 0), [], [], self.params)
 
 
 class TestFieldParams:

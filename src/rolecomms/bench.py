@@ -1,8 +1,9 @@
 """Monte-Carlo benchmark harness for the table-carrying game.
 
 Runs a grid of (strategy, period, obstacle count, geometry, noise) conditions
-over a shared, seed-indexed environment sequence so that conditions can be
-compared pairwise game by game. Aggregation is keyed by seed and sorted, so
+so that conditions can be compared pairwise game by game: each seed's
+environment is generated once per (n, geometry), played by every condition
+sharing it and hashed as played. Aggregation is keyed by seed and sorted, so
 the report is bit-identical for any worker count or completion order.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
@@ -23,7 +24,6 @@ from .errors import ComparisonError, ConfigError, GenerationError
 from .potential_field import FieldParams
 from .table_sim import (
     GEOMETRY_KINDS,
-    Environment,
     GeometryMode,
     KnownRadius,
     Limits,
@@ -184,46 +184,36 @@ class BenchmarkReport:
 # execution
 
 
-def _environment_for(seed: int, condition: Condition, config: BenchmarkConfig) -> Environment:
-    return generate_environment(
-        seed,
-        condition.n,
-        condition.geometry_mode(config.radii),
-        config.workspace,
-    )
+def _run_chunk(args) -> tuple[list[bytes], list[tuple[int, int, int, str]]]:
+    """Worker task: play each condition of cond_idxs, which share one
+    (n, geometry), on the environment of each seed, generated once.
 
-
-def _run_chunk(args) -> list[tuple[int, int, int, str]]:
-    """Worker task: play a block of (condition, seed) games.
-
-    Returns (condition_index, seed, steps, failure_kind) rows. The
-    seeds are ones whose environment generates.
+    Returns the environments' canonical JSON bytes in seed order, and
+    (condition_index, seed, steps, failure_kind) rows.
     """
-    config, cond_idx, seeds = args
-    condition = config.conditions[cond_idx]
-    strategy = condition.comm_strategy()
+    config, cond_idxs, seeds = args
+    shared = config.conditions[cond_idxs[0]]
+    mode = shared.geometry_mode(config.radii)
+    strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
+    env_json = []
     rows = []
     for seed in seeds:
-        env = _environment_for(seed, condition, config)
-        outcome = run_game(env, strategy, config.field_params, config.limits, seed)
-        rows.append((cond_idx, seed, outcome.steps, outcome.failure_kind))
-    return rows
+        env = generate_environment(seed, shared.n, mode, config.workspace)
+        env_json.append(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
+        for cond_idx, strategy in strategies:
+            outcome = run_game(env, strategy, config.field_params, config.limits, seed)
+            rows.append((cond_idx, seed, outcome.steps, outcome.failure_kind))
+    return env_json, rows
 
 
-def _env_sequence_hash(condition: Condition, config: BenchmarkConfig, seeds) -> tuple[str, tuple]:
-    """Digest of the condition's environment sequence, and the seeds whose
-    environment generation fails."""
+def _env_sequence_hash(seeds, skipped, env_json) -> str:
+    """Digest of one (n, geometry) environment sequence as played: seed by
+    seed, skip:{seed} or the environment's canonical JSON bytes from env_json."""
     digest = hashlib.sha256()
-    skipped = []
+    played = iter(env_json)
     for seed in seeds:
-        try:
-            env = _environment_for(seed, condition, config)
-        except GenerationError:
-            digest.update(f"skip:{seed}".encode())
-            skipped.append(seed)
-            continue
-        digest.update(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
-    return digest.hexdigest(), tuple(skipped)
+        digest.update(f"skip:{seed}".encode() if seed in skipped else next(played))
+    return digest.hexdigest()
 
 
 def config_fingerprint(config_echo: dict) -> str:
@@ -241,64 +231,73 @@ def config_fingerprint(config_echo: dict) -> str:
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 50) -> BenchmarkReport:
+def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5) -> BenchmarkReport:
     """Run every condition over the shared seed sequence and aggregate.
 
     Environments for game i come from seed base_seed + i, identically for
     every condition with the same (n, geometry), which makes cross-strategy
-    comparisons paired. Games whose environment generation fails are skipped
-    and recorded; the skip set is seed-determined, hence identical across
-    conditions sharing (n, geometry). Every environment sequence is hashed,
-    and its skips found, before any game is played, so a condition with every
-    seed skipped raises ConfigError at once. The result is independent of
-    `workers`, and at most one process per task is started.
+    comparisons paired. A task covers up to chunk_size seeds of one such
+    key: it generates each seed's environment once, plays every condition of
+    the key on it and returns the environment's bytes, so env_hash digests
+    the environments as played. Seeds whose generation fails are skipped for
+    every condition of the key, and found before any game: a condition with
+    every seed skipped raises ConfigError at once. The result is independent
+    of `workers` and `chunk_size`, and at most one process per task starts.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
-    sequences: dict[tuple, tuple[str, tuple[int, ...]]] = {}
-    for condition in config.conditions:
-        geo_key = (condition.n, condition.geometry)
-        if geo_key not in sequences:
-            sequences[geo_key] = _env_sequence_hash(condition, config, seeds)
-        if len(sequences[geo_key][1]) == len(seeds):
-            raise ConfigError(f"{condition}: every seed failed environment generation")
-    kept = {key: sorted(set(seeds).difference(skipped)) for key, (_, skipped) in sequences.items()}
-
-    tasks = []
+    sharing: dict[tuple, tuple[int, ...]] = {}
     for cond_idx, condition in enumerate(config.conditions):
-        played = kept[(condition.n, condition.geometry)]
-        for lo in range(0, len(played), chunk_size):
-            tasks.append((config, cond_idx, played[lo : lo + chunk_size]))
+        key = (condition.n, condition.geometry)
+        sharing[key] = sharing.get(key, ()) + (cond_idx,)
+    kept: dict[tuple, list[int]] = {}
+    skipped: dict[tuple, list[int]] = {}
+    tasks = []
+    for key, cond_idxs in sharing.items():
+        condition = config.conditions[cond_idxs[0]]
+        mode = condition.geometry_mode(config.radii)
+        kept[key], skipped[key] = [], []
+        for seed in seeds:
+            try:
+                generate_environment(seed, condition.n, mode, config.workspace)
+            except GenerationError:
+                skipped[key].append(seed)
+            else:
+                kept[key].append(seed)
+        if not kept[key]:
+            raise ConfigError(f"{condition}: every seed failed environment generation")
+        for lo in range(0, len(kept[key]), chunk_size):
+            tasks.append((config, cond_idxs, kept[key][lo : lo + chunk_size]))
 
-    rows: list[tuple[int, int, int, str]] = []
     workers = min(workers, len(tasks))
     if workers <= 1:
-        for task in tasks:
-            rows.extend(_run_chunk(task))
+        chunks = [_run_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_chunk, tasks):
-                rows.extend(chunk)
+            chunks = list(pool.map(_run_chunk, tasks))
 
-    by_condition: dict[int, dict[int, tuple[int, str]]] = {
-        i: {} for i in range(len(config.conditions))
+    # a key's tasks are in seed order, so its environments arrive in seed order
+    env_json: dict[tuple, list[bytes]] = {}
+    outcomes: dict[tuple[int, int], tuple[int, str]] = {}
+    for (_, cond_idxs, _), (chunk_json, rows) in zip(tasks, chunks):
+        env_json.setdefault(cond_idxs, []).extend(chunk_json)
+        for cond_idx, seed, steps, kind in rows:
+            outcomes[cond_idx, seed] = (steps, kind)
+    env_hash = {
+        key: _env_sequence_hash(seeds, set(skipped[key]), env_json[cond_idxs])
+        for key, cond_idxs in sharing.items()
     }
-    for cond_idx, seed, steps, kind in rows:
-        by_condition[cond_idx][seed] = (steps, kind)
 
     results = []
     for cond_idx, condition in enumerate(config.conditions):
-        outcomes = by_condition[cond_idx]
-        geo_key = (condition.n, condition.geometry)
-        env_hash, skipped = sequences[geo_key]
-        played = kept[geo_key]
+        key = (condition.n, condition.geometry)
         results.append(
             ConditionResult(
                 condition=condition,
-                seeds=tuple(played),
-                steps=tuple(outcomes[s][0] for s in played),
-                failure_kinds=tuple(outcomes[s][1] for s in played),
-                skipped_seeds=skipped,
-                env_hash=env_hash,
+                seeds=tuple(kept[key]),
+                steps=tuple(outcomes[cond_idx, s][0] for s in kept[key]),
+                failure_kinds=tuple(outcomes[cond_idx, s][1] for s in kept[key]),
+                skipped_seeds=tuple(skipped[key]),
+                env_hash=env_hash[key],
             )
         )
 

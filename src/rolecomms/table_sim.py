@@ -105,9 +105,6 @@ class Environment:
         if not all(math.isfinite(x) for x in (*self.start, *self.goal, self.table_half_length)):
             raise ValueError("start, goal and table_half_length must be finite")
 
-    def owned_by(self, agent: int) -> tuple[TaggedObstacle, ...]:
-        return tuple(o for o in self.obstacles if o.owner == agent)
-
 
 class InferredObstacle(NamedTuple):
     """Obstacle reconstructed from a partner's action; saturated marks a
@@ -237,14 +234,14 @@ class Workspace:
 # communication primitives
 
 
-def closest_observed_index(observed: Sequence[Obstacle], own_pos: Vec2) -> int | None:
-    """Index of the observed obstacle nearest to own_pos; ties take the
-    lowest index. None when nothing is observed."""
+def closest_observed_index(observed: Sequence[tuple[float, float, float]], own_pos: Vec2) -> int | None:
+    """Index of the observed (cx, cy, radius) obstacle nearest to own_pos;
+    ties take the lowest index. None when nothing is observed."""
     best = None
     best_d = math.inf
     for i, obs in enumerate(observed):
-        dx = obs.center[0] - own_pos[0]
-        dy = obs.center[1] - own_pos[1]
+        dx = obs[0] - own_pos[0]
+        dy = obs[1] - own_pos[1]
         d = dx * dx + dy * dy
         if d < best_d:
             best_d = d
@@ -403,10 +400,8 @@ def run_game(
     v_cap = math.inf if limits.v_max is None else limits.v_max
     goal_eps = limits.goal_eps
     env_obs = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles)
-    observed1 = env.owned_by(1)
-    observed2 = env.owned_by(2)
-    own1 = tuple((o.center[0], o.center[1], o.radius) for o in observed1)
-    own2 = tuple((o.center[0], o.center[1], o.radius) for o in observed2)
+    own1 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 1)
+    own2 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 2)
     # motion: own obstacles plus at most one received one. Each explicit
     # delivery replaces the previous received obstacle, so an agent acts on
     # one partner estimate, as a listener keeps exactly one inferred obstacle.
@@ -437,12 +432,11 @@ def run_game(
             else:
                 senders = ()
             for sender in senders:
-                observed, sender_pos = (observed1, (p1x, p1y)) if sender == 1 else (observed2, (p2x, p2y))
-                idx = closest_observed_index(observed, sender_pos)
+                own, sender_pos = (own1, (p1x, p1y)) if sender == 1 else (own2, (p2x, p2y))
+                idx = closest_observed_index(own, sender_pos)
                 if idx is None:
                     continue
-                o = observed[idx]
-                mcx, mcy, mr = corrupt((o.center[0], o.center[1], o.radius), cv, rng)
+                mcx, mcy, mr = corrupt(own[idx], cv, rng)
                 received = ((mcx, mcy, max(mr, 0.0)),)
                 if sender == 1:
                     motion2 = own2 + received
@@ -511,6 +505,10 @@ def run_game(
         abx = p2x - p1x
         aby = p2y - p1y
         denom = abx * abx + aby * aby
+        if denom == 0.0:
+            # the squared length underflowed: t = 0 tests each disc against
+            # the point p1, as for a zero-length segment
+            denom = math.inf
         for ocx, ocy, orad in env_obs:
             apx = ocx - p1x
             apy = ocy - p1y

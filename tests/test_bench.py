@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 from dataclasses import replace
@@ -24,8 +25,8 @@ from rolecomms.bench import (
 )
 from rolecomms.cli import SystemFile
 from rolecomms.codec import decode, encode
-from rolecomms.errors import ComparisonError, ConfigError
-from rolecomms.table_sim import Environment, Workspace
+from rolecomms.errors import ComparisonError, ConfigError, GenerationError
+from rolecomms.table_sim import Environment, KnownRadius, Workspace, generate_environment
 
 
 def small_config(conditions, games=30, **kwargs):
@@ -104,9 +105,11 @@ class TestRunBenchmark:
         assert report_csv(a) == report_csv(b)
 
     def test_worker_count_never_changes_output(self):
+        # two (n, geometry) keys, so that tasks of both are in the pool at once
         conditions = [
             Condition("dynamic", 1, 4, "known", 0.0),
             Condition("speaker_speaker", 0, 4, "known", 0.0),
+            Condition("dynamic", 1, 2, "known", 0.0),
         ]
         serial = run_benchmark(small_config(conditions), workers=1, chunk_size=7)
         pooled = run_benchmark(small_config(conditions), workers=3, chunk_size=7)
@@ -117,6 +120,25 @@ class TestRunBenchmark:
         a = run_benchmark(small_config(conditions), chunk_size=3)
         b = run_benchmark(small_config(conditions), chunk_size=50)
         assert report_json(a) == report_json(b)
+
+    def test_each_environment_generated_once_per_key_and_seed(self, monkeypatch):
+        calls = []
+        generate = bench.generate_environment
+
+        def counting_generate(*args, **kwargs):
+            calls.append(args[:2])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate_environment", counting_generate)
+        conditions = [
+            Condition(strategy, T, n, "known", 0.0)
+            for n in (2, 4)
+            for strategy, T in (("dynamic", 1), ("speaker_speaker", 0), ("explicit", 0))
+        ]
+        run_benchmark(small_config(conditions, games=10), chunk_size=3)
+        # per key and seed: once in the pre-pass for skips, once in the task playing all three
+        assert len(calls) == 2 * 2 * 10
+        assert sorted(set(calls)) == [(100 + i, n) for i in range(10) for n in (2, 4)]
 
     def test_paired_environment_hash(self):
         conditions = [
@@ -147,11 +169,21 @@ class TestRunBenchmark:
             games_per_condition=40,
             workspace=Workspace(clearance=3.2, retry_cap=3),
         )
-        report = run_benchmark(config)
+        report = run_benchmark(config, chunk_size=3)
         sequence = [config.base_seed + i for i in range(40)]
         first, second = report.results
         assert len(first.skipped_seeds) == 19
         assert first.skipped_seeds == second.skipped_seeds
+        # the hash of the sequence: a skip mark or the environment's canonical JSON, seed by seed
+        digest = hashlib.sha256()
+        for seed in sequence:
+            try:
+                env = generate_environment(seed, 8, KnownRadius(0.5), config.workspace)
+            except GenerationError:
+                digest.update(f"skip:{seed}".encode())
+            else:
+                digest.update(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
+        assert first.env_hash == second.env_hash == digest.hexdigest()
         for r in report.results:
             assert not set(r.seeds) & set(r.skipped_seeds)
             assert sorted(r.seeds + r.skipped_seeds) == sequence

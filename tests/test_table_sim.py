@@ -230,6 +230,24 @@ class TestCollision:
         assert not one_step_collides(a, b, (1.5, 0.0, 0.4))
         assert not one_step_collides(a, b, (-1.5, 0.0, 0.4))
 
+    @pytest.mark.parametrize("obstacle, kind", [((0.1, 0.0, 0.5), "collision"), ((5.0, 3.0, 0.5), "none")])
+    def test_zero_length_table_is_tested_as_a_point(self, obstacle, kind):
+        # the squared length of a 2e-170 table underflows to 0.0; the table is
+        # then tested as the point where agent 1 holds it: a disc around the
+        # start is hit on the first step, one off the path is never hit
+        env = Environment(
+            obstacles=(TaggedObstacle(Vec2(obstacle[0], obstacle[1]), obstacle[2], owner=1),),
+            start=Vec2(0.0, 0.0),
+            goal=Vec2(10.0, 0.0),
+            geometry_mode=KnownRadius(0.5),
+            table_half_length=1e-170,
+        )
+        params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
+        out = run_game(env, Strategy("speaker_speaker"), params, Limits(), 0)
+        assert out.failure_kind == kind
+        if kind == "collision":
+            assert out.steps == 1
+
 
 class TestInference:
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
@@ -329,13 +347,14 @@ class TestInference:
 
 class TestMessages:
     def test_tie_breaks_to_lowest_index(self):
-        a = Obstacle(Vec2(2, 0), 0.3)
-        c = Obstacle(Vec2(-2, 0), 0.3)
+        # obstacles as the game loop holds them: (cx, cy, radius) tuples
+        a = (2.0, 0.0, 0.3)
+        c = (-2.0, 0.0, 0.3)
         assert closest_observed_index((a, c), Vec2(0, 0)) == 0
         assert closest_observed_index((c, a), Vec2(0, 0)) == 0
         # a single obstacle, the nearer of two, and nothing observed
-        near = Obstacle(Vec2(1, 0), 0.3)
-        far = Obstacle(Vec2(5, 0), 0.3)
+        near = (1.0, 0.0, 0.3)
+        far = (5.0, 0.0, 0.3)
         assert closest_observed_index((far,), Vec2(0, 0)) == 0
         assert closest_observed_index((far, near), Vec2(0, 0)) == 1
         assert closest_observed_index((), Vec2(0, 0)) is None
@@ -616,7 +635,6 @@ class TestEnvironmentGeneration:
         env = generate_environment(2, 4, KnownRadius(0.5), Workspace())
         owners = [o.owner for o in env.obstacles]
         assert owners == [1, 2, 1, 2]
-        assert len(env.owned_by(1)) == 2 and len(env.owned_by(2)) == 2
 
     def test_deterministic(self):
         a = generate_environment(33, 8, UnknownRadius(0.3, 0.5), Workspace())

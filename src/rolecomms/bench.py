@@ -1,10 +1,11 @@
 """Monte-Carlo benchmark harness for the table-carrying game.
 
 Runs a grid of (strategy, period, obstacle count, geometry, noise) conditions
-so that conditions can be compared pairwise game by game: each seed's
-environment is generated once per (n, geometry), played by every condition
-sharing it and hashed as played. Aggregation is keyed by seed and sorted, so
-the report is bit-identical for any worker count or completion order.
+so that conditions can be compared pairwise game by game: before any game,
+each seed's environment is generated and hashed once per (n, geometry), in
+the calling process, then played by every condition sharing it. Aggregation
+is keyed by seed and sorted, so the report is bit-identical for any worker
+count or completion order.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
 identical config must reproduce the report byte for byte, whether the package
@@ -111,6 +112,8 @@ class TrendAssert:
             raise ConfigError("'greater' asserts need a second condition")
         if self.kind == "at_least" and self.value is None:
             raise ConfigError("'at_least' asserts need a value")
+        if self.kind == "greater" and (self.a.n, self.a.geometry) != (self.b.n, self.b.geometry):
+            raise ConfigError("'greater' asserts compare two conditions of one (n, geometry)")
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,11 @@ class BenchmarkConfig:
             raise ConfigError("at least one condition is required")
         if self.games_per_condition < 1:
             raise ConfigError("games_per_condition must be >= 1")
+        keys = {condition.key() for condition in self.conditions}
+        for ta in self.asserts:
+            for condition in (ta.a, ta.b):
+                if condition is not None and condition.key() not in keys:
+                    raise ConfigError(f"assert names condition {condition.key()}, which is not configured")
 
 
 @dataclass(frozen=True)
@@ -184,35 +192,29 @@ class BenchmarkReport:
 # execution
 
 
-def _run_chunk(args) -> tuple[list[bytes], list[tuple[int, int, int, str]]]:
-    """Worker task: play each condition of cond_idxs, which share one
-    (n, geometry), on the environment of each seed, generated once.
-
-    Returns the environments' canonical JSON bytes in seed order, and
-    (condition_index, seed, steps, failure_kind) rows.
-    """
-    config, cond_idxs, seeds = args
-    shared = config.conditions[cond_idxs[0]]
-    mode = shared.geometry_mode(config.radii)
-    strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
-    env_json = []
+def _run_chunk(args) -> list[tuple[int, int, int, str]]:
+    """Worker task: play each (condition_index, Strategy) of strategies on
+    each (seed, environment) of games; returns (condition_index, seed,
+    steps, failure_kind) rows."""
+    strategies, field_params, limits, games = args
     rows = []
-    for seed in seeds:
-        env = generate_environment(seed, shared.n, mode, config.workspace)
-        env_json.append(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
+    for seed, env in games:
         for cond_idx, strategy in strategies:
-            outcome = run_game(env, strategy, config.field_params, config.limits, seed)
+            outcome = run_game(env, strategy, field_params, limits, seed)
             rows.append((cond_idx, seed, outcome.steps, outcome.failure_kind))
-    return env_json, rows
+    return rows
 
 
-def _env_sequence_hash(seeds, skipped, env_json) -> str:
+def _env_sequence_hash(seeds, envs) -> str:
     """Digest of one (n, geometry) environment sequence as played: seed by
-    seed, skip:{seed} or the environment's canonical JSON bytes from env_json."""
+    seed, skip:{seed} where envs holds None, else the environment's
+    canonical JSON bytes."""
     digest = hashlib.sha256()
-    played = iter(env_json)
-    for seed in seeds:
-        digest.update(f"skip:{seed}".encode() if seed in skipped else next(played))
+    for seed, env in zip(seeds, envs):
+        if env is None:
+            digest.update(f"skip:{seed}".encode())
+        else:
+            digest.update(json.dumps(encode(env), sort_keys=True, separators=(",", ":")).encode())
     return digest.hexdigest()
 
 
@@ -236,13 +238,13 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
 
     Environments for game i come from seed base_seed + i, identically for
     every condition with the same (n, geometry), which makes cross-strategy
-    comparisons paired. A task covers up to chunk_size seeds of one such
-    key: it generates each seed's environment once, plays every condition of
-    the key on it and returns the environment's bytes, so env_hash digests
-    the environments as played. Seeds whose generation fails are skipped for
-    every condition of the key, and found before any game: a condition with
-    every seed skipped raises ConfigError at once. The result is independent
-    of `workers` and `chunk_size`, and at most one process per task starts.
+    comparisons paired. Before any game, each such key's environments are
+    generated once, seed by seed, and hashed as they will be played; seeds
+    whose generation fails are skipped for every condition of the key, and a
+    key with every seed skipped raises ConfigError. A task then plays every
+    condition of one key on up to chunk_size of its environments. The result
+    is independent of `workers` and `chunk_size`, and at most one process
+    per task starts.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
     sharing: dict[tuple, tuple[int, ...]] = {}
@@ -251,22 +253,26 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
         sharing[key] = sharing.get(key, ()) + (cond_idx,)
     kept: dict[tuple, list[int]] = {}
     skipped: dict[tuple, list[int]] = {}
+    env_hash: dict[tuple, str] = {}
     tasks = []
     for key, cond_idxs in sharing.items():
         condition = config.conditions[cond_idxs[0]]
         mode = condition.geometry_mode(config.radii)
-        kept[key], skipped[key] = [], []
+        envs = []
         for seed in seeds:
             try:
-                generate_environment(seed, condition.n, mode, config.workspace)
+                envs.append(generate_environment(seed, condition.n, mode, config.workspace))
             except GenerationError:
-                skipped[key].append(seed)
-            else:
-                kept[key].append(seed)
-        if not kept[key]:
+                envs.append(None)
+        games = [(seed, env) for seed, env in zip(seeds, envs) if env is not None]
+        if not games:
             raise ConfigError(f"{condition}: every seed failed environment generation")
-        for lo in range(0, len(kept[key]), chunk_size):
-            tasks.append((config, cond_idxs, kept[key][lo : lo + chunk_size]))
+        kept[key] = [seed for seed, _ in games]
+        skipped[key] = [seed for seed, env in zip(seeds, envs) if env is None]
+        env_hash[key] = _env_sequence_hash(seeds, envs)
+        strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
+        for lo in range(0, len(games), chunk_size):
+            tasks.append((strategies, config.field_params, config.limits, games[lo : lo + chunk_size]))
 
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -274,18 +280,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
-
-    # a key's tasks are in seed order, so its environments arrive in seed order
-    env_json: dict[tuple, list[bytes]] = {}
-    outcomes: dict[tuple[int, int], tuple[int, str]] = {}
-    for (_, cond_idxs, _), (chunk_json, rows) in zip(tasks, chunks):
-        env_json.setdefault(cond_idxs, []).extend(chunk_json)
-        for cond_idx, seed, steps, kind in rows:
-            outcomes[cond_idx, seed] = (steps, kind)
-    env_hash = {
-        key: _env_sequence_hash(seeds, set(skipped[key]), env_json[cond_idxs])
-        for key, cond_idxs in sharing.items()
-    }
+    outcomes = {(cond_idx, seed): (steps, kind) for rows in chunks for cond_idx, seed, steps, kind in rows}
 
     results = []
     for cond_idx, condition in enumerate(config.conditions):

@@ -299,7 +299,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _bench_config_for_cli(args)
-    expanded = tuple(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv)
+    # conditions that differ only in cv expand to the same ones; each is kept once
+    expanded = tuple(dict.fromkeys(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv))
     config = replace(config, conditions=expanded, asserts=())
     report = _run_into_out(config, args)
     print(

@@ -36,7 +36,7 @@ from .potential_field import agent_velocity as _field_velocity
 _ENV_STREAM = 1
 _GAME_STREAM = 2
 
-DEFAULT_RESIDUAL_EPS = 1e-9
+RESIDUAL_EPS = 1e-9
 DEFAULT_INFER_TOL = 1e-10
 
 
@@ -269,7 +269,6 @@ def infer_obstacle(
     params: FieldParams,
     nominal_radius: float,
     tol: float = DEFAULT_INFER_TOL,
-    residual_eps: float = DEFAULT_RESIDUAL_EPS,
 ) -> InferredObstacle | None:
     """Invert a speaker's velocity into a single obstacle explaining it.
 
@@ -279,7 +278,7 @@ def infer_obstacle(
         residual = v / w_v + att(partner_pos)
 
     with att the attractive gradient of potential_field's law. A residual
-    below residual_eps means the motion is explained by the goal alone and
+    below RESIDUAL_EPS means the motion is explained by the goal alone and
     nothing is inferred. Otherwise the repulsive magnitude curve is inverted
     for the boundary distance rho by bisection on (RHO_MIN, rho0], and the
     obstacle center is placed at
@@ -308,7 +307,7 @@ def infer_obstacle(
         rx += dx * scale
         ry += dy * scale
     mag = math.sqrt(rx * rx + ry * ry)
-    if mag < residual_eps:
+    if mag < RESIDUAL_EPS:
         return None
     saturated = mag >= repulsive_magnitude(RHO_MIN, params)
     rho = RHO_MIN if saturated else _invert_repulsive_magnitude(mag, params, tol)

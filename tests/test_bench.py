@@ -136,8 +136,8 @@ class TestRunBenchmark:
             for strategy, T in (("dynamic", 1), ("speaker_speaker", 0), ("explicit", 0))
         ]
         run_benchmark(small_config(conditions, games=10), chunk_size=3)
-        # per key and seed: once in the pre-pass for skips, once in the task playing all three
-        assert len(calls) == 2 * 2 * 10
+        # once per key and seed; the tasks play the environments they are given
+        assert len(calls) == 2 * 10
         assert sorted(set(calls)) == [(100 + i, n) for i in range(10) for n in (2, 4)]
 
     def test_paired_environment_hash(self):

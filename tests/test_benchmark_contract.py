@@ -44,6 +44,9 @@ TRACED_LAYERS = {
     "simulate-trace": _GAME_SPANS
     | {"table_sim.closest_observed_index", "table_sim.trajectory_csv_lines"},
 }
+# environments generated in a traced round of block 0: one per (n, geometry)
+# key and seed for the bench workloads, one per game for simulate-trace
+GENERATE_CALLS = {"table1": 60, "noise-w2": 75, "simulate-trace": 96}
 
 
 @pytest.fixture()
@@ -67,8 +70,10 @@ def test_block_0_matches_the_reference_plain_and_traced(perfbench_run):
             traced = workload.play_round(0)
         finally:
             tracing.uninstall(saved)
-        called = {span for span, entry in tracer.summary().items() if entry["calls"] > 0}
+        summary = tracer.summary()
+        called = {span for span, entry in summary.items() if entry["calls"] > 0}
         assert called == TRACED_LAYERS[name], name
+        assert summary["table_sim.generate_environment"]["calls"] == GENERATE_CALLS[name], name
         for result in (plain, traced):
             attempted, failed, problems = run.check_round(result, reference)
             assert (attempted, failed, problems) == (len(reference["rows"]), 0, []), name

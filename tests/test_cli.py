@@ -357,6 +357,7 @@ class TestBench:
             (("conditions", 0, "cv"), math.nan),
             (("format_version",), True),
             (("format_version",), 1.0),
+            (("asserts", 0, "a", "T"), 2),  # names a condition that is not configured
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -392,6 +393,22 @@ class TestBench:
         config_path.write_text(json.dumps(config))
         out_dir = tmp_path / "never"
         code, _, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_greater_assert_across_keys_exits_2_before_running(self, capsys, tmp_path):
+        dynamic = {"strategy": "dynamic", "T": 1, "n": 2}
+        static = {"strategy": "speaker_speaker", "n": 2, "geometry": "unknown"}
+        config = {
+            "games_per_condition": 3,
+            "conditions": [dynamic, static],
+            "asserts": [{"kind": "greater", "a": dynamic, "b": static}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli(capsys, "bench", "--config", str(path), "--out", str(out_dir))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
@@ -473,6 +490,24 @@ class TestSweep:
         assert len(report["conditions"]) == 6  # 2 base conditions x 3 cv values
         cvs = sorted({c["cv"] for c in report["conditions"]})
         assert cvs == [0.001, 0.01, 0.1]
+
+    def test_conditions_differing_only_in_cv_are_played_once(self, capsys, tmp_path):
+        config = {
+            "games_per_condition": 2,
+            "conditions": [
+                {"strategy": "dynamic", "T": 1, "n": 2, "cv": 0.0},
+                {"strategy": "dynamic", "T": 1, "n": 2, "cv": 0.2},
+            ],
+        }
+        path = tmp_path / "cv_pair.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "sweep"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", str(path), "--out", str(out_dir), "--cv", "0", "0.1",
+        )
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [c["cv"] for c in report["conditions"]] == [0.0, 0.1]
 
     @pytest.mark.parametrize("cv", ["-0.1", "nan", "inf"], ids=["negative", "nan", "inf"])
     def test_negative_cv_exits_2(self, capsys, tiny_bench_config, tmp_path, cv):

@@ -2,10 +2,11 @@
 
 Runs a grid of (strategy, period, obstacle count, geometry, noise) conditions
 so that conditions can be compared pairwise game by game: before any game,
-each seed's environment is generated and hashed once per (n, geometry), in
-the calling process, then played by every condition sharing it. Aggregation
-is keyed by seed and sorted, so the report is bit-identical for any worker
-count or completion order.
+each seed's environment is generated once per (n, geometry), in the calling
+process, then played by every condition sharing it; with a process pool,
+the calling process hashes them while the workers play. Aggregation is keyed
+by seed and sorted, so the report is bit-identical for any worker count or
+completion order.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
 identical config must reproduce the report byte for byte, whether the package
@@ -18,6 +19,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 from .codec import decode, encode
@@ -239,12 +241,13 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     Environments for game i come from seed base_seed + i, identically for
     every condition with the same (n, geometry), which makes cross-strategy
     comparisons paired. Before any game, each such key's environments are
-    generated once, seed by seed, and hashed as they will be played; seeds
-    whose generation fails are skipped for every condition of the key, and a
-    key with every seed skipped raises ConfigError. A task then plays every
-    condition of one key on up to chunk_size of its environments. The result
-    is independent of `workers` and `chunk_size`, and at most one process
-    per task starts.
+    generated once, seed by seed; seeds whose generation fails are skipped
+    for every condition of the key, and a key with every seed skipped raises
+    ConfigError. A task then plays every condition of one key on up to
+    chunk_size of its environments. Every task is submitted before the
+    calling process hashes each key's environment sequence, so that a pool
+    plays while it hashes. The result is independent of `workers` and
+    `chunk_size`, and at most one process per task starts.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
     sharing: dict[tuple, tuple[int, ...]] = {}
@@ -253,7 +256,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
         sharing[key] = sharing.get(key, ()) + (cond_idx,)
     kept: dict[tuple, list[int]] = {}
     skipped: dict[tuple, list[int]] = {}
-    env_hash: dict[tuple, str] = {}
+    generated: dict[tuple, list] = {}
     tasks = []
     for key, cond_idxs in sharing.items():
         condition = config.conditions[cond_idxs[0]]
@@ -269,18 +272,17 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
             raise ConfigError(f"{condition}: every seed failed environment generation")
         kept[key] = [seed for seed, _ in games]
         skipped[key] = [seed for seed, env in zip(seeds, envs) if env is None]
-        env_hash[key] = _env_sequence_hash(seeds, envs)
+        generated[key] = envs
         strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
         for lo in range(0, len(games), chunk_size):
             tasks.append((strategies, config.field_params, config.limits, games[lo : lo + chunk_size]))
 
     workers = min(workers, len(tasks))
-    if workers <= 1:
-        chunks = [_run_chunk(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
-    outcomes = {(cond_idx, seed): (steps, kind) for rows in chunks for cond_idx, seed, steps, kind in rows}
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # pool.map submits every task at once, so the workers play while this process hashes
+        chunks = (map if pool is None else pool.map)(_run_chunk, tasks)
+        env_hash = {key: _env_sequence_hash(seeds, envs) for key, envs in generated.items()}
+        outcomes = {(cond_idx, seed): (steps, kind) for rows in chunks for cond_idx, seed, steps, kind in rows}
 
     results = []
     for cond_idx, condition in enumerate(config.conditions):

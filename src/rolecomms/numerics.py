@@ -7,7 +7,7 @@ produce bit-identical streams on every platform and Python version: draw k
 whether it is mixed alone or in a numpy uint64 block, whose arithmetic wraps
 the same way. Gaussian samples come from a Box-Muller transform of two raw
 draws per call, never from rejection sampling, so the stream position after k
-calls is always 2k draws.
+calls is always 2k draws, popped from the stream's block as `Rng.uniform` does.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import BracketingError, NumericError
 _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 # A stream mixes its first _HEAD draws one at a time, so short streams (an
 # environment's) never pay numpy's per-call cost, and later ones _BLOCK at once.
@@ -69,7 +70,8 @@ def derive_seed(seed: int, *salts: int) -> int:
 class Rng:
     """Deterministic splitmix64 stream.
 
-    Draws past the first _HEAD come from numpy blocks, next draw last in `_block`.
+    Draws past the first _HEAD come from numpy blocks, next draw last in
+    `_block`; `uniform` and `gaussian` pop from it without calling `next_u64`.
 
     Single-owner: do not share one instance across concurrent tasks; derive
     child seeds with :func:`derive_seed` instead.
@@ -112,16 +114,19 @@ def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     """One sample from N(mean, stddev^2) via the Box-Muller transform.
 
     stddev = 0 returns the mean exactly and consumes no draws; otherwise the
-    call consumes exactly two raw draws regardless of inputs.
+    call pops exactly two raw draws from the stream's block, as `uniform` does.
+    A negative, NaN or infinite stddev raises ValueError.
     """
-    if stddev < 0:
-        raise ValueError(f"stddev must be >= 0, got {stddev}")
+    if not 0.0 <= stddev < _INF:
+        raise ValueError(f"stddev must be finite and >= 0, got {stddev}")
     if stddev == 0.0:
         return mean
-    u1 = rng.uniform()
-    u2 = rng.uniform()
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-    return mean + stddev * z
+    block = rng._block
+    z1 = block.pop() if block else rng.next_u64()
+    z2 = block.pop() if block else rng.next_u64()  # a refill replaces the list
+    u1 = ((z1 >> 11) + 1) * (1.0 / 9007199254740992.0)
+    u2 = ((z2 >> 11) + 1) * (1.0 / 9007199254740992.0)
+    return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -250,16 +250,24 @@ def closest_observed_index(observed: Sequence[tuple[float, float, float]], own_p
 
 
 def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
-    """Add zero-mean Gaussian noise with stddev cv*|x| to each component.
-
-    cv = 0 returns the input unchanged and consumes no draws, so noise-free
-    runs stay stream-aligned regardless of how often they would have called
-    the channel."""
-    if cv < 0:
-        raise ValueError("cv must be >= 0")
-    if cv == 0.0:
+    """Add zero-mean Gaussian noise with stddev cv*|x| to each value of a
+    velocity (vx, vy) or a message (cx, cy, r), left to right. cv = 0 returns
+    the input unchanged and consumes no draws, so noise-free runs stay
+    stream-aligned however often they would have called the channel. Any
+    other length, or a negative, NaN or infinite cv, raises ValueError."""
+    if not 0.0 <= cv < math.inf:
+        raise ValueError(f"cv must be finite and >= 0, got {cv}")
+    if cv == 0.0 and 2 <= len(values) <= 3:
         return tuple(values)
-    return tuple(x + gaussian(rng, 0.0, cv * abs(x)) for x in values)
+    if len(values) == 2:
+        vx, vy = values
+        return (vx + gaussian(rng, 0.0, cv * abs(vx)), vy + gaussian(rng, 0.0, cv * abs(vy)))
+    cx, cy, r = values  # any length but 2 and 3 fails to unpack
+    return (
+        cx + gaussian(rng, 0.0, cv * abs(cx)),
+        cy + gaussian(rng, 0.0, cv * abs(cy)),
+        r + gaussian(rng, 0.0, cv * abs(r)),
+    )
 
 
 def infer_obstacle(

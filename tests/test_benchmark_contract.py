@@ -44,9 +44,20 @@ TRACED_LAYERS = {
     "simulate-trace": _GAME_SPANS
     | {"table_sim.closest_observed_index", "table_sim.trajectory_csv_lines"},
 }
-# environments generated in a traced round of block 0: one per (n, geometry)
-# key and seed for the bench workloads, one per game for simulate-trace
-GENERATE_CALLS = {"table1": 60, "noise-w2": 75, "simulate-trace": 96}
+# calls in a traced round of block 0. Environments: one per (n, geometry) key
+# and seed for the bench workloads, one per game for simulate-trace. The noise
+# channel: a corrupt call per message or inferred velocity, even at cv = 0, and
+# a gaussian call per component at cv > 0; a corrupt that skipped gaussian, or
+# reached either by a name the tracer does not swap, would read fewer.
+TRACED_CALLS = {
+    "table1": {"table_sim.generate_environment": 60, "table_sim.corrupt": 17_970},
+    "noise-w2": {
+        "table_sim.generate_environment": 75,
+        "table_sim.corrupt": 56_786,
+        "numerics.gaussian": 152_208,
+    },
+    "simulate-trace": {"table_sim.generate_environment": 96, "table_sim.corrupt": 5_977},
+}
 
 
 @pytest.fixture()
@@ -73,7 +84,7 @@ def test_block_0_matches_the_reference_plain_and_traced(perfbench_run):
         summary = tracer.summary()
         called = {span for span, entry in summary.items() if entry["calls"] > 0}
         assert called == TRACED_LAYERS[name], name
-        assert summary["table_sim.generate_environment"]["calls"] == GENERATE_CALLS[name], name
+        assert {span: summary[span]["calls"] for span in TRACED_CALLS[name]} == TRACED_CALLS[name], name
         for result in (plain, traced):
             attempted, failed, problems = run.check_round(result, reference)
             assert (attempted, failed, problems) == (len(reference["rows"]), 0, []), name

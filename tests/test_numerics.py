@@ -239,6 +239,13 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian(Rng(1), 0.0, -1.0)
 
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf])
+    def test_nan_or_infinite_stddev_raises_without_draws(self, stddev):
+        rng = Rng(1)
+        with pytest.raises(ValueError, match="stddev must be finite"):
+            gaussian(rng, 0.0, stddev)
+        assert rng.next_u64() == Rng(1).next_u64()
+
     def test_same_seed_same_sample(self):
         assert gaussian(Rng(77), 0.0, 1.0) == gaussian(Rng(77), 0.0, 1.0)
 

@@ -8,7 +8,7 @@ import pytest
 from rolecomms import table_sim
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ConfigError, GenerationError
-from rolecomms.numerics import Rng, Vec2, bisect
+from rolecomms.numerics import _BLOCK, _HEAD, Rng, Vec2, bisect
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
@@ -374,14 +374,64 @@ class TestCorrupt:
     def test_sample_stddev_tracks_cv(self):
         rng = Rng(7)
         n = 100_000
-        samples = [corrupt((10.0,), 0.1, rng)[0] for _ in range(n)]
-        mean = sum(samples) / n
-        std = math.sqrt(sum((x - mean) ** 2 for x in samples) / n)
-        assert abs(std - 1.0) < 0.02
+        pairs = [corrupt((10.0, 10.0), 0.1, rng) for _ in range(n)]
+        for samples in zip(*pairs):
+            mean = sum(samples) / n
+            std = math.sqrt(sum((x - mean) ** 2 for x in samples) / n)
+            assert abs(std - 1.0) < 0.02
 
     def test_negative_cv_rejected(self):
         with pytest.raises(ValueError):
             corrupt((1.0,), -0.1, Rng(8))
+
+    @pytest.mark.parametrize("cv", [math.nan, math.inf])
+    def test_nan_or_infinite_cv_rejected_without_draws(self, cv):
+        rng = Rng(8)
+        with pytest.raises(ValueError, match="cv must be finite"):
+            corrupt((1.0, 2.0), cv, rng)
+        assert rng.next_u64() == Rng(8).next_u64()
+
+    @pytest.mark.parametrize("cv", [0.0, 0.2])
+    @pytest.mark.parametrize("values", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+    def test_neither_velocity_nor_message_rejected(self, values, cv):
+        rng = Rng(9)
+        with pytest.raises(ValueError):
+            corrupt(values, cv, rng)
+        assert rng.next_u64() == Rng(9).next_u64()
+
+    @staticmethod
+    def seed_corrupt(values, cv, rng):
+        """The noisy channel as first written: a generator over the values, each
+        sample drawn by Box-Muller from two `Rng.uniform` calls."""
+
+        def g(rng, mean, stddev):
+            if stddev == 0.0:
+                return mean
+            u1 = rng.uniform()
+            u2 = rng.uniform()
+            return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+
+        return tuple(x + g(rng, 0.0, cv * abs(x)) for x in values)
+
+    # Offsets before the last scalar draw (_HEAD) and the last draw of the
+    # first block (_HEAD + _BLOCK), so that for every input some value's two
+    # draws straddle the switch to blocks or the refill.
+    @pytest.mark.parametrize(
+        "values",
+        [(0.0, 5.0), (-0.0, -3.0), (1.5, -2.0), (0.0, 0.0, 0.4), (2.0, -0.0, 0.3), (-1.0, 4.0, -0.0)],
+    )
+    def test_bit_identical_to_the_seed_channel_across_block_boundaries(self, values):
+        for boundary in (_HEAD, _HEAD + _BLOCK):
+            for offset in range(boundary - 6, boundary + 1):
+                for seed in (3, 2**64 - 1):
+                    rng, ref = Rng(seed), Rng(seed)
+                    for _ in range(offset):
+                        rng.next_u64()
+                        ref.next_u64()
+                    got = corrupt(values, 0.3, rng)
+                    want = self.seed_corrupt(values, 0.3, ref)
+                    assert list(map(float_bits, got)) == list(map(float_bits, want)), (offset, seed)
+                    assert rng.next_u64() == ref.next_u64()
 
 
 def float_bits(x: float) -> int:

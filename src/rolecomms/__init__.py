@@ -2,7 +2,7 @@
 
 Library layout:
 
-- numerics: pinned RNG, Gaussian sampling, bisection, small eigensolvers
+- numerics: pinned RNG, Gaussian sampling, small eigensolvers
 - discrete_roles: exact speaker/listener policies on finite spaces
 - linear_roles: role allocations, stability, rotation, and variance analysis
   for linear feedback teams
@@ -43,8 +43,8 @@ from .linear_roles import (
     rotation_converges,
     stability_report,
 )
-from .numerics import Rng, Vec2, bisect, derive_seed, eig2x2, eig_general, gaussian
-from .potential_field import FieldParams, Obstacle, agent_velocity
+from .numerics import Rng, Vec2, derive_seed, eig2x2, eig_general, gaussian
+from .potential_field import FieldParams, agent_velocity
 from .table_sim import (
     Environment,
     KnownRadius,

@@ -39,7 +39,8 @@ from .table_sim import (
 
 FORMAT_VERSION = 1
 
-GEOMETRY_NAMES = tuple(GEOMETRY_KINDS)
+# seeds per task: each task plays every condition of one (n, geometry) on up to this many
+CHUNK_SEEDS = 5
 
 REPORT_CSV_HEADER = "strategy,T,n,cv,lambda,failure_mean_steps,games"
 
@@ -62,7 +63,7 @@ class Condition:
             self.comm_strategy()
         except ValueError as exc:
             raise ConfigError(f"{self.strategy}: {exc}") from exc
-        if self.geometry not in GEOMETRY_NAMES:
+        if self.geometry not in GEOMETRY_KINDS:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
         if self.n < 0:
             raise ConfigError("obstacle count must be >= 0")
@@ -114,6 +115,10 @@ class TrendAssert:
             raise ConfigError("'greater' asserts need a second condition")
         if self.kind == "at_least" and self.value is None:
             raise ConfigError("'at_least' asserts need a value")
+        if self.value is not None and not 0.0 <= self.value <= 1.0:
+            raise ConfigError(f"value must be in [0, 1], got {self.value}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.kind == "greater" and (self.a.n, self.a.geometry) != (self.b.n, self.b.geometry):
             raise ConfigError("'greater' asserts compare two conditions of one (n, geometry)")
 
@@ -235,7 +240,7 @@ def config_fingerprint(config_echo: dict) -> str:
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5) -> BenchmarkReport:
+def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     """Run every condition over the shared seed sequence and aggregate.
 
     Environments for game i come from seed base_seed + i, identically for
@@ -244,10 +249,10 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
     generated once, seed by seed; seeds whose generation fails are skipped
     for every condition of the key, and a key with every seed skipped raises
     ConfigError. A task then plays every condition of one key on up to
-    chunk_size of its environments. Every task is submitted before the
+    CHUNK_SEEDS of its environments. Every task is submitted before the
     calling process hashes each key's environment sequence, so that a pool
-    plays while it hashes. The result is independent of `workers` and
-    `chunk_size`, and at most one process per task starts.
+    plays while it hashes. The result is independent of `workers`, and at
+    most one process per task starts.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
     sharing: dict[tuple, tuple[int, ...]] = {}
@@ -274,8 +279,8 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1, chunk_size: int = 5
         skipped[key] = [seed for seed, env in zip(seeds, envs) if env is None]
         generated[key] = envs
         strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
-        for lo in range(0, len(games), chunk_size):
-            tasks.append((strategies, config.field_params, config.limits, games[lo : lo + chunk_size]))
+        for lo in range(0, len(games), CHUNK_SEEDS):
+            tasks.append((strategies, config.field_params, config.limits, games[lo : lo + CHUNK_SEEDS]))
 
     workers = min(workers, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

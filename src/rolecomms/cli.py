@@ -39,6 +39,7 @@ from .linear_roles import (
     stability_report,
 )
 from .table_sim import (
+    GEOMETRY_KINDS,
     STRATEGY_NAMES,
     Environment,
     SimOutcome,
@@ -225,7 +226,7 @@ def _outcome_summary(outcome: SimOutcome, condition: bench_mod.Condition, args) 
 
 def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
     """Config from file (if given) with CLI-flag overrides applied."""
-    if getattr(args, "config", None):
+    if args.config:
         raw = _load_json(args.config, "config")
         config = bench_mod.config_from_dict(raw)
     else:
@@ -233,9 +234,9 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
             conditions=(bench_mod.Condition("explicit", 0, 0, "known", 0.0),)
         )
     kwargs = {}
-    if getattr(args, "games", None) is not None:
+    if args.games is not None:
         kwargs["games_per_condition"] = args.games
-    if getattr(args, "base_seed", None) is not None:
+    if args.base_seed is not None:
         kwargs["base_seed"] = args.base_seed
     if kwargs:
         config = replace(config, **kwargs)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--env", default=None, help="JSON environment file")
     p_sim.add_argument("--seed", type=int, default=0, help="environment/game seed")
     p_sim.add_argument("--n", type=int, default=2, help="obstacle count for generated envs")
-    p_sim.add_argument("--geometry", choices=bench_mod.GEOMETRY_NAMES, default="known")
+    p_sim.add_argument("--geometry", choices=GEOMETRY_KINDS, default="known")
     p_sim.add_argument(
         "--strategy",
         choices=STRATEGY_NAMES,

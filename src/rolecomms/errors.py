@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class BracketingError(ValueError):
-    """Root bracket does not contain a sign change."""
-
-
 class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 

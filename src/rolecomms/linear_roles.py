@@ -83,6 +83,14 @@ class DynamicAlternating:
 RoleAllocation = SpeakerSpeaker | SpeakerListener | DynamicAlternating
 
 
+def _gain_2x2(K) -> np.ndarray:
+    """K as a new float array, which must be 2x2."""
+    k = np.array(K, dtype=float)
+    if k.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gain, got shape {k.shape}")
+    return k
+
+
 def role_gain(Kstar, alloc: RoleAllocation) -> np.ndarray:
     """Effective 2x2 feedback gain under a role allocation.
 
@@ -92,9 +100,7 @@ def role_gain(Kstar, alloc: RoleAllocation) -> np.ndarray:
     unchanged (the fast-switching phase average reproduces the full gain).
     Diagonal entries are never modified; the operation is idempotent.
     """
-    k = np.array(Kstar, dtype=float)
-    if k.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gain, got shape {k.shape}")
+    k = _gain_2x2(Kstar)
     if isinstance(alloc, SpeakerSpeaker):
         k[0, 1] = 0.0
         k[1, 0] = 0.0
@@ -228,9 +234,7 @@ def noisy_listener_action(Kstar, s, noise) -> np.ndarray:
 
     Unbiased noise therefore leaves the expected action at -Kstar s.
     """
-    k = np.asarray(Kstar, dtype=float)
-    if k.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gain, got shape {k.shape}")
+    k = _gain_2x2(Kstar)
     if k[0, 0] == 0.0 or k[1, 1] == 0.0:
         raise SingularGainError("diagonal gain entries must be nonzero to invert actions")
     s = np.asarray(s, dtype=float)
@@ -255,9 +259,7 @@ def optimal_variances(K, w1_sq: float, w2_sq: float, speaker: int = 1) -> Varian
 
     which is always <= w_s^2, with equality iff the cross gain K_ls is zero.
     """
-    k = np.asarray(K, dtype=float)
-    if k.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gain, got shape {k.shape}")
+    k = _gain_2x2(K)
     if not (w1_sq > 0 and w2_sq > 0):
         raise ValueError("noise variances must be > 0")
     if speaker == 1:
@@ -289,9 +291,7 @@ def expected_kl(
         K12^2 sigma_s2^2 / (2 w1^2) + log(w1 w2 / (sigma1 sigma2))
         + sigma1^2 / (2 w1^2) + (sigma2^2 + K21^2 sigma1^2 / K11^2) / (2 w2^2)
     """
-    k = np.asarray(K, dtype=float)
-    if k.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gain, got shape {k.shape}")
+    k = _gain_2x2(K)
     for name, v in (
         ("sigma1_sq", sigma1_sq),
         ("sigma2_sq", sigma2_sq),

@@ -1,4 +1,4 @@
-"""Small numeric utilities: 2D vectors, eigenvalues, bisection, seeded sampling.
+"""Small numeric utilities: 2D vectors, eigenvalues, seeded sampling.
 
 The random generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer with a
 golden-ratio Weyl increment). It is pinned by construction so that equal seeds
@@ -13,11 +13,11 @@ calls is always 2k draws, popped from the stream's block as `Rng.uniform` does.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketingError, NumericError
+from .errors import NumericError
 
 _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
@@ -37,15 +37,6 @@ _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 class Vec2(NamedTuple):
     x: float
     y: float
-
-    def __add__(self, other):  # type: ignore[override]
-        return Vec2(self.x + other[0], self.y + other[1])
-
-    def __sub__(self, other):
-        return Vec2(self.x - other[0], self.y - other[1])
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y)
 
 
 def _mix64(z: int) -> int:
@@ -127,38 +118,6 @@ def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     u1 = ((z1 >> 11) + 1) * (1.0 / 9007199254740992.0)
     u2 = ((z2 >> 11) + 1) * (1.0 / 9007199254740992.0)
     return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing function by interval halving.
-
-    Runs until the bracket width drops below tol; the iteration count is at
-    most ceil(log2((hi - lo) / tol)) + 1. Raises BracketingError when f(lo)
-    and f(hi) share a sign.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketingError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    lo_pos = flo > 0
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # bracket at floating-point resolution
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def eig2x2(m) -> tuple[complex, complex]:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import Vec2
-
 RHO_MIN = 1e-3
 ATTRACTOR_EPS = 1e-6
 
@@ -40,18 +38,6 @@ class FieldParams:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-
-
-@dataclass(frozen=True)
-class Obstacle:
-    center: Vec2
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius >= 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-        if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
-            raise ValueError("obstacle center must be finite")
 
 
 def repulsive_magnitude(rho: float, params: FieldParams) -> float:

@@ -26,7 +26,6 @@ from .potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
     FieldParams,
-    Obstacle,
     repulsive_magnitude,
 )
 
@@ -44,6 +43,12 @@ DEFAULT_INFER_TOL = 1e-10
 # domain types
 
 
+def _check_radius(radius: float) -> None:
+    """The radius rule of every obstacle, given or inferred, and of KnownRadius."""
+    if not (radius >= 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+
+
 @dataclass(frozen=True)
 class KnownRadius:
     """All obstacles share one radius known to both agents."""
@@ -51,8 +56,7 @@ class KnownRadius:
     r_fixed: float
 
     def __post_init__(self):
-        # the radius rule of Obstacle
-        Obstacle(Vec2(0.0, 0.0), self.r_fixed)
+        _check_radius(self.r_fixed)
 
     @property
     def nominal_radius(self) -> float:
@@ -82,11 +86,17 @@ GEOMETRY_KINDS = {"known": KnownRadius, "unknown": UnknownRadius}
 
 
 @dataclass(frozen=True)
-class TaggedObstacle(Obstacle):
+class TaggedObstacle:
+    """An obstacle disc and the agent (1 or 2) that observes it."""
+
+    center: Vec2
+    radius: float
     owner: int
 
     def __post_init__(self):
-        super().__post_init__()
+        _check_radius(self.radius)
+        if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
+            raise ValueError("obstacle center must be finite")
         if self.owner not in (1, 2):
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
 
@@ -111,16 +121,12 @@ class InferredObstacle(NamedTuple):
     residual stronger than the field can produce above the distance floor.
 
     A tuple, cheap to build once per listener step; infer_obstacle applies
-    Obstacle's checks to each one it builds."""
+    TaggedObstacle's radius and center checks to each one it builds."""
 
     cx: float
     cy: float
     radius: float
     saturated: bool = False
-
-    @property
-    def center(self) -> Vec2:
-        return Vec2(self.cx, self.cy)
 
 
 STRATEGY_NAMES = ("explicit", "dynamic", "speaker_listener", "speaker_speaker")
@@ -296,9 +302,8 @@ def infer_obstacle(
     A residual at or above the field value at RHO_MIN saturates: the
     obstacle is placed at the floor distance and flagged, not rejected.
     """
-    # the radius rule of Obstacle, checked whatever the data
-    if not (nominal_radius >= 0 and math.isfinite(nominal_radius)):
-        raise ValueError(f"radius must be finite and >= 0, got {nominal_radius}")
+    # the radius rule, checked whatever the data
+    _check_radius(nominal_radius)
     px, py = partner_pos
     gx, gy = goal
     rx = observed_partner_velocity[0] / params.w_v
@@ -322,7 +327,7 @@ def infer_obstacle(
     offset = (rho + nominal_radius) / mag
     cx = px - rx * offset
     cy = py - ry * offset
-    # the center check of Obstacle
+    # the center check of TaggedObstacle
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError("obstacle center must be finite")
     return InferredObstacle(cx, cy, nominal_radius, saturated)
@@ -333,11 +338,10 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
 
     The curve is strictly decreasing on (0, rho0], so the bracket
     [RHO_MIN, rho0] always contains exactly one root for
-    0 < mag < curve(RHO_MIN). The loop halves the bracket exactly like
-    numerics.bisect on the function repulsive_magnitude(rho) - mag, inlined
-    because this runs once per listener step. For finite doubles f - mag is
-    zero or positive exactly when f equals or exceeds mag, so the loop
-    compares f with mag directly.
+    0 < mag < curve(RHO_MIN). The loop halves the bracket until it is
+    narrower than tol or at floating-point resolution, and returns its
+    midpoint; an exact hit returns at once. The curve is computed inline
+    because this runs once per listener step.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0

@@ -328,7 +328,7 @@ def test_criterion_6_inference_round_trip():
                                   params.w_att, params.w_rep, params.w_v, params.rho0)
         got = infer_obstacle(velocity, q, goal, params, radius, tol=tol)
         assert got is not None
-        worst = max(worst, (got.center - center).norm())
+        worst = max(worst, math.dist(got[:2], center))
     verdict(
         6,
         "noise-free obstacle recovery on 100 placements inside the field range",

@@ -111,15 +111,9 @@ class TestRunBenchmark:
             Condition("speaker_speaker", 0, 4, "known", 0.0),
             Condition("dynamic", 1, 2, "known", 0.0),
         ]
-        serial = run_benchmark(small_config(conditions), workers=1, chunk_size=7)
-        pooled = run_benchmark(small_config(conditions), workers=3, chunk_size=7)
+        serial = run_benchmark(small_config(conditions), workers=1)
+        pooled = run_benchmark(small_config(conditions), workers=3)
         assert report_json(serial) == report_json(pooled)
-
-    def test_chunk_size_never_changes_output(self):
-        conditions = [Condition("dynamic", 4, 2, "known", 0.0)]
-        a = run_benchmark(small_config(conditions), chunk_size=3)
-        b = run_benchmark(small_config(conditions), chunk_size=50)
-        assert report_json(a) == report_json(b)
 
     def test_each_environment_generated_once_per_key_and_seed(self, monkeypatch):
         calls = []
@@ -135,7 +129,7 @@ class TestRunBenchmark:
             for n in (2, 4)
             for strategy, T in (("dynamic", 1), ("speaker_speaker", 0), ("explicit", 0))
         ]
-        run_benchmark(small_config(conditions, games=10), chunk_size=3)
+        run_benchmark(small_config(conditions, games=10))
         # once per key and seed; the tasks play the environments they are given
         assert len(calls) == 2 * 10
         assert sorted(set(calls)) == [(100 + i, n) for i in range(10) for n in (2, 4)]
@@ -169,7 +163,7 @@ class TestRunBenchmark:
             games_per_condition=40,
             workspace=Workspace(clearance=3.2, retry_cap=3),
         )
-        report = run_benchmark(config, chunk_size=3)
+        report = run_benchmark(config)
         sequence = [config.base_seed + i for i in range(40)]
         first, second = report.results
         assert len(first.skipped_seeds) == 19
@@ -206,10 +200,11 @@ class TestRunBenchmark:
                 return map(fn, tasks)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
-        config = small_config([Condition("dynamic", 1, 2, "known", 0.0)], games=30)
-        pooled = run_benchmark(config, workers=64, chunk_size=10)
+        # one key, so one task per CHUNK_SEEDS seeds
+        config = small_config([Condition("dynamic", 1, 2, "known", 0.0)], games=3 * bench.CHUNK_SEEDS)
+        pooled = run_benchmark(config, workers=64)
         assert sizes == [3]
-        assert report_json(pooled) == report_json(run_benchmark(config, chunk_size=10))
+        assert report_json(pooled) == report_json(run_benchmark(config))
 
     def test_lambda_is_exact_ratio(self):
         report = run_benchmark(small_config([Condition("speaker_speaker", 0, 8, "known", 0.0)]))

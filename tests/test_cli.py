@@ -2,10 +2,13 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rolecomms
 from rolecomms import bench, cli
 from rolecomms.cli import _resolve_workers, build_parser, main
 
@@ -315,11 +318,13 @@ class TestBench:
             "conditions": [
                 {"strategy": "dynamic", "T": 1, "n": 0, "geometry": "known", "cv": 0.0},
             ],
+            # one step is too few to reach the goal, so every game times out
+            "limits": {"max_steps": 1},
             "asserts": [
                 {
                     "kind": "at_least",
                     "a": {"strategy": "dynamic", "T": 1, "n": 0, "geometry": "known", "cv": 0.0},
-                    "value": 1.1,
+                    "value": 0.5,
                 }
             ],
         }
@@ -358,6 +363,9 @@ class TestBench:
             (("format_version",), True),
             (("format_version",), 1.0),
             (("asserts", 0, "a", "T"), 2),  # names a condition that is not configured
+            (("conditions", 0, "geometry"), "fuzzy"),
+            (("asserts", 0, "alpha"), 1.0),
+            (("asserts", 1, "value"), 1.5),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -379,7 +387,8 @@ class TestBench:
                     "a": {"strategy": "dynamic", "T": 1, "n": 2},
                     "b": {"strategy": "speaker_speaker", "n": 2},
                     "significant": True,
-                }
+                },
+                {"kind": "at_least", "a": {"strategy": "dynamic", "T": 1, "n": 2}, "value": 0.9},
             ],
         }
         target = config
@@ -578,3 +587,33 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--mode", "stability"])  # missing --system
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--geometry", "fuzzy"])
+        assert exc.value.code == 2
+
+
+# prints the top-level modules beyond the standard library that the import adds
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import rolecomms.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_cli_import_adds_only_numpy_beyond_the_standard_library():
+    # numpy is the one declared dependency, and __mp_main__ is the alias
+    # multiprocessing gives __main__; site hooks (certifi, _distutils_hack)
+    # load before the probe runs, so only what the import adds counts
+    src = str(Path(rolecomms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert set(probe.stdout.split()) <= {"numpy", "rolecomms", "__mp_main__"}

@@ -65,6 +65,21 @@ class TestRoleGain:
             SpeakerListener(3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: role_gain(k, SpeakerSpeaker()),
+        lambda k: noisy_listener_action(k, [1.0, 1.0], [0.0, 0.0]),
+        lambda k: optimal_variances(k, 1.0, 1.0),
+        lambda k: expected_kl(k, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ],
+    ids=["role_gain", "noisy_listener_action", "optimal_variances", "expected_kl"],
+)
+def test_every_gain_must_be_2x2(call):
+    with pytest.raises(ValueError, match=r"^expected a 2x2 gain, got shape \(3, 3\)$"):
+        call(np.eye(3))
+
+
 class TestTeamLinearSystem:
     @pytest.mark.parametrize("name", ["A", "B", "Kstar"])
     @pytest.mark.parametrize("ragged", [[[1.0, 0.6], [0.7]], ((1.0, 0.6), 0.7)], ids=["short_row", "scalar_row"])

@@ -8,12 +8,11 @@ import pytest
 from rolecomms import table_sim
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ConfigError, GenerationError
-from rolecomms.numerics import _BLOCK, _HEAD, Rng, Vec2, bisect
+from rolecomms.numerics import _BLOCK, _HEAD, Rng, Vec2
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
     FieldParams,
-    Obstacle,
     agent_velocity,
     repulsive_magnitude,
 )
@@ -38,9 +37,8 @@ from rolecomms.table_sim import (
 
 
 def velocity(q, goal, obstacles, params):
-    """potential_field's law at q, over Obstacle objects."""
-    triples = tuple((o.center[0], o.center[1], o.radius) for o in obstacles)
-    return Vec2(*agent_velocity(q[0], q[1], goal[0], goal[1], triples,
+    """potential_field's law at q for (cx, cy, radius) obstacles."""
+    return Vec2(*agent_velocity(q[0], q[1], goal[0], goal[1], obstacles,
                                 params.w_att, params.w_rep, params.w_v, params.rho0))
 
 
@@ -270,11 +268,10 @@ class TestInference:
                 q[0] + (rho + radius) * math.cos(angle),
                 q[1] + (rho + radius) * math.sin(angle),
             )
-            obstacle = Obstacle(center, radius)
-            v = velocity(q, self.goal, [obstacle], self.params)
+            v = velocity(q, self.goal, [(*center, radius)], self.params)
             got = infer_obstacle(v, q, self.goal, self.params, radius, tol=1e-12)
             assert got is not None
-            err = (got.center - center).norm()
+            err = math.dist(got[:2], center)
             assert err < 1e-11
             hits += 1
         assert hits == 200
@@ -289,7 +286,7 @@ class TestInference:
         v = Vec2(self.params.w_v * (-tiny - att[0]), self.params.w_v * (0.0 - att[1]))
         got = infer_obstacle(v, q, self.goal, self.params, 0.5)
         assert got is not None
-        rho = (got.center - q).norm() - 0.5
+        rho = math.dist(got[:2], q) - 0.5
         assert rho > 0.9 * self.params.rho0
 
     def test_saturated_residual_flagged_at_floor(self):
@@ -300,13 +297,13 @@ class TestInference:
         got = infer_obstacle(v, q, self.goal, self.params, 0.5)
         assert got is not None
         assert got.saturated
-        assert (got.center - q).norm() == pytest.approx(1e-3 + 0.5)
+        assert math.dist(got[:2], q) == pytest.approx(1e-3 + 0.5)
 
     @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
     def test_invalid_nominal_radius_rejected(self, radius):
         # the residual here is strong enough to infer an obstacle
         q = Vec2(0.0, 0.0)
-        v = velocity(q, self.goal, [Obstacle(Vec2(0.0, 1.0), 0.5)], self.params)
+        v = velocity(q, self.goal, [(0.0, 1.0, 0.5)], self.params)
         assert infer_obstacle(v, q, self.goal, self.params, 0.5) is not None
         with pytest.raises(ValueError, match="radius"):
             infer_obstacle(v, q, self.goal, self.params, radius)
@@ -320,29 +317,24 @@ class TestInference:
             infer_obstacle(v, q, self.goal, self.params, -1.0)
 
     def test_matches_generic_bisection(self):
-        # the inlined inversion must agree with numerics.bisect on the same curve
+        # the inlined inversion must land where a generic bisection on the
+        # same curve would: the curve is strictly decreasing, so the root of
+        # curve(rho) = mag lies within delta of the inferred rho when the
+        # curve at rho -/+ delta brackets mag
+        tol = 1e-12
+        delta = 10.0 * tol
         rng = random.Random(7)
+        top = repulsive_magnitude(RHO_MIN, self.params)
+        q = (5.0, 0.0)
         for _ in range(50):
-            mag = rng.uniform(1e-6, repulsive_magnitude(1e-3, self.params) * 0.99)
-            # at q=(5,0) with the goal at (10,0) the attractive term is
-            # (-1, 0), so v = w_v*(mag + 1, 0) leaves a residual of (mag, 0)
-            got = infer_obstacle(
-                Vec2(self.params.w_v * (mag + 1.0), 0.0),
-                Vec2(5.0, 0.0),
-                self.goal,
-                self.params,
-                0.0,
-                tol=1e-12,
-            )
-            # reconstruct rho from the returned center (radius 0)
-            rho_got = (got.center - Vec2(5.0, 0.0)).norm()
-            rho_ref = bisect(
-                lambda r: repulsive_magnitude(r, self.params) - mag,
-                1e-3,
-                self.params.rho0,
-                1e-12,
-            )
-            assert rho_got == pytest.approx(rho_ref, abs=1e-11)
+            mag = rng.uniform(1e-6, top * 0.99)
+            # at q with the goal at (10, 0) the attractive term is (-1, 0), so
+            # v = w_v*(mag + 1, 0) leaves a residual of (mag, 0); radius 0
+            # puts the center at boundary distance rho from q
+            v = (self.params.w_v * (mag + 1.0), 0.0)
+            got = infer_obstacle(v, q, self.goal, self.params, 0.0, tol=tol)
+            rho = math.dist(got[:2], q)
+            assert repulsive_magnitude(rho - delta, self.params) >= mag >= repulsive_magnitude(rho + delta, self.params)
 
 
 class TestMessages:
@@ -441,8 +433,8 @@ def float_bits(x: float) -> int:
 
 def naive_velocity(q, goal, obstacles, params):
     """The field law written term by term, as a reference: minus the
-    attractive gradient plus one repulsive gradient per Obstacle, summed and
-    scaled by w_v."""
+    attractive gradient plus one repulsive gradient per (cx, cy, radius)
+    obstacle, summed and scaled by w_v."""
     dx = q[0] - goal[0]
     dy = q[1] - goal[1]
     dist = math.sqrt(dx * dx + dy * dy)
@@ -453,11 +445,11 @@ def naive_velocity(q, goal, obstacles, params):
         att = (dx * scale, dy * scale)
     vx = 0.0 - att[0]
     vy = 0.0 - att[1]
-    for obs in obstacles:
-        dx = q[0] - obs.center[0]
-        dy = q[1] - obs.center[1]
+    for ocx, ocy, orad in obstacles:
+        dx = q[0] - ocx
+        dy = q[1] - ocy
         center_dist = math.sqrt(dx * dx + dy * dy)
-        rho = center_dist - obs.radius
+        rho = center_dist - orad
         if rho > params.rho0:
             term = (0.0, 0.0)
         else:
@@ -488,7 +480,7 @@ class TestFieldVelocityParity:
         for _ in range(300):
             q = Vec2(rng.uniform(-1, 11), rng.uniform(-4, 4))
             obstacles = [
-                Obstacle(Vec2(rng.uniform(0, 10), rng.uniform(-3, 3)), rng.uniform(0.1, 0.8))
+                (rng.uniform(0, 10), rng.uniform(-3, 3), rng.uniform(0.1, 0.8))
                 for _ in range(rng.randrange(0, 6))
             ]
             self.assert_bit_identical(q, goal, obstacles)
@@ -592,11 +584,12 @@ class TestRunGame:
         out = run_game(env, Strategy("explicit", period=0), self.params, self.limits, 0,
                        record_trajectory=True)
         half_length = env.table_half_length
+        full_map = [(*o.center, o.radius) for o in obstacles]
         cx, cy, heading = env.start[0], env.start[1], start_heading(env)
         for ts in out.trajectory:
             q1, q2 = endpoints(cx, cy, heading, half_length)
-            v1 = velocity(q1, env.goal, obstacles, self.params)
-            v2 = velocity(q2, env.goal, obstacles, self.params)
+            v1 = velocity(q1, env.goal, full_map, self.params)
+            v2 = velocity(q2, env.goal, full_map, self.params)
             # the game sums each agent's own obstacles before received ones,
             # so agreement is mathematical, not bitwise
             assert ts.v1x == pytest.approx(v1[0], abs=1e-12)
@@ -718,6 +711,15 @@ class TestEnvironmentGeneration:
         # unplaceable obstacle
         with pytest.raises(ValueError, match="r_min <= r_max"):
             UnknownRadius(r_min, r_max)
+
+    def test_obstacle_validation(self):
+        # radius, then center, then owner, as environment files report them
+        with pytest.raises(ValueError, match="radius must be finite and >= 0, got -1.0"):
+            TaggedObstacle(Vec2(math.nan, 0.0), -1.0, 3)
+        with pytest.raises(ValueError, match="obstacle center must be finite"):
+            TaggedObstacle(Vec2(math.nan, 0.0), 1.0, 3)
+        with pytest.raises(ValueError, match="owner must be 1 or 2, got 3"):
+            TaggedObstacle(Vec2(0.0, 0.0), 1.0, 3)
 
     def test_unknown_radii_within_range(self):
         env = generate_environment(5, 8, UnknownRadius(0.3, 0.5), Workspace())

@@ -98,7 +98,7 @@ class TrendAssert:
 
     kind "greater": condition a beats condition b (paired sign test when
     significant=True). kind "at_least": condition a's success rate is at
-    least `value`.
+    least `value`. Each kind rejects the fields only the other reads.
     """
 
     kind: str
@@ -111,10 +111,12 @@ class TrendAssert:
     def __post_init__(self):
         if self.kind not in ("greater", "at_least"):
             raise ConfigError(f"unknown assert kind {self.kind!r}")
-        if self.kind == "greater" and self.b is None:
-            raise ConfigError("'greater' asserts need a second condition")
-        if self.kind == "at_least" and self.value is None:
-            raise ConfigError("'at_least' asserts need a value")
+        if self.kind == "greater" and (self.b is None or self.value is not None):
+            raise ConfigError("'greater' asserts need a second condition and take no value")
+        if self.kind == "at_least" and (
+            self.value is None or self.b is not None or self.significant or self.alpha != 0.05
+        ):
+            raise ConfigError("'at_least' asserts need a value and take no b, significant or alpha")
         if self.value is not None and not 0.0 <= self.value <= 1.0:
             raise ConfigError(f"value must be in [0, 1], got {self.value}")
         if not 0.0 < self.alpha < 1.0:
@@ -141,7 +143,10 @@ class BenchmarkConfig:
             raise ConfigError("at least one condition is required")
         if self.games_per_condition < 1:
             raise ConfigError("games_per_condition must be >= 1")
-        keys = {condition.key() for condition in self.conditions}
+        keys = [condition.key() for condition in self.conditions]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"condition {key} is listed twice")
         for ta in self.asserts:
             for condition in (ta.a, ta.b):
                 if condition is not None and condition.key() not in keys:

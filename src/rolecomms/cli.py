@@ -9,8 +9,9 @@ Subcommands:
             and report.csv
   sweep     a bench expanded over a noise (cv) grid
 
-Exit codes: 0 success, 1 a trend assert listed in the bench config failed,
-2 usage, config or file error. All randomness is seed-driven and every artifact
+Exit codes: 0 success; 1 only when a trend assert listed in the bench config
+failed; 2 every usage, config, input or file error, which `main` reports as
+one `error:` line on stderr. All randomness is seed-driven and every artifact
 from a seeded run embeds its seed; the ROLECOMMS_THREADS environment
 variable (or --workers) sets the worker pool size, which never affects
 outputs.
@@ -52,13 +53,8 @@ _ALLOC_CHOICES = {
     "speaker_listener_1": SpeakerListener(1),
     "speaker_listener_2": SpeakerListener(2),
     "speaker_speaker": SpeakerSpeaker(),
-    "dynamic": DynamicAlternating(dt=1e-3),
+    "dynamic": DynamicAlternating(),
 }
-
-
-def _fail(message: str, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -95,90 +91,54 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     spec = decode(SystemFile, _load_json(args.system, "system"), "system")
-    system = spec.team()
-
-    if args.mode == "stability":
-        alloc = _ALLOC_CHOICES[args.alloc]
-        try:
-            rep = stability_report(system, alloc)
-        except ValueError as exc:
-            return _fail(str(exc))
-        _print_json(
-            {
-                "mode": "stability",
-                "allocation": args.alloc,
-                "eigenvalues": [[e.real, e.imag] for e in rep.eigenvalues],
-                "max_real_part": rep.max_real_part,
-                "stable": rep.stable,
-            }
-        )
-        return 0
-
-    if args.mode == "rotation":
-        rows = rotation_converges(
-            system,
-            horizon=args.horizon,
-            dts=args.dts,
-            s0=args.state,
-            drift=args.drift,
-        )
-        _print_json(
-            {
-                "mode": "rotation",
-                "horizon": args.horizon,
-                "state": args.state if args.state is None else list(args.state),
-                "drift": args.drift if args.drift is None else list(args.drift),
-                "rows": [
-                    {"dt": r.dt, "cycles": r.cycles, "sup_deviation": r.sup_deviation}
-                    for r in rows
-                ],
-            }
-        )
-        return 0
-
-    if len(system.W) != 2:
-        return _fail("variances and kl modes need W = [w1_sq, w2_sq] in the system file")
-    w1_sq, w2_sq = system.W
-
-    if args.mode == "variances":
-        try:
-            pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=args.speaker)
-        except ValueError as exc:
-            return _fail(str(exc))
-        _print_json(
-            {
-                "mode": "variances",
-                "speaker": args.speaker,
-                "sigma1_sq": pair.sigma1_sq,
-                "sigma2_sq": pair.sigma2_sq,
-            }
-        )
-        return 0
-
-    # kl mode
-    sigma_s2_sq = spec.sigma_s2_sq
-    if sigma_s2_sq is None:
-        return _fail("kl mode needs sigma_s2_sq (partner-state prior variance) in the system file")
-    if args.sigma1_sq is None or args.sigma2_sq is None:
-        pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
-        sigma1_sq = pair.sigma1_sq if args.sigma1_sq is None else args.sigma1_sq
-        sigma2_sq = pair.sigma2_sq if args.sigma2_sq is None else args.sigma2_sq
-    else:
-        sigma1_sq, sigma2_sq = args.sigma1_sq, args.sigma2_sq
     try:
-        value = expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq)
+        payload = _analysis(spec.team(), spec.sigma_s2_sq, args)
     except ValueError as exc:
-        return _fail(str(exc))
-    _print_json(
-        {
-            "mode": "kl",
-            "sigma1_sq": sigma1_sq,
-            "sigma2_sq": sigma2_sq,
-            "sigma_s2_sq": sigma_s2_sq,
-            "expected_kl": value,
-        }
-    )
+        # the library's own input rules, reported as one error line
+        raise ConfigError(str(exc)) from exc
+    _print_json(payload)
     return 0
+
+
+def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict:
+    """The payload of the selected analyze mode."""
+    if args.mode == "stability":
+        rep = stability_report(system, _ALLOC_CHOICES[args.alloc])
+        return {
+            "mode": "stability",
+            "allocation": args.alloc,
+            "eigenvalues": [[e.real, e.imag] for e in rep.eigenvalues],
+            "max_real_part": rep.max_real_part,
+            "stable": rep.stable,
+        }
+    if args.mode == "rotation":
+        rows = rotation_converges(system, args.horizon, args.dts, s0=args.state, drift=args.drift)
+        return {
+            "mode": "rotation",
+            "horizon": args.horizon,
+            "state": args.state,
+            "drift": args.drift,
+            "rows": [row._asdict() for row in rows],
+        }
+    if len(system.W) != 2:
+        raise ValueError("variances and kl modes need W = [w1_sq, w2_sq] in the system file")
+    w1_sq, w2_sq = system.W
+    if args.mode == "variances":
+        pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=args.speaker)
+        return {"mode": "variances", "speaker": args.speaker, **pair._asdict()}
+    # kl mode: a variance not given defaults to the optimal one when agent 1 speaks
+    if sigma_s2_sq is None:
+        raise ValueError("kl mode needs sigma_s2_sq (partner-state prior variance) in the system file")
+    pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
+    sigma1_sq = pair.sigma1_sq if args.sigma1_sq is None else args.sigma1_sq
+    sigma2_sq = pair.sigma2_sq if args.sigma2_sq is None else args.sigma2_sq
+    return {
+        "mode": "kl",
+        "sigma1_sq": sigma1_sq,
+        "sigma2_sq": sigma2_sq,
+        "sigma_s2_sq": sigma_s2_sq,
+        "expected_kl": expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq),
+    }
 
 
 def _cmd_simulate(args) -> int:
@@ -186,10 +146,7 @@ def _cmd_simulate(args) -> int:
     config = _bench_config_for_cli(args)
     condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
     if args.env is not None:
-        try:
-            env = decode(Environment, _load_json(args.env, "environment"), "environment")
-        except ConfigError as exc:
-            return _fail(f"unreadable environment: {exc}")
+        env = decode(Environment, _load_json(args.env, "environment"), "environment")
     else:
         mode = condition.geometry_mode(config.radii)
         env = generate_environment(args.seed, args.n, mode, config.workspace)
@@ -397,7 +354,8 @@ def main(argv=None) -> int:
     except (ConfigError, GenerationError, OSError) as exc:
         # every config or input error, and an output path that cannot be
         # created or written, ends the command with one error line
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

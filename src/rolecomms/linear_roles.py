@@ -71,13 +71,8 @@ class SpeakerListener:
 
 @dataclass(frozen=True)
 class DynamicAlternating:
-    """Roles swap every dt time units."""
-
-    dt: float
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+    """Roles swap every phase. For any phase length the phase-averaged gain
+    is the full Kstar; rotation_converges takes the phase lengths as dts."""
 
 
 RoleAllocation = SpeakerSpeaker | SpeakerListener | DynamicAlternating
@@ -178,6 +173,13 @@ def rotation_action(
     return action
 
 
+def _finite_vector(name: str, values, n: int) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be {n} finite values, got {v.tolist()}")
+    return v
+
+
 class RotationRow(NamedTuple):
     dt: float
     cycles: int
@@ -198,13 +200,16 @@ def rotation_converges(
     over the horizon, truncated to whole cycles of N phases; each cycle's
     mean team action is compared against -Kstar s at the cycle start, and the
     sup-norm over cycles is reported. The deviation is zero for constant
-    states and scales linearly with dt for drifting states.
+    states and scales linearly with dt for drifting states. The horizon and
+    every dt must be finite and > 0, and s0 and drift n finite values.
     """
-    if any(dt <= 0 for dt in dts):
-        raise ValueError("dt values must be > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    if not all(math.isfinite(dt) and dt > 0 for dt in dts):
+        raise ValueError(f"every dt must be finite and > 0, got {list(dts)}")
     n = sys.n
-    s0 = np.ones(n) if s0 is None else np.asarray(s0, dtype=float)
-    drift = np.zeros(n) if drift is None else np.asarray(drift, dtype=float)
+    s0 = _finite_vector("s0", np.ones(n) if s0 is None else s0, n)
+    drift = _finite_vector("drift", np.zeros(n) if drift is None else drift, n)
     rows = []
     for dt in dts:
         cycles = int(math.floor(horizon / (n * dt)))
@@ -298,10 +303,10 @@ def expected_kl(
         ("w1_sq", w1_sq),
         ("w2_sq", w2_sq),
     ):
-        if not v > 0:
-            raise ValueError(f"{name} must be > 0, got {v}")
-    if sigma_s2_sq < 0:
-        raise ValueError(f"sigma_s2_sq must be >= 0, got {sigma_s2_sq}")
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    if not (sigma_s2_sq >= 0 and math.isfinite(sigma_s2_sq)):
+        raise ValueError(f"sigma_s2_sq must be finite and >= 0, got {sigma_s2_sq}")
     if k[0, 0] == 0.0:
         raise SingularGainError("K11 must be nonzero when agent 1 speaks")
     return (

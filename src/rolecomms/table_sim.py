@@ -110,8 +110,9 @@ class Environment:
     table_half_length: float = 0.5
 
     def __post_init__(self):
-        if not self.table_half_length > 0:
-            raise ValueError("table_half_length must be > 0")
+        # the game divides by it, so its reciprocal must be finite too
+        if not (self.table_half_length > 0 and math.isfinite(1.0 / self.table_half_length)):
+            raise ValueError(f"table_half_length must be > 0 with a finite reciprocal, got {self.table_half_length}")
         if not all(math.isfinite(x) for x in (*self.start, *self.goal, self.table_half_length)):
             raise ValueError("start, goal and table_half_length must be finite")
 

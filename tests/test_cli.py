@@ -127,8 +127,13 @@ class TestAnalyze:
             ("A", [[1.0], [0.6, 0.7]], "system: A: every row must have the same length"),
             # beyond the range of a float; JSON writes it out as digits
             ("A", [[10**400, 0], [0, 1]], "system.A[0][0]: "),
+            # kl mode's default variances once failed outside every check
+            ("Kstar", [[0.0, 0.6], [0.7, 1.2]], "K11 must be nonzero when agent 1 speaks"),
+            ("W", [0.0, 1.0], "noise variances must be > 0"),
+            ("W", [1.0], "variances and kl modes need W = [w1_sq, w2_sq]"),
         ],
-        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix", "ragged_A", "huge_int"],
+        ids=["string_sigma", "null_sigma", "string_W", "ragged_matrix", "ragged_A", "huge_int",
+             "zero_K11", "zero_w1", "short_W"],
     )
     def test_malformed_system_value_exits_2_with_one_error_line(
         self, capsys, tmp_path, system_file, key, value, start
@@ -138,6 +143,29 @@ class TestAnalyze:
         path = tmp_path / "system.json"
         path.write_text(json.dumps(system))
         code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", "kl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (("--mode", "rotation", "--dts", "0"), "every dt must be finite and > 0, got [0.0]"),
+            (("--mode", "rotation", "--dts", "inf"), "every dt must be finite and > 0, got [inf]"),
+            (("--mode", "rotation", "--horizon", "nan"), "horizon must be finite and > 0, got nan"),
+            (("--mode", "rotation", "--horizon", "inf"), "horizon must be finite and > 0, got inf"),
+            (("--mode", "rotation", "--horizon", "-1"), "horizon must be finite and > 0, got -1.0"),
+            (("--mode", "rotation", "--state", "1", "2", "3"), "s0 must be 2 finite values"),
+            (("--mode", "rotation", "--state", "nan", "nan"), "s0 must be 2 finite values"),
+            (("--mode", "rotation", "--drift", "1"), "drift must be 2 finite values"),
+            (("--mode", "rotation", "--drift", "inf", "0"), "drift must be 2 finite values"),
+            (("--mode", "kl", "--sigma1-sq", "inf"), "sigma1_sq must be finite and > 0, got inf"),
+        ],
+        ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon", "long_state",
+             "nan_state", "short_drift", "inf_drift", "inf_sigma1"],
+    )
+    def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, system_file, argv, start):
+        code, out, err = run_cli(capsys, "analyze", "--system", system_file, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: " + start) and err.count("\n") == 1
@@ -197,7 +225,7 @@ class TestSimulate:
         missing = tmp_path / "missing.json"
         code, _, err = run_cli(capsys, "simulate", "--env", str(missing))
         assert code == 2
-        assert "error" in err
+        assert err == f"error: environment file not found: {missing}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -207,6 +235,7 @@ class TestSimulate:
             ("--env", "{nan_goal}"),
             ("--env", "{inf_start}"),
             ("--env", "{inf_half_length}"),
+            ("--env", "{tiny_half_length}"),
             ("--env", "{fractional_owner}"),
             ("--env", "{string_radius}"),
             ("--env", "{string_center}"),
@@ -221,6 +250,7 @@ class TestSimulate:
             "nan_goal",
             "inf_start",
             "inf_half_length",
+            "tiny_half_length",
             "fractional_owner",
             "string_radius",
             "string_center",
@@ -238,6 +268,8 @@ class TestSimulate:
             "nan_goal": env_file(tmp_path, "nan_goal.json", goal=[math.nan, 0.0]),
             "inf_start": env_file(tmp_path, "inf_start.json", start=[math.inf, 0.0]),
             "inf_half_length": env_file(tmp_path, "inf_half_length.json", table_half_length=math.inf),
+            # its reciprocal overflows: the game once died with "math domain error"
+            "tiny_half_length": env_file(tmp_path, "tiny_half_length.json", table_half_length=5e-324),
             "fractional_owner": env_file(
                 tmp_path, "fractional_owner.json", obstacles=[obstacle(owner=1.7)]
             ),
@@ -366,6 +398,16 @@ class TestBench:
             (("conditions", 0, "geometry"), "fuzzy"),
             (("asserts", 0, "alpha"), 1.0),
             (("asserts", 1, "value"), 1.5),
+            # fields the assert's kind never reads
+            (("asserts", 0, "value"), 0.5),
+            (("asserts", 1, "significant"), True),
+            (("asserts", 1, "b"), {"strategy": "speaker_speaker", "n": 2}),
+            # a condition listed twice would play every game twice
+            (
+                ("conditions",),
+                [{"strategy": "dynamic", "T": 1, "n": 2}, {"strategy": "speaker_speaker", "n": 2},
+                 {"strategy": "dynamic", "T": 1, "n": 2, "geometry": "known", "cv": 0.0}],
+            ),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -559,6 +601,55 @@ class TestOutputPaths:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert existing.read_text() == "keep"
+
+
+# a valid invocation of each float option's subcommand that reads the option
+_FLOAT_OPTION_INVOCATIONS = {
+    ("analyze", "horizon"): ("analyze", "--system", "{system}", "--mode", "rotation"),
+    ("analyze", "dts"): ("analyze", "--system", "{system}", "--mode", "rotation"),
+    ("analyze", "state"): ("analyze", "--system", "{system}", "--mode", "rotation"),
+    ("analyze", "drift"): ("analyze", "--system", "{system}", "--mode", "rotation"),
+    ("analyze", "sigma1_sq"): ("analyze", "--system", "{system}", "--mode", "kl"),
+    ("analyze", "sigma2_sq"): ("analyze", "--system", "{system}", "--mode", "kl"),
+    ("simulate", "cv"): ("simulate", "--n", "0"),
+    ("sweep", "cv"): ("sweep", "--config", "{config}", "--out", "{out}"),
+}
+
+
+def _float_options():
+    """(subcommand, action) for every option of the parser that parses a float."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, action", _float_options(), ids=lambda v: v if isinstance(v, str) else v.option_strings[0]
+)
+def test_every_float_option_rejects_nan_and_inf(
+    capsys, monkeypatch, system_file, tiny_bench_config, tmp_path, command, action, value
+):
+    # a float option added later fails here until it has an invocation above
+    base = _FLOAT_OPTION_INVOCATIONS[(command, action.dest)]
+
+    def no_games(*args, **kwargs):
+        raise AssertionError("a game was played with a non-finite option")
+
+    monkeypatch.setattr(bench, "run_benchmark", no_games)
+    monkeypatch.setattr(cli, "run_game", no_games)
+    files = {"system": system_file, "config": tiny_bench_config, "out": tmp_path / "never"}
+    # an option taking a list gets one value per state of the 2x2 system
+    values = [value] * (2 if action.nargs == "+" else 1)
+    argv = [a.format(**files) for a in base] + [action.option_strings[0], *values]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHelp:

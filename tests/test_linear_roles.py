@@ -47,7 +47,7 @@ class TestRoleGain:
             assert np.array_equal(role_gain([[2, 0], [0, 5]], alloc), [[2, 0], [0, 5]])
 
     def test_dynamic_returns_full_gain(self):
-        out = role_gain([[1, 2], [3, 4]], DynamicAlternating(dt=0.1))
+        out = role_gain([[1, 2], [3, 4]], DynamicAlternating())
         assert np.array_equal(out, [[1, 2], [3, 4]])
 
     def test_idempotent_and_preserves_diagonal(self):
@@ -118,7 +118,7 @@ class TestStability:
         sys = TeamLinearSystem(A=UNSTABLE_A, B=UNSTABLE_B, Kstar=K)
         closed = UNSTABLE_A - UNSTABLE_B @ K
         assert max(e.real for e in np.linalg.eigvals(closed)) < 0
-        rep = stability_report(sys, DynamicAlternating(dt=0.01))
+        rep = stability_report(sys, DynamicAlternating())
         assert rep.stable
 
     def test_fixed_alloc_requires_2x2(self):
@@ -202,8 +202,32 @@ class TestRotationConverges:
         assert rows[0].cycles == 5
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^every dt must be finite and > 0, got \[0.1, 0.0\]$"):
             rotation_converges(self.sys, horizon=1.0, dts=[0.1, 0.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dts": [math.inf]}, "every dt must be finite and > 0"),
+            ({"dts": [math.nan]}, "every dt must be finite and > 0"),
+            ({"horizon": 0.0}, "horizon must be finite and > 0, got 0.0"),
+            ({"horizon": -1.0}, "horizon must be finite and > 0"),
+            ({"horizon": math.nan}, "horizon must be finite and > 0"),
+            ({"horizon": math.inf}, "horizon must be finite and > 0"),
+            ({"s0": [1.0, 2.0, 3.0]}, r"s0 must be 2 finite values, got \[1.0, 2.0, 3.0\]"),
+            ({"s0": [math.nan, math.nan]}, "s0 must be 2 finite values"),
+            ({"drift": [1.0]}, "drift must be 2 finite values"),
+            ({"drift": 1.0}, "drift must be 2 finite values"),
+            ({"drift": [math.inf, 0.0]}, "drift must be 2 finite values"),
+        ],
+        ids=["inf_dt", "nan_dt", "zero_horizon", "negative_horizon", "nan_horizon",
+             "inf_horizon", "long_s0", "nan_s0", "short_drift", "scalar_drift", "inf_drift"],
+    )
+    def test_rejects_invalid_input(self, kwargs, message):
+        # a NaN state once reported a zero deviation, and a scalar drift was
+        # broadcast to every state
+        with pytest.raises(ValueError, match=f"^{message}"):
+            rotation_converges(self.sys, **{"horizon": 1.0, "dts": [0.1], **kwargs})
 
 
 class TestNoisyListenerAction:
@@ -333,8 +357,24 @@ class TestExpectedKl:
             assert f(mid) <= 0.5 * (f(a) + f(b)) + 1e-12
 
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma1_sq must be finite and > 0, got 0.0$"):
             expected_kl(self.K, 0.0, 1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 1.0, 1.0, 1.0, 0.0), "sigma1_sq must be finite and > 0, got inf"),
+            ((1.0, math.nan, 1.0, 1.0, 0.0), "sigma2_sq must be finite and > 0, got nan"),
+            ((1.0, 1.0, math.inf, 1.0, 0.0), "w1_sq must be finite and > 0, got inf"),
+            ((1.0, 1.0, 1.0, 1.0, -0.5), "sigma_s2_sq must be finite and >= 0, got -0.5"),
+            ((1.0, 1.0, 1.0, 1.0, math.inf), "sigma_s2_sq must be finite and >= 0, got inf"),
+        ],
+        ids=["inf_sigma1", "nan_sigma2", "inf_w1", "negative_prior", "inf_prior"],
+    )
+    def test_rejects_non_finite_or_negative_variance(self, args, message):
+        # an infinite variance once failed inside the logarithm with "math domain error"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expected_kl(self.K, *args)
 
 
 class TestLqrGain:

@@ -246,6 +246,18 @@ class TestCollision:
         if kind == "collision":
             assert out.steps == 1
 
+    @pytest.mark.parametrize("half_length", [5e-324, 1e-310, 0.0, math.nan])
+    def test_table_whose_reciprocal_overflows_is_rejected(self, half_length):
+        # the game divides by the half length: at 1e-310 its turn rate was
+        # infinite and the game died with "math domain error"
+        message = f"table_half_length must be > 0 with a finite reciprocal, got {half_length}"
+        for make in (
+            lambda: Environment((), Vec2(0.0, 0.0), Vec2(10.0, 0.0), KnownRadius(0.5), half_length),
+            lambda: Workspace(table_half_length=half_length),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+
 
 class TestInference:
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)

@@ -201,13 +201,16 @@ def rotation_converges(
     mean team action is compared against -Kstar s at the cycle start, and the
     sup-norm over cycles is reported. The deviation is zero for constant
     states and scales linearly with dt for drifting states. The horizon and
-    every dt must be finite and > 0, and s0 and drift n finite values.
+    every dt must be finite and > 0, and s0 and drift n finite values. The
+    cycle count horizon / (n*dt) and every deviation must be finite too.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if not all(math.isfinite(dt) and dt > 0 for dt in dts):
         raise ValueError(f"every dt must be finite and > 0, got {list(dts)}")
     n = sys.n
+    if not all(math.isfinite(horizon / (n * dt)) for dt in dts):
+        raise ValueError(f"horizon / (n*dt) must be finite, got horizon {horizon} and dts {list(dts)}")
     s0 = _finite_vector("s0", np.ones(n) if s0 is None else s0, n)
     drift = _finite_vector("drift", np.zeros(n) if drift is None else drift, n)
     rows = []
@@ -216,12 +219,16 @@ def rotation_converges(
         worst = 0.0
         for c in range(cycles):
             t0 = c * n * dt
-            target = -sys.Kstar @ (s0 + drift * t0)
-            total = np.zeros(n)
-            for k in range(n):
-                s_t = s0 + drift * (t0 + k * dt)
-                total += rotation_action(sys, s_t, phase=k + 1)
-            dev = float(np.max(np.abs(total / n - target)))
+            # an overflow shows as a deviation that is not finite, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                target = -sys.Kstar @ (s0 + drift * t0)
+                total = np.zeros(n)
+                for k in range(n):
+                    s_t = s0 + drift * (t0 + k * dt)
+                    total += rotation_action(sys, s_t, phase=k + 1)
+                dev = float(np.max(np.abs(total / n - target)))
+            if not math.isfinite(dev):
+                raise ValueError(f"the deviation at dt {float(dt)} is not finite, got {dev}")
             if dev > worst:
                 worst = dev
         rows.append(RotationRow(dt=float(dt), cycles=cycles, sup_deviation=worst))

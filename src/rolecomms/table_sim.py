@@ -37,6 +37,7 @@ _GAME_STREAM = 2
 
 RESIDUAL_EPS = 1e-9
 DEFAULT_INFER_TOL = 1e-10
+_STEER_WINDOW = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +296,9 @@ def infer_obstacle(
     with att the attractive gradient of potential_field's law. A residual
     below RESIDUAL_EPS means the motion is explained by the goal alone and
     nothing is inferred. Otherwise the repulsive magnitude curve is inverted
-    for the boundary distance rho by bisection on (RHO_MIN, rho0], and the
-    obstacle center is placed at
+    for the boundary distance rho by bisection on (RHO_MIN, rho0], steered by
+    the curve's certified closed-form root to the plain bisection's result
+    within tol, and the obstacle center is placed at
 
         partner_pos - (rho + nominal_radius) * residual / |residual|
 
@@ -335,31 +337,55 @@ def infer_obstacle(
 
 
 def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> float:
-    """Bisection for the boundary distance rho with field strength mag.
+    """Bisection for the boundary distance rho with field strength mag,
+    steered by the certified closed-form root.
 
     The curve is strictly decreasing on (0, rho0], so the bracket
     [RHO_MIN, rho0] always contains exactly one root for
     0 < mag < curve(RHO_MIN). The loop halves the bracket until it is
     narrower than tol or at floating-point resolution, and returns its
-    midpoint; an exact hit returns at once. The curve is computed inline
-    because this runs once per listener step.
+    midpoint; an exact hit returns at once.
+
+    The closed-form root 2 / (1/rho0 + sqrt(1/rho0^2 + 4 mag/w_rep)), in a
+    form that neither overflows nor divides by zero, steers the loop.
+    Rounding keeps the float curve non-increasing, so once the curve is
+    certified above mag at the low end of a window of relative width
+    _STEER_WINDOW around the root and below mag at its high end, a midpoint
+    outside the window is judged by its side of the root alone. Midpoints
+    inside the window, and all of them when the certificate fails, are
+    judged on the curve, computed inline because this runs once per
+    listener step. The result is the plain bisection's, bit for bit.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0
     lo = RHO_MIN
     hi = params.rho0
+    root = 2.0 / (inv_rho0 + math.sqrt(inv_rho0 * inv_rho0 + 4.0 * (mag / w_rep)))
+    below = root * (1.0 - 0.5 * _STEER_WINDOW)
+    above = root * (1.0 + 0.5 * _STEER_WINDOW)
+    if not (
+        lo < below
+        and above < hi
+        and w_rep * (1.0 / below - inv_rho0) * (1.0 / below) > mag > w_rep * (1.0 / above - inv_rho0) * (1.0 / above)
+    ):
+        below, above = -math.inf, math.inf
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        inv = 1.0 / mid
-        f = w_rep * (inv - inv_rho0) * inv
-        if f == mag:
-            return mid
-        if f > mag:
+        if mid < below:
             lo = mid
-        else:
+        elif mid > above:
             hi = mid
+        else:
+            inv = 1.0 / mid
+            f = w_rep * (inv - inv_rho0) * inv
+            if f == mag:
+                return mid
+            if f > mag:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 

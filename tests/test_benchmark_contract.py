@@ -48,15 +48,34 @@ TRACED_LAYERS = {
 # and seed for the bench workloads, one per game for simulate-trace. The noise
 # channel: a corrupt call per message or inferred velocity, even at cv = 0, and
 # a gaussian call per component at cv > 0; a corrupt that skipped gaussian, or
-# reached either by a name the tracer does not swap, would read fewer.
+# reached either by a name the tracer does not swap, would read fewer. The
+# listener: one infer_obstacle call per listener step, so an inversion that
+# placed its obstacle elsewhere would change the steps played, and these counts.
 TRACED_CALLS = {
-    "table1": {"table_sim.generate_environment": 60, "table_sim.corrupt": 17_970},
+    "table1": {
+        "table_sim.generate_environment": 60,
+        "table_sim.corrupt": 17_970,
+        "table_sim.infer_obstacle": 17_970,
+    },
     "noise-w2": {
         "table_sim.generate_environment": 75,
         "table_sim.corrupt": 56_786,
         "numerics.gaussian": 152_208,
+        "table_sim.infer_obstacle": 18_150,
     },
-    "simulate-trace": {"table_sim.generate_environment": 96, "table_sim.corrupt": 5_977},
+    "simulate-trace": {
+        "table_sim.generate_environment": 96,
+        "table_sim.corrupt": 5_977,
+        "table_sim.infer_obstacle": 3_824,
+    },
+}
+# the tracer's inference counters in the same round: inferences of nothing, and
+# residuals saturated at the distance floor. Under channel noise (noise-w2)
+# the listener never infers nothing; no workload saturates.
+TRACED_COUNTERS = {
+    "table1": {"table_sim.infer_obstacle.none": 10_284},
+    "noise-w2": {},
+    "simulate-trace": {"table_sim.infer_obstacle.none": 1_816},
 }
 
 
@@ -85,6 +104,8 @@ def test_block_0_matches_the_reference_plain_and_traced(perfbench_run):
         called = {span for span, entry in summary.items() if entry["calls"] > 0}
         assert called == TRACED_LAYERS[name], name
         assert {span: summary[span]["calls"] for span in TRACED_CALLS[name]} == TRACED_CALLS[name], name
+        inference = {key: value for key, value in tracer.counters.items() if key.startswith("table_sim.infer_obstacle.")}
+        assert inference == TRACED_COUNTERS[name], name
         for result in (plain, traced):
             attempted, failed, problems = run.check_round(result, reference)
             assert (attempted, failed, problems) == (len(reference["rows"]), 0, []), name

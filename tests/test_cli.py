@@ -160,15 +160,19 @@ class TestAnalyze:
             (("--mode", "rotation", "--drift", "1"), "drift must be 2 finite values"),
             (("--mode", "rotation", "--drift", "inf", "0"), "drift must be 2 finite values"),
             (("--mode", "kl", "--sigma1-sq", "inf"), "sigma1_sq must be finite and > 0, got inf"),
+            # finite values whose cycle count or actions overflow
+            (("--mode", "rotation", "--dts", "5e-324"), "horizon / (n*dt) must be finite, got horizon 2.0"),
+            (("--mode", "rotation", "--state", "1e308", "1e308"), "the deviation at dt 0.1 is not finite"),
         ],
         ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon", "long_state",
-             "nan_state", "short_drift", "inf_drift", "inf_sigma1"],
+             "nan_state", "short_drift", "inf_drift", "inf_sigma1", "tiny_dt", "huge_state"],
     )
-    def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, system_file, argv, start):
+    def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, recwarn, system_file, argv, start):
         code, out, err = run_cli(capsys, "analyze", "--system", system_file, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: " + start) and err.count("\n") == 1
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestSimulate:

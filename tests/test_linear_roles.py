@@ -219,15 +219,19 @@ class TestRotationConverges:
             ({"drift": [1.0]}, "drift must be 2 finite values"),
             ({"drift": 1.0}, "drift must be 2 finite values"),
             ({"drift": [math.inf, 0.0]}, "drift must be 2 finite values"),
+            ({"dts": [0.1, 5e-324]}, r"horizon / \(n\*dt\) must be finite, got horizon 1.0 and dts \[0.1, 5e-324\]"),
+            ({"s0": [1e308, 1e308]}, "the deviation at dt 0.1 is not finite, got nan"),
         ],
         ids=["inf_dt", "nan_dt", "zero_horizon", "negative_horizon", "nan_horizon",
-             "inf_horizon", "long_s0", "nan_s0", "short_drift", "scalar_drift", "inf_drift"],
+             "inf_horizon", "long_s0", "nan_s0", "short_drift", "scalar_drift", "inf_drift",
+             "infinite_cycles", "overflowing_s0"],
     )
-    def test_rejects_invalid_input(self, kwargs, message):
+    def test_rejects_invalid_input(self, kwargs, message, recwarn):
         # a NaN state once reported a zero deviation, and a scalar drift was
-        # broadcast to every state
+        # broadcast to every state; finite inputs that overflow raise, and warn of nothing
         with pytest.raises(ValueError, match=f"^{message}"):
             rotation_converges(self.sys, **{"horizon": 1.0, "dts": [0.1], **kwargs})
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestNoisyListenerAction:

@@ -329,10 +329,10 @@ class TestInference:
             infer_obstacle(v, q, self.goal, self.params, -1.0)
 
     def test_matches_generic_bisection(self):
-        # the inlined inversion must land where a generic bisection on the
-        # same curve would: the curve is strictly decreasing, so the root of
-        # curve(rho) = mag lies within delta of the inferred rho when the
-        # curve at rho -/+ delta brackets mag
+        # the inversion, steered by the closed-form root, must land where a
+        # generic bisection on the same curve would: the curve is strictly
+        # decreasing, so the root of curve(rho) = mag lies within delta of
+        # the inferred rho when the curve at rho -/+ delta brackets mag
         tol = 1e-12
         delta = 10.0 * tol
         rng = random.Random(7)
@@ -347,6 +347,108 @@ class TestInference:
             got = infer_obstacle(v, q, self.goal, self.params, 0.0, tol=tol)
             rho = math.dist(got[:2], q)
             assert repulsive_magnitude(rho - delta, self.params) >= mag >= repulsive_magnitude(rho + delta, self.params)
+
+
+def plain_bisection(mag, params, tol, visited=None):
+    """The boundary distance with field strength mag by plain bisection on
+    the float curve, as _invert_repulsive_magnitude found it before the
+    closed-form root steered it: the reference the steered one must match.
+    visited, when given, collects every midpoint the loop judges."""
+    lo, hi = RHO_MIN, params.rho0
+    while (hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if visited is not None:
+            visited.append(mid)
+        f = repulsive_magnitude(mid, params)
+        if f == mag:
+            return mid
+        if f > mag:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def path_mags(mag, params, tol, rng, k):
+    """The curve at k of the midpoints the plain bisection visits for mag, each
+    an exact hit for one midpoint, and the floats on either side of it."""
+    mids = []
+    plain_bisection(mag, params, tol, mids)
+    out = []
+    for mid in rng.sample(mids, min(k, len(mids))):
+        f = repulsive_magnitude(mid, params)
+        out += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
+    return out
+
+
+class TestSteeredInversion:
+    """The steered inversion returns the plain bisection's float, bit for bit.
+
+    Exact-hit mags catch a midpoint judged by the root where the curve would
+    have stopped on it; extreme weights and ranges catch a root trusted
+    where the float curve crosses mag elsewhere (the root's formula
+    underflows or overflows, or its window leaves the bracket)."""
+
+    def assert_parity(self, cases):
+        differ = [
+            (mag, params, tol)
+            for mag, params, tol in cases
+            if float_bits(table_sim._invert_repulsive_magnitude(mag, params, tol))
+            != float_bits(plain_bisection(mag, params, tol))
+        ]
+        assert differ == [], f"{len(differ)} of {len(cases)} differ, first {differ[:3]}"
+
+    @pytest.mark.parametrize(
+        "rho0_decades, root_decades",
+        [((math.log10(2e-3), 200), None), ((150, 200), 20)],
+        ids=["whole_range", "subnormal_inverse_square"],
+    )
+    def test_extreme_weights_and_ranges(self, rho0_decades, root_decades):
+        # w_rep from 1e-300 to 1e300 and rho0 over rho0_decades, log-uniform;
+        # one root per draw, log-uniform in the bracket or within root_decades
+        # below rho0, at each tol. A rho0 beyond 1e154 squares 1/rho0 into
+        # subnormals, where the closed form loses its precision.
+        rng = random.Random(16)
+        cases = []
+        for _ in range(80):
+            params = FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(*rho0_decades))
+            low = math.log10(RHO_MIN) if root_decades is None else math.log10(params.rho0) - root_decades
+            rho = 10.0 ** rng.uniform(low, math.log10(params.rho0))
+            for tol in (1e-10, 1e-12, 0.0):
+                cases += [(mag, params, tol) for mag in path_mags(repulsive_magnitude(rho, params), params, tol, rng, 8)]
+        self.assert_parity(cases)
+
+    @pytest.mark.parametrize("config", ["table1", "noise", "fig3"])
+    def test_config_field(self, config_dir, config):
+        params = FieldParams(**json.loads((config_dir / f"{config}.json").read_text())["field"])
+        rng = random.Random(config)
+        top = repulsive_magnitude(RHO_MIN, params)
+        cases = []
+        for tol in (table_sim.DEFAULT_INFER_TOL, 1e-12, 0.0):
+            # residuals from RESIDUAL_EPS up to the floor's field, log-uniform
+            mags = [10.0 ** rng.uniform(math.log10(table_sim.RESIDUAL_EPS), math.log10(top)) for _ in range(300)]
+            for mag in mags[:10]:
+                mags += path_mags(mag, params, tol, rng, 40)
+            cases += [(mag, params, tol) for mag in mags]
+        self.assert_parity(cases)
+
+    def test_roots_at_the_ends_of_the_bracket(self):
+        # one ulp below the floor's field (a root just above RHO_MIN), and
+        # roots within 1e-12 of rho0, absolute and relative
+        rng = random.Random(3)
+        fields = [FieldParams(w_rep=0.45, rho0=2.0), FieldParams(w_rep=0.45, rho0=2.1)]
+        fields += [FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(-2.6, 200)) for _ in range(20)]
+        cases = []
+        for params in fields:
+            rho0 = params.rho0
+            mags = [math.nextafter(repulsive_magnitude(RHO_MIN, params), 0.0)]
+            for k in range(1, 11):
+                for rho in (rho0 - k * 1e-13, rho0 * (1.0 - k * 1e-13), math.nextafter(rho0, 0.0)):
+                    mags.append(repulsive_magnitude(rho, params))
+            cases += [(mag, params, tol) for mag in mags for tol in (1e-10, 1e-12, 0.0)]
+        self.assert_parity(cases)
 
 
 class TestMessages:
@@ -679,6 +781,63 @@ class TestRunGame:
     def test_strategy_validation(self, name, period, noise_cv):
         with pytest.raises(ValueError):
             Strategy(name, period, noise_cv)
+
+
+def played(outcome, motion_only=False):
+    """A game's steps, failure kind and trajectory as text; repr round-trips
+    every float and keeps -0.0 apart from 0.0, so equal text is equal bits.
+    motion_only keeps each step's pose and commands and drops the roles and
+    inferred obstacles."""
+    steps = [ts[:8] if motion_only else ts for ts in outcome.trajectory]
+    return repr((outcome.steps, outcome.failure_kind, steps))
+
+
+class TestMechanismIdentities:
+    """Exact identities of the role mechanism, game by game.
+
+    The listener's inference is the only way roles change motion: with
+    infer_obstacle knocked out, every roles game moves as speaker_speaker.
+    A period no game reaches turns dynamic roles into speaker_listener and
+    explicit messaging into speaker_speaker. Held on table1's field, limits
+    and workspace, with and without channel noise."""
+
+    seeds = range(20)
+
+    @pytest.fixture(params=[KnownRadius(0.5), UnknownRadius(0.3, 0.5)], ids=["known", "unknown"])
+    def geometry(self, request):
+        return request.param
+
+    @pytest.fixture(params=[2, 8], ids=["n2", "n8"])
+    def n(self, request):
+        return request.param
+
+    @pytest.fixture(params=[0.0, 0.1], ids=["cv0", "cv0.1"])
+    def cv(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def play(self, geometry, n, default_field, default_limits, default_workspace):
+        def play(strategy, motion_only=False):
+            return [
+                played(run_game(generate_environment(seed, n, geometry, default_workspace), strategy,
+                                default_field, default_limits, seed, record_trajectory=True), motion_only)
+                for seed in self.seeds
+            ]
+
+        return play
+
+    def test_roles_without_inference_move_as_speaker_speaker(self, monkeypatch, play, cv):
+        blind = play(Strategy("speaker_speaker", 0, cv), motion_only=True)
+        # with its inference the listener moves otherwise, so the identity is no accident
+        assert play(Strategy("speaker_listener", 0, cv), motion_only=True) != blind
+        monkeypatch.setattr(table_sim, "infer_obstacle", lambda *args, **kwargs: None)
+        for strategy in (Strategy("dynamic", 1, cv), Strategy("dynamic", 16, cv), Strategy("speaker_listener", 0, cv)):
+            assert play(strategy, motion_only=True) == blind, strategy
+
+    def test_a_period_no_game_reaches(self, play, cv, default_limits):
+        period = default_limits.max_steps
+        assert play(Strategy("dynamic", period, cv)) == play(Strategy("speaker_listener", 0, cv))
+        assert play(Strategy("explicit", period, cv)) == play(Strategy("speaker_speaker", 0, cv))
 
 
 class TestEnvironmentGeneration:

@@ -35,7 +35,6 @@ from .linear_roles import (
     SpeakerSpeaker,
     TeamLinearSystem,
     expected_kl,
-    lqr_gain,
     noisy_listener_action,
     optimal_variances,
     role_gain,

@@ -7,7 +7,6 @@ Subcommands:
   simulate  one table-carrying game with a trajectory CSV dump
   bench     a Monte-Carlo benchmark from a JSON config; writes report.json
             and report.csv
-  sweep     a bench expanded over a noise (cv) grid
 
 Exit codes: 0 success; 1 only when a trend assert listed in the bench config
 failed; 2 every usage, config, input or file error, which `main` reports as
@@ -112,11 +111,10 @@ def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict
             "stable": rep.stable,
         }
     if args.mode == "rotation":
-        rows = rotation_converges(system, args.horizon, args.dts, s0=args.state, drift=args.drift)
+        rows = rotation_converges(system, args.horizon, args.dts, drift=args.drift)
         return {
             "mode": "rotation",
             "horizon": args.horizon,
-            "state": args.state,
             "drift": args.drift,
             "rows": [row._asdict() for row in rows],
         }
@@ -214,10 +212,11 @@ def _resolve_workers(args) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _run_into_out(config: bench_mod.BenchmarkConfig, args) -> bench_mod.BenchmarkReport:
-    """Create --out, so a bad path fails before any game is played, run the
-    benchmark, and write report.json and report.csv there. A config error
-    (such as every seed failing generation) leaves no new directory behind."""
+def _cmd_bench(args) -> int:
+    config = _bench_config_for_cli(args)
+    # --out is created first, so a bad path fails before any game is played;
+    # a config error (such as every seed failing generation) leaves no new
+    # directory behind
     out = Path(args.out)
     fresh = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
@@ -229,12 +228,6 @@ def _run_into_out(config: bench_mod.BenchmarkConfig, args) -> bench_mod.Benchmar
         raise
     (out / "report.json").write_text(bench_mod.report_json(report), encoding="utf-8")
     (out / "report.csv").write_text(bench_mod.report_csv(report), encoding="utf-8")
-    return report
-
-
-def _cmd_bench(args) -> int:
-    config = _bench_config_for_cli(args)
-    report = _run_into_out(config, args)
     failures = bench_mod.evaluate_asserts(report, config.asserts)
     for failure in failures:
         print(f"assert failed: {failure}", file=sys.stderr)
@@ -253,28 +246,6 @@ def _cmd_bench(args) -> int:
         )
     )
     return 1 if failures else 0
-
-
-def _cmd_sweep(args) -> int:
-    config = _bench_config_for_cli(args)
-    # conditions that differ only in cv expand to the same ones; each is kept once
-    expanded = tuple(dict.fromkeys(replace(cond, cv=cv) for cond in config.conditions for cv in args.cv))
-    config = replace(config, conditions=expanded, asserts=())
-    report = _run_into_out(config, args)
-    print(
-        json.dumps(
-            {
-                "kind": "sweep_summary",
-                "base_seed": config.base_seed,
-                "cv_grid": list(args.cv),
-                "conditions": len(config.conditions),
-                "fingerprint": report.fingerprint,
-                "out": args.out,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.1, 0.05, 0.025, 0.0125],
         help="phase lengths for rotation mode",
     )
-    p_an.add_argument("--state", type=float, nargs="+", default=None)
     p_an.add_argument("--drift", type=float, nargs="+", default=None)
     p_an.add_argument("--sigma1-sq", dest="sigma1_sq", type=float, default=None)
     p_an.add_argument("--sigma2-sq", dest="sigma2_sq", type=float, default=None)
@@ -333,15 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--base-seed", dest="base_seed", type=int, default=None)
     p_bench.add_argument("--workers", type=int, default=None)
     p_bench.set_defaults(func=_cmd_bench)
-
-    p_sweep = sub.add_parser("sweep", help="run a benchmark config over a noise grid")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--cv", type=float, nargs="+", required=True, help="cv grid values")
-    p_sweep.add_argument("--games", type=int, default=None)
-    p_sweep.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -13,10 +13,6 @@ class SingularGainError(ValueError):
     """A required diagonal gain entry is zero."""
 
 
-class AnalysisError(RuntimeError):
-    """A control-analysis routine could not produce a valid result."""
-
-
 class ComparisonError(ValueError):
     """Two benchmark conditions cannot be compared (unpaired seeds or environments)."""
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, SingularGainError
+from .errors import SingularGainError
 from .numerics import eig2x2, eig_general
 
 
@@ -71,8 +71,9 @@ class SpeakerListener:
 
 @dataclass(frozen=True)
 class DynamicAlternating:
-    """Roles swap every phase. For any phase length the phase-averaged gain
-    is the full Kstar; rotation_converges takes the phase lengths as dts."""
+    """Roles rotate every phase. For any phase length the phase-averaged gain
+    is the full Kstar; rotation_converges takes the phase lengths as dts and
+    gives the O(dt) error of one cycle under a drifting state."""
 
 
 RoleAllocation = SpeakerSpeaker | SpeakerListener | DynamicAlternating
@@ -139,23 +140,16 @@ def stability_report(sys: TeamLinearSystem, alloc: RoleAllocation) -> StabilityR
     return StabilityReport(tuple(eigs), max_re < 0.0, max_re)
 
 
-def rotation_action(
-    sys: TeamLinearSystem,
-    s,
-    phase: int,
-    naive_actions=None,
-) -> np.ndarray:
+def rotation_action(sys: TeamLinearSystem, s, phase: int) -> np.ndarray:
     """Team action vector for one phase of the role rotation.
 
     In phase k, agent k leads by speaking; the next agent in cyclic order
-    takes the corrective (listening) role and emits a_j* + (N-1)(a_j* - abar_j),
-    which it can compute because every speaker's naive action reveals that
-    speaker's state. All remaining agents speak their naive actions. Averaged
-    over a full cycle of N phases, the team action equals -Kstar s exactly
-    when the state is held constant.
-
-    naive_actions defaults to the state itself (identity revealing map); pass
-    explicit values for any other invertible choice.
+    takes the corrective (listening) role and emits a_j* + (N-1)(a_j* - s_j),
+    which it can compute because every speaker's naive action is its own
+    state (the identity revealing map). All remaining agents speak their
+    naive actions. The action is therefore linear in s, and averaged over a
+    full cycle of N phases it equals -Kstar s exactly when the state is held
+    constant.
     """
     s = np.asarray(s, dtype=float)
     n = sys.n
@@ -163,21 +157,11 @@ def rotation_action(
         raise ValueError(f"state must have shape ({n},), got {s.shape}")
     if not 1 <= phase <= n:
         raise ValueError(f"phase must be in 1..{n}, got {phase}")
-    abar = s.copy() if naive_actions is None else np.asarray(naive_actions, dtype=float)
-    if abar.shape != (n,):
-        raise ValueError(f"naive_actions must have shape ({n},), got {abar.shape}")
     a_star = -sys.Kstar @ s
-    action = abar.copy()
+    action = s.copy()
     corrector = phase % n  # 0-based index of the listening agent
-    action[corrector] = a_star[corrector] + (n - 1) * (a_star[corrector] - abar[corrector])
+    action[corrector] = a_star[corrector] + (n - 1) * (a_star[corrector] - s[corrector])
     return action
-
-
-def _finite_vector(name: str, values, n: int) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be {n} finite values, got {v.tolist()}")
-    return v
 
 
 class RotationRow(NamedTuple):
@@ -190,19 +174,21 @@ def rotation_converges(
     sys: TeamLinearSystem,
     horizon: float,
     dts: Sequence[float],
-    s0=None,
     drift=None,
 ) -> list[RotationRow]:
     """Deviation of the per-cycle mean rotation action from the centralized action.
 
-    The state follows the prescribed linear drift s(t) = s0 + drift * t (both
-    default to ones / zeros). For each dt the rotation runs phase-by-phase
-    over the horizon, truncated to whole cycles of N phases; each cycle's
-    mean team action is compared against -Kstar s at the cycle start, and the
-    sup-norm over cycles is reported. The deviation is zero for constant
-    states and scales linearly with dt for drifting states. The horizon and
-    every dt must be finite and > 0, and s0 and drift n finite values. The
-    cycle count horizon / (n*dt) and every deviation must be finite too.
+    The state follows a linear drift s(t) = s(0) + drift * t (drift defaults
+    to zeros). For each dt the rotation runs phase by phase over the horizon,
+    truncated to whole cycles of N phases, and each cycle's mean team action
+    is compared against -Kstar s at the cycle start. rotation_action is
+    linear in s and its cycle mean is -Kstar, so every cycle deviates by the
+    same amount, the sup-norm of (1/N) sum_k rotation_action(drift * k*dt, k+1),
+    whatever s(0) and the cycle: that is the reported sup over cycles, or 0.0
+    when no whole cycle fits. It is zero for constant states and scales
+    linearly with dt for drifting states. The horizon and every dt must be
+    finite and > 0, and drift n finite values. The cycle count
+    horizon / (n*dt) and every deviation must be finite too.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
@@ -211,27 +197,21 @@ def rotation_converges(
     n = sys.n
     if not all(math.isfinite(horizon / (n * dt)) for dt in dts):
         raise ValueError(f"horizon / (n*dt) must be finite, got horizon {horizon} and dts {list(dts)}")
-    s0 = _finite_vector("s0", np.ones(n) if s0 is None else s0, n)
-    drift = _finite_vector("drift", np.zeros(n) if drift is None else drift, n)
+    drift = np.asarray(np.zeros(n) if drift is None else drift, dtype=float)
+    if drift.shape != (n,) or not np.all(np.isfinite(drift)):
+        raise ValueError(f"drift must be {n} finite values, got {drift.tolist()}")
     rows = []
     for dt in dts:
         cycles = int(math.floor(horizon / (n * dt)))
-        worst = 0.0
-        for c in range(cycles):
-            t0 = c * n * dt
+        dev = 0.0
+        if cycles:
             # an overflow shows as a deviation that is not finite, reported below
             with np.errstate(over="ignore", invalid="ignore"):
-                target = -sys.Kstar @ (s0 + drift * t0)
-                total = np.zeros(n)
-                for k in range(n):
-                    s_t = s0 + drift * (t0 + k * dt)
-                    total += rotation_action(sys, s_t, phase=k + 1)
-                dev = float(np.max(np.abs(total / n - target)))
+                total = sum(rotation_action(sys, drift * (k * dt), k + 1) for k in range(n))
+                dev = float(np.max(np.abs(total / n)))
             if not math.isfinite(dev):
                 raise ValueError(f"the deviation at dt {float(dt)} is not finite, got {dev}")
-            if dev > worst:
-                worst = dev
-        rows.append(RotationRow(dt=float(dt), cycles=cycles, sup_deviation=worst))
+        rows.append(RotationRow(dt=float(dt), cycles=cycles, sup_deviation=dev))
     return rows
 
 
@@ -322,50 +302,3 @@ def expected_kl(
         + sigma1_sq / (2.0 * w1_sq)
         + (sigma2_sq + k[1, 0] ** 2 * sigma1_sq / k[0, 0] ** 2) / (2.0 * w2_sq)
     )
-
-
-def lqr_gain(A, B, Q, R) -> np.ndarray:
-    """Continuous-time LQR gain via the Hamiltonian stable subspace.
-
-    Builds H = [[A, -B R^-1 B^T], [-Q, -A^T]], spans the eigenvectors with
-    negative real part, and recovers P from the subspace basis; K = R^-1 B^T P.
-    Requires (A, B) controllable, Q >= 0, R > 0, n <= 4. The algebraic
-    Riccati residual is verified below 1e-8 before returning.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
-    if n > 4:
-        raise ValueError(f"state dimension {n} exceeds the supported cap 4")
-    if A.shape != (n, n) or B.shape[0] != n or Q.shape != (n, n):
-        raise ValueError("inconsistent matrix dimensions")
-    m = B.shape[1]
-    if R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m}, got {R.shape}")
-    ctrb = np.hstack([np.linalg.matrix_power(A, i) @ B for i in range(n)])
-    if np.linalg.matrix_rank(ctrb) < n:
-        raise AnalysisError("(A, B) is not controllable")
-    r_inv = np.linalg.inv(R)
-    ham = np.block([[A, -B @ r_inv @ B.T], [-Q, -A.T]])
-    vals, vecs = np.linalg.eig(ham)
-    stable = np.where(vals.real < 0)[0]
-    if len(stable) != n:
-        raise AnalysisError(
-            f"Hamiltonian has {len(stable)} stable eigenvalues, expected {n}"
-        )
-    basis = vecs[:, stable]
-    x1 = basis[:n, :]
-    x2 = basis[n:, :]
-    try:
-        p = np.real(x2 @ np.linalg.inv(x1))
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError("stable subspace basis is singular") from exc
-    p = 0.5 * (p + p.T)
-    residual = A.T @ p + p @ A - p @ B @ r_inv @ B.T @ p + Q
-    if np.max(np.abs(residual)) >= 1e-8:
-        raise AnalysisError(
-            f"Riccati residual {np.max(np.abs(residual)):.3e} exceeds 1e-8"
-        )
-    return r_inv @ B.T @ p

@@ -144,7 +144,7 @@ def test_criterion_2_rotation_certification():
         A=np.zeros((2, 2)), B=np.eye(2), Kstar=np.array([[1.0, 2.0], [3.0, 4.0]])
     )
     dts = [0.2 / 2**k for k in range(6)]
-    rows = rotation_converges(sys2, horizon=4.0, dts=dts, s0=[1.0, -1.0], drift=[0.3, 0.2])
+    rows = rotation_converges(sys2, horizon=4.0, dts=dts, drift=[0.3, 0.2])
     ratios = [b.sup_deviation / a.sup_deviation for a, b in zip(rows, rows[1:])]
     ratio_ok = all(0.4 <= r <= 0.6 for r in ratios)
     elapsed = time.perf_counter() - start

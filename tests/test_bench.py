@@ -356,7 +356,7 @@ class TestConfigSerialization:
 
     def test_committed_configs_parse(self, config_dir, golden_dir):
         raws = []
-        for name in ("table1.json", "fig3.json", "noise.json", "noise_base.json"):
+        for name in ("table1.json", "fig3.json", "noise.json"):
             raw = json.loads((config_dir / name).read_text())
             config = config_from_dict(raw)
             assert config.games_per_condition == 1000

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,19 @@ class TestAnalyze:
         doc = json.loads(out)
         assert all(row["sup_deviation"] == 0.0 for row in doc["rows"])
 
+    def test_rotation_long_horizon_is_fast(self, capsys, system_file):
+        # one cycle gives every row, so the horizon sets only the cycle count
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "analyze", "--system", system_file, "--mode", "rotation",
+            "--horizon", "1e9", "--drift", "0.3", "0.2",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["cycles"] for row in rows] == [5_000_000_000, 10_000_000_000, 20_000_000_000, 40_000_000_000]
+        assert rows[0]["sup_deviation"] == pytest.approx(0.057, rel=1e-12)
+
     def test_kl_mode(self, capsys, system_file):
         code, out, _ = run_cli(capsys, "analyze", "--system", system_file, "--mode", "kl")
         assert code == 0
@@ -155,17 +169,16 @@ class TestAnalyze:
             (("--mode", "rotation", "--horizon", "nan"), "horizon must be finite and > 0, got nan"),
             (("--mode", "rotation", "--horizon", "inf"), "horizon must be finite and > 0, got inf"),
             (("--mode", "rotation", "--horizon", "-1"), "horizon must be finite and > 0, got -1.0"),
-            (("--mode", "rotation", "--state", "1", "2", "3"), "s0 must be 2 finite values"),
-            (("--mode", "rotation", "--state", "nan", "nan"), "s0 must be 2 finite values"),
             (("--mode", "rotation", "--drift", "1"), "drift must be 2 finite values"),
             (("--mode", "rotation", "--drift", "inf", "0"), "drift must be 2 finite values"),
             (("--mode", "kl", "--sigma1-sq", "inf"), "sigma1_sq must be finite and > 0, got inf"),
             # finite values whose cycle count or actions overflow
             (("--mode", "rotation", "--dts", "5e-324"), "horizon / (n*dt) must be finite, got horizon 2.0"),
-            (("--mode", "rotation", "--state", "1e308", "1e308"), "the deviation at dt 0.1 is not finite"),
+            (("--mode", "rotation", "--horizon", "100", "--dts", "10", "--drift", "1e308", "1e308"),
+             "the deviation at dt 10.0 is not finite"),
         ],
-        ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon", "long_state",
-             "nan_state", "short_drift", "inf_drift", "inf_sigma1", "tiny_dt", "huge_state"],
+        ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon",
+             "short_drift", "inf_drift", "inf_sigma1", "tiny_dt", "overflowing_drift"],
     )
     def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, recwarn, system_file, argv, start):
         code, out, err = run_cli(capsys, "analyze", "--system", system_file, *argv)
@@ -468,9 +481,7 @@ class TestBench:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", [("bench",), ("sweep", "--cv", "0", "0.1")],
-                             ids=["bench", "sweep"])
-    def test_all_seeds_skipped_exits_2(self, capsys, tmp_path, monkeypatch, command):
+    def test_all_seeds_skipped_exits_2(self, capsys, tmp_path, monkeypatch):
         games = []
         run_game = bench.run_game
 
@@ -483,9 +494,7 @@ class TestBench:
         config_path = tmp_path / "no_room.json"
         config_path.write_text(json.dumps(NO_ROOM_CONFIG))
         out_dir = tmp_path / "never"
-        code, _, err = run_cli(
-            capsys, command[0], "--config", str(config_path), "--out", str(out_dir), *command[1:]
-        )
+        code, _, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
         # the unplaceable condition is found before any game of the other is played
         assert games == []
         assert code == 2
@@ -533,61 +542,17 @@ class TestBench:
         assert not (tmp_path / "env2").exists()
 
 
-class TestSweep:
-    def test_expands_cv_grid(self, capsys, tiny_bench_config, tmp_path):
-        out_dir = tmp_path / "sweep"
-        code, out, _ = run_cli(
-            capsys, "sweep", "--config", str(tiny_bench_config), "--out", str(out_dir),
-            "--cv", "0.001", "0.01", "0.1",
-        )
-        assert code == 0
-        report = json.loads((out_dir / "report.json").read_text())
-        assert len(report["conditions"]) == 6  # 2 base conditions x 3 cv values
-        cvs = sorted({c["cv"] for c in report["conditions"]})
-        assert cvs == [0.001, 0.01, 0.1]
-
-    def test_conditions_differing_only_in_cv_are_played_once(self, capsys, tmp_path):
-        config = {
-            "games_per_condition": 2,
-            "conditions": [
-                {"strategy": "dynamic", "T": 1, "n": 2, "cv": 0.0},
-                {"strategy": "dynamic", "T": 1, "n": 2, "cv": 0.2},
-            ],
-        }
-        path = tmp_path / "cv_pair.json"
-        path.write_text(json.dumps(config))
-        out_dir = tmp_path / "sweep"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--config", str(path), "--out", str(out_dir), "--cv", "0", "0.1",
-        )
-        assert code == 0
-        report = json.loads((out_dir / "report.json").read_text())
-        assert [c["cv"] for c in report["conditions"]] == [0.0, 0.1]
-
-    @pytest.mark.parametrize("cv", ["-0.1", "nan", "inf"], ids=["negative", "nan", "inf"])
-    def test_negative_cv_exits_2(self, capsys, tiny_bench_config, tmp_path, cv):
-        out_dir = tmp_path / "never"
-        code, _, err = run_cli(
-            capsys, "sweep", "--config", str(tiny_bench_config), "--out", str(out_dir),
-            "--cv", "0.1", cv,
-        )
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out_dir.exists()
-
-
 class TestOutputPaths:
     @pytest.mark.parametrize(
         "argv",
         [
             ("bench", "--config", "{config}", "--out", "{file}"),
             ("bench", "--config", "{config}", "--out", "{file}/out"),
-            ("sweep", "--config", "{config}", "--out", "{file}", "--cv", "0.1"),
             ("simulate", "--n", "0", "--trajectory-out", "{tmp}/missing/traj.csv"),
             ("simulate", "--n", "0", "--trajectory-out", "{tmp}"),
         ],
-        ids=["bench_out_is_file", "bench_out_under_file", "sweep_out_is_file",
-             "simulate_missing_dir", "simulate_out_is_dir"],
+        ids=["bench_out_is_file", "bench_out_under_file", "simulate_missing_dir",
+             "simulate_out_is_dir"],
     )
     def test_unwritable_output_exits_2_with_one_error_line(
         self, capsys, monkeypatch, tiny_bench_config, tmp_path, argv
@@ -611,12 +576,10 @@ class TestOutputPaths:
 _FLOAT_OPTION_INVOCATIONS = {
     ("analyze", "horizon"): ("analyze", "--system", "{system}", "--mode", "rotation"),
     ("analyze", "dts"): ("analyze", "--system", "{system}", "--mode", "rotation"),
-    ("analyze", "state"): ("analyze", "--system", "{system}", "--mode", "rotation"),
     ("analyze", "drift"): ("analyze", "--system", "{system}", "--mode", "rotation"),
     ("analyze", "sigma1_sq"): ("analyze", "--system", "{system}", "--mode", "kl"),
     ("analyze", "sigma2_sq"): ("analyze", "--system", "{system}", "--mode", "kl"),
     ("simulate", "cv"): ("simulate", "--n", "0"),
-    ("sweep", "cv"): ("sweep", "--config", "{config}", "--out", "{out}"),
 }
 
 
@@ -635,21 +598,17 @@ def _float_options():
 @pytest.mark.parametrize(
     "command, action", _float_options(), ids=lambda v: v if isinstance(v, str) else v.option_strings[0]
 )
-def test_every_float_option_rejects_nan_and_inf(
-    capsys, monkeypatch, system_file, tiny_bench_config, tmp_path, command, action, value
-):
+def test_every_float_option_rejects_nan_and_inf(capsys, monkeypatch, system_file, command, action, value):
     # a float option added later fails here until it has an invocation above
     base = _FLOAT_OPTION_INVOCATIONS[(command, action.dest)]
 
     def no_games(*args, **kwargs):
         raise AssertionError("a game was played with a non-finite option")
 
-    monkeypatch.setattr(bench, "run_benchmark", no_games)
     monkeypatch.setattr(cli, "run_game", no_games)
-    files = {"system": system_file, "config": tiny_bench_config, "out": tmp_path / "never"}
     # an option taking a list gets one value per state of the 2x2 system
     values = [value] * (2 if action.nargs == "+" else 1)
-    argv = [a.format(**files) for a in base] + [action.option_strings[0], *values]
+    argv = [a.format(system=system_file) for a in base] + [action.option_strings[0], *values]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -662,7 +621,7 @@ class TestHelp:
             build_parser().parse_args(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for sub in ("analyze", "simulate", "bench", "sweep"):
+        for sub in ("analyze", "simulate", "bench"):
             assert sub in out
 
     def test_flags_enumerated(self, capsys):
@@ -670,7 +629,6 @@ class TestHelp:
             ("analyze", ["--system", "--mode", "--alloc", "--speaker", "--dts"]),
             ("simulate", ["--env", "--seed", "--strategy", "--T", "--cv", "--trajectory-out"]),
             ("bench", ["--config", "--out", "--games", "--base-seed", "--workers"]),
-            ("sweep", ["--config", "--out", "--cv", "--workers"]),
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([sub, "--help"])

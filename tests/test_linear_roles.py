@@ -4,14 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from rolecomms.errors import AnalysisError, SingularGainError
+from rolecomms.errors import SingularGainError
 from rolecomms.linear_roles import (
     DynamicAlternating,
     SpeakerListener,
     SpeakerSpeaker,
     TeamLinearSystem,
     expected_kl,
-    lqr_gain,
     noisy_listener_action,
     optimal_variances,
     role_gain,
@@ -128,14 +127,6 @@ class TestStability:
 
 
 class TestRotationAction:
-    def test_naive_equals_optimal_emits_optimal(self):
-        sys = TeamLinearSystem(A=np.zeros((2, 2)), B=np.eye(2), Kstar=[[1.0, 2.0], [3.0, 4.0]])
-        s = np.array([0.5, -1.5])
-        a_star = -sys.Kstar @ s
-        for phase in (1, 2):
-            out = rotation_action(sys, s, phase, naive_actions=a_star)
-            assert np.allclose(out, a_star, atol=1e-15)
-
     def test_hand_worked_two_agent_phases(self):
         sys = TeamLinearSystem(A=np.zeros((2, 2)), B=np.eye(2), Kstar=[[1.0, 2.0], [3.0, 4.0]])
         s = np.array([1.0, 2.0])
@@ -177,6 +168,21 @@ class TestRotationAction:
             rotation_action(sys, [1.0, 2.0], phase=3)
 
 
+def per_cycle_loop(sys, horizon, dts, s0, drift):
+    """(cycles, sup deviation) per dt, from every cycle of the horizon played
+    from the state s0: the definition the one-cycle form must agree with."""
+    n = sys.n
+    for dt in dts:
+        cycles = int(math.floor(horizon / (n * dt)))
+        worst = 0.0
+        for c in range(cycles):
+            t0 = c * n * dt
+            target = -sys.Kstar @ (s0 + drift * t0)
+            total = sum(rotation_action(sys, s0 + drift * (t0 + k * dt), k + 1) for k in range(n))
+            worst = max(worst, float(np.max(np.abs(total / n - target))))
+        yield cycles, worst
+
+
 class TestRotationConverges:
     def setup_method(self):
         self.sys = TeamLinearSystem(
@@ -187,14 +193,35 @@ class TestRotationConverges:
         rows = rotation_converges(self.sys, horizon=2.0, dts=[0.1, 0.05, 0.025])
         assert all(r.sup_deviation == 0.0 for r in rows)
 
-    def test_halving_ratio_near_one_half(self):
+    def test_deviation_is_exactly_linear_under_halving_dt(self):
+        # halving dt halves every product of the one cycle exactly
         dts = [0.2 / 2**k for k in range(6)]
-        rows = rotation_converges(
-            self.sys, horizon=4.0, dts=dts, s0=[1.0, -1.0], drift=[0.3, 0.2]
-        )
+        rows = rotation_converges(self.sys, horizon=4.0, dts=dts, drift=[0.3, 0.2])
+        assert rows[0].sup_deviation > 0.0
         for prev, cur in zip(rows, rows[1:]):
-            ratio = cur.sup_deviation / prev.sup_deviation
-            assert 0.4 <= ratio <= 0.6
+            assert cur.sup_deviation == prev.sup_deviation / 2
+
+    def test_no_whole_cycle_deviates_zero(self):
+        # a horizon shorter than n*dt holds no cycle, whatever the drift
+        rows = rotation_converges(self.sys, horizon=0.15, dts=[0.1, 0.05], drift=[1e3, -1e3])
+        assert (rows[0].cycles, rows[0].sup_deviation) == (0, 0.0)
+        assert rows[1].cycles == 1 and rows[1].sup_deviation > 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_per_cycle_loop_for_every_start_state(self, n):
+        rng = np.random.default_rng(40 + n)
+        dts = [0.3, 0.1, 0.05, 0.013]
+        for _ in range(4):
+            sys = TeamLinearSystem(A=np.zeros((n, n)), B=np.eye(n), Kstar=rng.uniform(-2, 2, size=(n, n)))
+            for drift in (rng.uniform(-1, 1, size=n), np.full(n, 5.0), np.zeros(n)):
+                rows = rotation_converges(sys, horizon=2.0, dts=dts, drift=drift)
+                for s0 in (np.ones(n), np.full(n, 1e3), np.full(n, -1e3), rng.uniform(-5, 5, size=n)):
+                    # the loop subtracts actions of size |Kstar s0|, so it carries a
+                    # rounding error of a few ulps of that, which one cycle does not
+                    loop_rounding = 64 * np.finfo(float).eps * n * np.max(np.abs(sys.Kstar)) * np.max(np.abs(s0))
+                    for row, (cycles, dev) in zip(rows, per_cycle_loop(sys, 2.0, dts, s0, drift)):
+                        assert row.cycles == cycles
+                        assert row.sup_deviation == pytest.approx(dev, rel=1e-11, abs=loop_rounding)
 
     def test_single_dt_single_row(self):
         rows = rotation_converges(self.sys, horizon=1.0, dts=[0.1], drift=[1.0, 0.0])
@@ -214,20 +241,21 @@ class TestRotationConverges:
             ({"horizon": -1.0}, "horizon must be finite and > 0"),
             ({"horizon": math.nan}, "horizon must be finite and > 0"),
             ({"horizon": math.inf}, "horizon must be finite and > 0"),
-            ({"s0": [1.0, 2.0, 3.0]}, r"s0 must be 2 finite values, got \[1.0, 2.0, 3.0\]"),
-            ({"s0": [math.nan, math.nan]}, "s0 must be 2 finite values"),
+            ({"drift": [1.0, 2.0, 3.0]}, r"drift must be 2 finite values, got \[1.0, 2.0, 3.0\]"),
+            ({"drift": [math.nan, math.nan]}, "drift must be 2 finite values"),
             ({"drift": [1.0]}, "drift must be 2 finite values"),
             ({"drift": 1.0}, "drift must be 2 finite values"),
             ({"drift": [math.inf, 0.0]}, "drift must be 2 finite values"),
             ({"dts": [0.1, 5e-324]}, r"horizon / \(n\*dt\) must be finite, got horizon 1.0 and dts \[0.1, 5e-324\]"),
-            ({"s0": [1e308, 1e308]}, "the deviation at dt 0.1 is not finite, got nan"),
+            ({"horizon": 100.0, "dts": [10.0], "drift": [1e308, 1e308]},
+             "the deviation at dt 10.0 is not finite, got inf"),
         ],
         ids=["inf_dt", "nan_dt", "zero_horizon", "negative_horizon", "nan_horizon",
-             "inf_horizon", "long_s0", "nan_s0", "short_drift", "scalar_drift", "inf_drift",
-             "infinite_cycles", "overflowing_s0"],
+             "inf_horizon", "long_drift", "nan_drift", "short_drift", "scalar_drift", "inf_drift",
+             "infinite_cycles", "overflowing_drift"],
     )
     def test_rejects_invalid_input(self, kwargs, message, recwarn):
-        # a NaN state once reported a zero deviation, and a scalar drift was
+        # a NaN drift once reported a zero deviation, and a scalar drift was
         # broadcast to every state; finite inputs that overflow raise, and warn of nothing
         with pytest.raises(ValueError, match=f"^{message}"):
             rotation_converges(self.sys, **{"horizon": 1.0, "dts": [0.1], **kwargs})
@@ -379,51 +407,3 @@ class TestExpectedKl:
         # an infinite variance once failed inside the logarithm with "math domain error"
         with pytest.raises(ValueError, match=f"^{message}$"):
             expected_kl(self.K, *args)
-
-
-class TestLqrGain:
-    def test_scalar_integrator(self):
-        # A=0, B=1, Q=1, R=1: P solves -P^2 + 1 = 0, so K = 1
-        K = lqr_gain([[0.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert K[0, 0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_scalar_unstable_plant_free_state_cost(self):
-        # A=1, B=1, Q=0, R=1: stabilizing P solves 2P - P^2 = 0, so K = 2
-        K = lqr_gain([[1.0]], [[1.0]], [[0.0]], [[1.0]])
-        assert K[0, 0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_closed_loop_stable_and_riccati_residual(self):
-        # with B = R = I the returned gain equals P itself, so the Riccati
-        # equation A^T P + P A - P P + Q = 0 can be checked directly
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            A = rng.uniform(-1, 1, size=(n, n))
-            B = np.eye(n)
-            Qh = rng.uniform(-1, 1, size=(n, n))
-            Q = Qh @ Qh.T + 0.1 * np.eye(n)
-            R = np.eye(n)
-            K = lqr_gain(A, B, Q, R)
-            eigs = np.linalg.eigvals(A - B @ K)
-            assert max(e.real for e in eigs) < 0
-            P = K
-            residual = A.T @ P + P @ A - P @ P + Q
-            assert np.max(np.abs(residual)) < 1e-8
-
-    def test_single_input_plant(self):
-        A = np.array([[0.0, 1.0], [0.5, -0.2]])
-        B = np.array([[0.0], [1.0]])
-        K = lqr_gain(A, B, np.eye(2), [[2.0]])
-        assert K.shape == (1, 2)
-        eigs = np.linalg.eigvals(A - B @ K)
-        assert max(e.real for e in eigs) < 0
-
-    def test_uncontrollable_raises(self):
-        A = np.eye(2)
-        B = np.array([[1.0], [0.0]])
-        with pytest.raises(AnalysisError):
-            lqr_gain(A, B, np.eye(2), [[1.0]])
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            lqr_gain(np.zeros((5, 5)), np.eye(5), np.eye(5), np.eye(5))

@@ -171,6 +171,8 @@ class TestAnalyze:
             (("--mode", "rotation", "--horizon", "-1"), "horizon must be finite and > 0, got -1.0"),
             (("--mode", "rotation", "--drift", "1"), "drift must be 2 finite values"),
             (("--mode", "rotation", "--drift", "inf", "0"), "drift must be 2 finite values"),
+            (("--mode", "rotation", "--drift", "1", "2", "3"), "drift must be 2 finite values"),
+            (("--mode", "rotation", "--drift", "nan", "nan"), "drift must be 2 finite values"),
             (("--mode", "kl", "--sigma1-sq", "inf"), "sigma1_sq must be finite and > 0, got inf"),
             # finite values whose cycle count or actions overflow
             (("--mode", "rotation", "--dts", "5e-324"), "horizon / (n*dt) must be finite, got horizon 2.0"),
@@ -178,7 +180,8 @@ class TestAnalyze:
              "the deviation at dt 10.0 is not finite"),
         ],
         ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon",
-             "short_drift", "inf_drift", "inf_sigma1", "tiny_dt", "overflowing_drift"],
+             "short_drift", "inf_drift", "long_drift", "nan_drift", "inf_sigma1", "tiny_dt",
+             "overflowing_drift"],
     )
     def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, recwarn, system_file, argv, start):
         code, out, err = run_cli(capsys, "analyze", "--system", system_file, *argv)
@@ -502,6 +505,32 @@ class TestBench:
         assert "every seed failed environment generation" in err
         assert not out_dir.exists()
 
+    def test_out_dir_is_made_before_the_first_game(self, capsys, tiny_bench_config, tmp_path, monkeypatch):
+        out_dir = tmp_path / "made" / "first"
+        seen = []
+        run_benchmark = bench.run_benchmark
+
+        def checking_run_benchmark(*args, **kwargs):
+            seen.append(out_dir.is_dir())
+            return run_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_benchmark", checking_run_benchmark)
+        code, _, _ = run_cli(capsys, "bench", "--config", str(tiny_bench_config), "--out", str(out_dir))
+        assert code == 0
+        assert seen == [True]
+
+    def test_existing_out_dir_is_kept_on_config_error(self, capsys, tmp_path, monkeypatch):
+        # only a directory the command made itself is removed again
+        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
+        config_path = tmp_path / "no_room.json"
+        config_path.write_text(json.dumps(NO_ROOM_CONFIG))
+        out_dir = tmp_path / "kept"
+        out_dir.mkdir()
+        code, _, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
+        assert code == 2
+        assert "every seed failed environment generation" in err
+        assert out_dir.is_dir()
+
     def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -643,6 +672,24 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--geometry", "fuzzy"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--system", "{system}", "--mode", "rotation", "--state", "1", "2"),
+            ("sweep", "--config", "{config}", "--out", "{out}", "--cv", "0.1"),
+        ],
+        ids=["analyze_state", "sweep"],
+    )
+    def test_retired_interfaces_are_usage_errors(self, capsys, system_file, tiny_bench_config, tmp_path, argv):
+        # the rotation deviation no longer depends on a start state, and bench
+        # plays a cv grid listed in its config; neither old form is accepted
+        files = {"system": system_file, "config": tiny_bench_config, "out": tmp_path / "never"}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**files) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "never").exists()
 
 
 # prints the top-level modules beyond the standard library that the import adds

@@ -167,6 +167,29 @@ class TestRotationAction:
         with pytest.raises(ValueError):
             rotation_action(sys, [1.0, 2.0], phase=3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_linear_in_the_state(self, n):
+        # the one-cycle deviation of rotation_converges rests on this
+        rng = np.random.default_rng(20 + n)
+        sys = TeamLinearSystem(A=np.zeros((n, n)), B=np.eye(n), Kstar=rng.uniform(-2, 2, size=(n, n)))
+        for _ in range(10):
+            s1, s2 = rng.uniform(-3, 3, size=n), rng.uniform(-3, 3, size=n)
+            a, b = rng.uniform(-2, 2, size=2)
+            for phase in range(1, n + 1):
+                combined = rotation_action(sys, a * s1 + b * s2, phase)
+                parts = a * rotation_action(sys, s1, phase) + b * rotation_action(sys, s2, phase)
+                assert np.allclose(combined, parts, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "state, shape",
+        [([1.0], r"\(1,\)"), ([1.0, 2.0, 3.0], r"\(3,\)"), ([[1.0, 2.0]], r"\(1, 2\)")],
+        ids=["short", "long", "matrix"],
+    )
+    def test_rejects_state_of_wrong_shape(self, state, shape):
+        sys = TeamLinearSystem(A=np.zeros((2, 2)), B=np.eye(2), Kstar=np.eye(2))
+        with pytest.raises(ValueError, match=rf"^state must have shape \(2,\), got {shape}$"):
+            rotation_action(sys, state, phase=1)
+
 
 def per_cycle_loop(sys, horizon, dts, s0, drift):
     """(cycles, sup deviation) per dt, from every cycle of the horizon played
@@ -200,6 +223,29 @@ class TestRotationConverges:
         assert rows[0].sup_deviation > 0.0
         for prev, cur in zip(rows, rows[1:]):
             assert cur.sup_deviation == prev.sup_deviation / 2
+
+    def test_hand_worked_two_agent_deviation(self):
+        # phase 1 at s = 0 emits 0; phase 2 at s = drift*dt has agent 1 listen:
+        # a1* = -(0.03 + 0.04) = -0.07, so it emits 2*a1* - 0.03 = -0.17, and
+        # agent 2 reveals 0.02; the cycle mean is (-0.085, 0.01)
+        rows = rotation_converges(self.sys, horizon=1.0, dts=[0.1], drift=[0.3, 0.2])
+        assert rows[0].cycles == 5
+        assert rows[0].sup_deviation == pytest.approx(0.085, rel=1e-12)
+
+    def test_deviation_is_linear_in_the_drift(self):
+        dts = [0.1, 0.05]
+        base = rotation_converges(self.sys, horizon=2.0, dts=dts, drift=[0.3, -0.7])
+        doubled = rotation_converges(self.sys, horizon=2.0, dts=dts, drift=[0.6, -1.4])
+        negated = rotation_converges(self.sys, horizon=2.0, dts=dts, drift=[-0.3, 0.7])
+        for row, twice, minus in zip(base, doubled, negated):
+            assert twice.sup_deviation == 2 * row.sup_deviation
+            assert minus.sup_deviation == row.sup_deviation
+
+    def test_plant_matrices_do_not_enter(self):
+        # the rotation averages actions; the plant A, B never enters them
+        other = TeamLinearSystem(A=UNSTABLE_A, B=UNSTABLE_B, Kstar=self.sys.Kstar)
+        kwargs = {"horizon": 2.0, "dts": [0.1, 0.05, 0.025], "drift": [0.3, 0.2]}
+        assert rotation_converges(other, **kwargs) == rotation_converges(self.sys, **kwargs)
 
     def test_no_whole_cycle_deviates_zero(self):
         # a horizon shorter than n*dt holds no cycle, whatever the drift
@@ -237,6 +283,7 @@ class TestRotationConverges:
         [
             ({"dts": [math.inf]}, "every dt must be finite and > 0"),
             ({"dts": [math.nan]}, "every dt must be finite and > 0"),
+            ({"dts": [0.1, -0.05]}, r"every dt must be finite and > 0, got \[0.1, -0.05\]"),
             ({"horizon": 0.0}, "horizon must be finite and > 0, got 0.0"),
             ({"horizon": -1.0}, "horizon must be finite and > 0"),
             ({"horizon": math.nan}, "horizon must be finite and > 0"),
@@ -246,13 +293,14 @@ class TestRotationConverges:
             ({"drift": [1.0]}, "drift must be 2 finite values"),
             ({"drift": 1.0}, "drift must be 2 finite values"),
             ({"drift": [math.inf, 0.0]}, "drift must be 2 finite values"),
+            ({"drift": [[0.3, 0.2]]}, r"drift must be 2 finite values, got \[\[0.3, 0.2\]\]"),
             ({"dts": [0.1, 5e-324]}, r"horizon / \(n\*dt\) must be finite, got horizon 1.0 and dts \[0.1, 5e-324\]"),
             ({"horizon": 100.0, "dts": [10.0], "drift": [1e308, 1e308]},
              "the deviation at dt 10.0 is not finite, got inf"),
         ],
-        ids=["inf_dt", "nan_dt", "zero_horizon", "negative_horizon", "nan_horizon",
+        ids=["inf_dt", "nan_dt", "negative_dt", "zero_horizon", "negative_horizon", "nan_horizon",
              "inf_horizon", "long_drift", "nan_drift", "short_drift", "scalar_drift", "inf_drift",
-             "infinite_cycles", "overflowing_drift"],
+             "matrix_drift", "infinite_cycles", "overflowing_drift"],
     )
     def test_rejects_invalid_input(self, kwargs, message, recwarn):
         # a NaN drift once reported a zero deviation, and a scalar drift was

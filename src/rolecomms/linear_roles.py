@@ -180,7 +180,9 @@ def rotation_converges(
 
     The state follows a linear drift s(t) = s(0) + drift * t (drift defaults
     to zeros). For each dt the rotation runs phase by phase over the horizon,
-    truncated to whole cycles of N phases, and each cycle's mean team action
+    truncated to whole cycles of N phases (horizon / (N*dt) rounded down,
+    or up when within 8 ulps of the next whole number, which rounding in
+    the quotient can fall short of), and each cycle's mean team action
     is compared against -Kstar s at the cycle start. rotation_action is
     linear in s and its cycle mean is -Kstar, so every cycle deviates by the
     same amount, the sup-norm of (1/N) sum_k rotation_action(drift * k*dt, k+1),
@@ -202,7 +204,13 @@ def rotation_converges(
         raise ValueError(f"drift must be {n} finite values, got {drift.tolist()}")
     rows = []
     for dt in dts:
-        cycles = int(math.floor(horizon / (n * dt)))
+        # whole cycles, up to a few ulps of rounding in the quotient:
+        # 0.3 / (3 * 0.1) is 0.9999999999999999, yet a cycle of three 0.1
+        # phases fits in 0.3
+        quotient = horizon / (n * dt)
+        cycles = math.ceil(quotient)
+        if cycles - quotient > 8 * math.ulp(quotient):
+            cycles -= 1
         dev = 0.0
         if cycles:
             # an overflow shows as a deviation that is not finite, reported below

@@ -38,6 +38,10 @@ class FieldParams:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
+        # below the floor the law turns attractive and the listener's
+        # bracket (RHO_MIN, rho0] is empty
+        if not self.rho0 > RHO_MIN:
+            raise ValueError(f"rho0 must be > RHO_MIN ({RHO_MIN}), got {self.rho0}")
 
 
 def repulsive_magnitude(rho: float, params: FieldParams) -> float:

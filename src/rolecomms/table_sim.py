@@ -38,6 +38,8 @@ _GAME_STREAM = 2
 RESIDUAL_EPS = 1e-9
 DEFAULT_INFER_TOL = 1e-10
 _STEER_WINDOW = 1e-12
+# run_game's collision reject distance floor: its square, 2**-1000, is normal
+_REJECT_FLOOR = 2.0**-500
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +439,8 @@ def run_game(
     # an absent cap is an infinite one: no speed exceeds it
     v_cap = math.inf if limits.v_max is None else limits.v_max
     goal_eps = limits.goal_eps
-    env_obs = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles)
+    # each disc with its reject distance: the radius, raised to _REJECT_FLOOR
+    env_obs = tuple((o.center[0], o.center[1], o.radius, max(o.radius, _REJECT_FLOOR)) for o in env.obstacles)
     own1 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 1)
     own2 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 2)
     # motion: own obstacles plus at most one received one. Each explicit
@@ -539,17 +542,37 @@ def run_game(
         p1y = cy_ + half_len * sin_h
         p2x = cx_ - half_len * cos_h
         p2y = cy_ - half_len * sin_h
-        # collision: any obstacle disc against the table segment
+        # collision: any obstacle disc against the table segment. Most discs
+        # are ruled out first from one coordinate, exactly: with t clamped to
+        # [0, 1], the rounded t*abx lies between min(abx, 0) and max(abx, 0),
+        # so by monotone rounding the loop's ddx is at least apx - max(abx, 0)
+        # and -ddx at least min(abx, 0) - apx; the same holds on y. Once one
+        # of these reaches lim, the radius raised to _REJECT_FLOOR, so does
+        # the computed distance: sqrt(fl(ddx*ddx)) is |ddx| unless the square
+        # underflows, which the floor rules out, and adding ddy*ddy rounds no
+        # lower. The exact test would not fire; a NaN never collides anyway.
         abx = p2x - p1x
         aby = p2y - p1y
+        if abx > 0.0:
+            abx_hi, abx_lo = abx, 0.0
+        else:
+            abx_hi, abx_lo = 0.0, abx
+        if aby > 0.0:
+            aby_hi, aby_lo = aby, 0.0
+        else:
+            aby_hi, aby_lo = 0.0, aby
         denom = abx * abx + aby * aby
         if denom == 0.0:
             # the squared length underflowed: t = 0 tests each disc against
             # the point p1, as for a zero-length segment
             denom = math.inf
-        for ocx, ocy, orad in env_obs:
+        for ocx, ocy, orad, lim in env_obs:
             apx = ocx - p1x
+            if apx - abx_hi >= lim or abx_lo - apx >= lim:
+                continue
             apy = ocy - p1y
+            if apy - aby_hi >= lim or aby_lo - apy >= lim:
+                continue
             t = (apx * abx + apy * aby) / denom
             if t < 0.0:
                 t = 0.0

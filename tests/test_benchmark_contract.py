@@ -51,19 +51,24 @@ TRACED_LAYERS = {
 # reached either by a name the tracer does not swap, would read fewer. The
 # listener: one infer_obstacle call per listener step, so an inversion that
 # placed its obstacle elsewhere would change the steps played, and these counts.
+# The field law: one call per agent per step, so a cheaper law must show as
+# cheaper calls, not fewer.
 TRACED_CALLS = {
     "table1": {
+        "potential_field.field_eval": 43_740,
         "table_sim.generate_environment": 60,
         "table_sim.corrupt": 17_970,
         "table_sim.infer_obstacle": 17_970,
     },
     "noise-w2": {
+        "potential_field.field_eval": 74_936,
         "table_sim.generate_environment": 75,
         "table_sim.corrupt": 56_786,
         "numerics.gaussian": 152_208,
         "table_sim.infer_obstacle": 18_150,
     },
     "simulate-trace": {
+        "potential_field.field_eval": 14_960,
         "table_sim.generate_environment": 96,
         "table_sim.corrupt": 5_977,
         "table_sim.infer_obstacle": 3_824,

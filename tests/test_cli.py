@@ -400,6 +400,7 @@ class TestBench:
             (("asserts", 0, "a"), _DELETE),
             (("limits", "dt"), 0),
             (("field", "w_v"), -1),
+            (("field", "rho0"), 0.001),  # RHO_MIN: the listener's bracket is empty
             (("games_per_condition",), "x"),
             (("field",), None),
             (("radii", "r_fixed"), -1),

@@ -196,7 +196,10 @@ def per_cycle_loop(sys, horizon, dts, s0, drift):
     from the state s0: the definition the one-cycle form must agree with."""
     n = sys.n
     for dt in dts:
-        cycles = int(math.floor(horizon / (n * dt)))
+        quotient = horizon / (n * dt)
+        cycles = math.ceil(quotient)
+        if cycles - quotient > 8 * math.ulp(quotient):
+            cycles -= 1
         worst = 0.0
         for c in range(cycles):
             t0 = c * n * dt
@@ -252,6 +255,22 @@ class TestRotationConverges:
         rows = rotation_converges(self.sys, horizon=0.15, dts=[0.1, 0.05], drift=[1e3, -1e3])
         assert (rows[0].cycles, rows[0].sup_deviation) == (0, 0.0)
         assert rows[1].cycles == 1 and rows[1].sup_deviation > 0.0
+
+    @pytest.mark.parametrize(
+        "n, horizon, dt, cycles",
+        [(2, 0.3, 0.05, 3), (3, 0.3, 0.1, 1), (3, 0.29, 0.1, 0), (2, 0.3, 0.1, 1), (3, 0.6, 0.1, 2),
+         (2, 1.7976931348623157e308, 0.5, int(1.7976931348623157e308))],
+        ids=["n2_0.3_by_0.05", "n3_0.3_by_0.1", "n3_0.29_by_0.1", "n2_0.3_by_0.1", "n3_0.6_by_0.1", "largest_quotient"],
+    )
+    def test_counts_cycles_a_rounding_short_of_whole(self, n, horizon, dt, cycles):
+        # 0.3 / (2 * 0.05) is 2.9999999999999996 and 0.3 / (3 * 0.1) is
+        # 0.9999999999999999: each horizon holds its cycles exactly, and
+        # counts them all; 0.29 holds no cycle of three 0.1 phases, and the
+        # largest finite quotient is a whole number already
+        sys = TeamLinearSystem(A=np.zeros((n, n)), B=np.eye(n), Kstar=np.arange(1.0, n * n + 1).reshape(n, n))
+        (row,) = rotation_converges(sys, horizon=horizon, dts=[dt], drift=np.linspace(0.3, -0.2, n))
+        assert row.cycles == cycles
+        assert (row.sup_deviation > 0.0) == (cycles > 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_per_cycle_loop_for_every_start_state(self, n):

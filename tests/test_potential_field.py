@@ -135,3 +135,14 @@ class TestFieldParams:
         ):
             with pytest.raises(ValueError):
                 FieldParams(**{**dict(w_att=1, w_rep=1, w_v=1, rho0=1), **bad})
+
+    @pytest.mark.parametrize("rho0", [RHO_MIN, 0.5 * RHO_MIN, 5e-324])
+    def test_rejects_rho0_at_or_below_the_distance_floor(self, rho0):
+        # below the floor the law turns attractive, and the listener's
+        # bracket (RHO_MIN, rho0] is empty
+        with pytest.raises(ValueError, match=rf"^rho0 must be > RHO_MIN \(0\.001\), got {rho0}$"):
+            FieldParams(rho0=rho0)
+
+    def test_accepts_rho0_just_above_the_distance_floor(self):
+        rho0 = math.nextafter(RHO_MIN, math.inf)
+        assert FieldParams(rho0=rho0).rho0 == rho0

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from rolecomms import table_sim
+from rolecomms.bench import config_from_dict
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ConfigError, GenerationError
 from rolecomms.numerics import _BLOCK, _HEAD, Rng, Vec2
@@ -169,10 +170,10 @@ class TestSpeedCap:
         assert capped_steps > 10
 
 
-def one_step_collides(a, b, obstacle):
+def one_step_collides(a, b, obstacle, v_max=1e-9):
     """Whether a one-step game whose table starts on segment ab collides with
     the (cx, cy, radius) obstacle. A tiny speed cap keeps the pose tested
-    after the step within 1e-8 of the start pose."""
+    after the step within 10 v_max of the start pose."""
     mid = Vec2(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
     half_length = 0.5 * math.dist(a, b)
     # the goal lies along the segment's normal, so the table starts on ab
@@ -187,9 +188,33 @@ def one_step_collides(a, b, obstacle):
         table_half_length=half_length,
     )
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-    out = run_game(env, Strategy("speaker_speaker"), params, Limits(max_steps=1, v_max=1e-9), 0)
+    out = run_game(env, Strategy("speaker_speaker"), params, Limits(max_steps=1, v_max=v_max), 0)
     assert out.steps == 1 and out.failure_kind in ("collision", "timeout")
     return out.failure_kind == "collision"
+
+
+def segment_hits(p1, p2, obstacles):
+    """Whether any (cx, cy, radius) disc touches the table segment p1p2, by
+    the plain segment test with no reject: the reference whose answer the
+    game loop must give at every pose."""
+    abx = p2[0] - p1[0]
+    aby = p2[1] - p1[1]
+    denom = abx * abx + aby * aby
+    if denom == 0.0:
+        denom = math.inf
+    for ocx, ocy, orad in obstacles:
+        apx = ocx - p1[0]
+        apy = ocy - p1[1]
+        t = (apx * abx + apy * aby) / denom
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ddx = apx - t * abx
+        ddy = apy - t * aby
+        if math.sqrt(ddx * ddx + ddy * ddy) < orad:
+            return True
+    return False
 
 
 class TestCollision:
@@ -227,6 +252,39 @@ class TestCollision:
         assert one_step_collides(a, b, (-1.3, 0.0, 0.4))
         assert not one_step_collides(a, b, (1.5, 0.0, 0.4))
         assert not one_step_collides(a, b, (-1.5, 0.0, 0.4))
+
+    @pytest.mark.parametrize("config", ["table1", "noise"])
+    def test_game_ends_at_the_first_pose_the_reference_hits(self, config_dir, config):
+        # every pose of the configs' n = 8 games, replayed through the
+        # reference segment test: the game ends in collision exactly at the
+        # first pose it hits, and plays on while it hits none
+        cfg = config_from_dict(json.loads((config_dir / f"{config}.json").read_text()))
+        collisions = 0
+        for condition in (c for c in cfg.conditions if c.n == 8):
+            strategy = condition.comm_strategy()
+            for seed in range(12):
+                env = generate_environment(seed, 8, condition.geometry_mode(cfg.radii), cfg.workspace)
+                discs = [(o.center[0], o.center[1], o.radius) for o in env.obstacles]
+                out = run_game(env, strategy, cfg.field_params, cfg.limits, seed, record_trajectory=True)
+                hits = [
+                    ts.step
+                    for ts in out.trajectory
+                    if segment_hits(*endpoints(ts.cx, ts.cy, ts.heading, env.table_half_length), discs)
+                ]
+                assert hits == ([out.steps - 1] if out.failure_kind == "collision" else []), (condition, seed)
+                collisions += out.failure_kind == "collision"
+        assert collisions >= 20
+
+    def test_distance_that_underflows_still_collides(self):
+        # agent 1 at the origin, the table along -x, a 1e-300 disc 1e-300
+        # away on +x: every squared offset underflows to 0.0, so the segment
+        # test calls it a hit for any radius above 0, a subnormal one too. A
+        # reject by x alone (1e-300 >= radius) would miss it; the reject's
+        # floor keeps it in.
+        a, b = Vec2(0.0, 0.0), Vec2(-1.0, 0.0)
+        assert one_step_collides(a, b, (1e-300, 0.0, 1e-300), v_max=1e-200)
+        assert one_step_collides(a, b, (1e-300, 0.0, 5e-324), v_max=1e-200)
+        assert not one_step_collides(a, b, (1e-300, 0.0, 0.0), v_max=1e-200)
 
     @pytest.mark.parametrize("obstacle, kind", [((0.1, 0.0, 0.5), "collision"), ((5.0, 3.0, 0.5), "none")])
     def test_zero_length_table_is_tested_as_a_point(self, obstacle, kind):
@@ -608,6 +666,45 @@ class TestFieldVelocityParity:
         # an agent level with the goal has a zero attractive term on one
         # axis; the law must give +0.0 there, not -0.0
         self.assert_bit_identical(q, Vec2(10.0, 0.0), [])
+
+    def range_edge_obstacles(self, rng):
+        """Obstacles whose one coordinate offset d from the origin puts the
+        boundary at rho0 exactly (fl(d - r) == rho0), one ulp inside and one
+        ulp beyond, on either side of either axis, with the other offset 0,
+        -0.0 or small."""
+        rho0 = self.params.rho0
+        obstacles = []
+        # rho0 + r and its difference with r are exact for these radii
+        for r in (0.0, 0.5, 0.25, 5e-324, rng.uniform(rho0, 2.0 * rho0) - rho0):
+            d = rho0 + r
+            assert d - r == rho0
+            for edge in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)):
+                for other in (0.0, -0.0, 1e-9, -rng.uniform(0.0, 0.5)):
+                    for sign in (1.0, -1.0):
+                        obstacles.append((sign * edge, other, r))
+                        obstacles.append((other, sign * edge, r))
+        return obstacles
+
+    def test_range_edges_match(self):
+        # at rho == rho0 the law adds an exact signed zero and beyond it
+        # nothing: obstacles one ulp either side of the edge, one at a time
+        # and all together, seen from either signed zero and the goal's side
+        rng = random.Random(11)
+        obstacles = self.range_edge_obstacles(rng)
+        for q in (Vec2(0.0, 0.0), Vec2(-0.0, -0.0), Vec2(0.0, -0.0)):
+            for goal in (q, Vec2(10.0, 0.0), Vec2(-0.0, 3.0)):
+                self.assert_bit_identical(q, goal, obstacles)
+                for obstacle in obstacles:
+                    self.assert_bit_identical(q, goal, [obstacle])
+
+    @pytest.mark.parametrize("qx", [math.inf, -math.inf, math.nan, -0.0, 1e300])
+    @pytest.mark.parametrize("qy", [math.inf, -math.inf, math.nan, -0.0, 2.0])
+    def test_nonfinite_positions_match(self, qx, qy):
+        # offsets of +-inf or NaN from the agent's position: the same answer,
+        # NaN bits included
+        obstacles = [(0.0, 0.0, 0.5), (3.0, -1.0, 0.0), (-1e300, 2.0, 0.3), (-0.0, -0.0, 0.0)]
+        for goal in (Vec2(10.0, 0.0), Vec2(qx, qy)):
+            self.assert_bit_identical(Vec2(qx, qy), goal, obstacles)
 
 
 def load_fig2_env(config_dir):

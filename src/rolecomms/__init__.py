@@ -42,7 +42,7 @@ from .linear_roles import (
     rotation_converges,
     stability_report,
 )
-from .numerics import Rng, Vec2, derive_seed, eig2x2, eig_general, gaussian
+from .numerics import Rng, derive_seed, eig2x2, eig_general, gaussian
 from .potential_field import FieldParams, agent_velocity
 from .table_sim import (
     Environment,

@@ -130,9 +130,7 @@ class BenchmarkConfig:
     conditions: tuple[Condition, ...]
     games_per_condition: int = 1000
     base_seed: int = 20260809
-    field_params: FieldParams = field(
-        default=FieldParams(w_att=1.0, w_rep=1.0, w_v=0.1, rho0=1.0), metadata={"key": "field"}
-    )
+    field_params: FieldParams = field(default=FieldParams(), metadata={"key": "field"})
     limits: Limits = Limits()
     workspace: Workspace = Workspace()
     radii: RadiusSpec = RadiusSpec()

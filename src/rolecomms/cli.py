@@ -141,8 +141,11 @@ def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict
 
 def _cmd_simulate(args) -> int:
     period = args.T if args.strategy in ("explicit", "dynamic") else 0
-    config = _bench_config_for_cli(args)
+    # a bad config file is reported before a bad condition
+    config = bench_mod.config_from_dict(_load_json(args.config, "config")) if args.config else None
     condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
+    if config is None:
+        config = bench_mod.BenchmarkConfig(conditions=(condition,))
     if args.env is not None:
         env = decode(Environment, _load_json(args.env, "environment"), "environment")
     else:
@@ -180,14 +183,8 @@ def _outcome_summary(outcome: SimOutcome, condition: bench_mod.Condition, args) 
 
 
 def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
-    """Config from file (if given) with CLI-flag overrides applied."""
-    if args.config:
-        raw = _load_json(args.config, "config")
-        config = bench_mod.config_from_dict(raw)
-    else:
-        config = bench_mod.BenchmarkConfig(
-            conditions=(bench_mod.Condition("explicit", 0, 0, "known", 0.0),)
-        )
+    """The bench config file with the command line's overrides applied."""
+    config = bench_mod.config_from_dict(_load_json(args.config, "config"))
     kwargs = {}
     if args.games is not None:
         kwargs["games_per_condition"] = args.games
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cv", type=float, default=0.0, help="noise coefficient of variation")
     p_sim.add_argument("--config", default=None, help="JSON config for field/limits/workspace")
     p_sim.add_argument("--trajectory-out", dest="trajectory_out", default=None)
-    p_sim.set_defaults(func=_cmd_simulate, games=None, base_seed=None)
+    p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="run a Monte-Carlo benchmark config")
     p_bench.add_argument("--config", required=True)

@@ -1,8 +1,9 @@
 """The package's one JSON codec, for bench configs, environment files and
 system files: each is a dataclass, and its fields are the schema.
 
+A missing key takes its field's default, the decoder's one default rule.
 Field metadata adjusts the JSON form: "key" names the JSON key when it
-differs from the field name, "default" gives the decoder a default the
+differs from the field name, "default" gives a field the default the
 dataclass cannot carry, "echo_if" is a predicate of the owning object that
 decides whether the field is encoded, and "kinds" maps the names of a tagged
 union to its classes, the JSON object naming its class under "kind".
@@ -58,15 +59,13 @@ def decode(tp, value, where: str):
     the value, and follows keys and indices to the offending part.
     """
     try:
-        return _decode(tp, value, None, where)
+        return _decode(tp, value, where)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _decode(tp, value, base, where: str):
-    """decode, raising TypeError, ValueError or OverflowError. A dataclass
-    section takes its missing keys from `base`, the enclosing default, when
-    there is one, and otherwise from its field defaults."""
+def _decode(tp, value, where: str):
+    """decode, raising TypeError, ValueError or OverflowError."""
     if tp in (bool, str):
         if not isinstance(value, tp):
             raise TypeError(f"{where}: expected a {tp.__name__}, got {value!r}")
@@ -89,7 +88,7 @@ def _decode(tp, value, base, where: str):
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value, base, where)
+        return _decode(tp, value, where)
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise TypeError(f"{where}: expected an object, got {value!r}")
@@ -99,35 +98,28 @@ def _decode(tp, value, base, where: str):
             raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
         kwargs = {}
         for key, f in schema.items():
-            inner = f.metadata.get("default", f.default) if base is None else getattr(base, f.name)
+            default = f.metadata.get("default", f.default)
             if key in value:
-                nested = inner if is_dataclass(inner) else None
                 if "kinds" in f.metadata:
                     field_tp, item = _untag(f.metadata["kinds"], value[key], f"{where}.{key}")
                 else:
                     field_tp, item = _type_hints(tp)[f.name], value[key]
-                kwargs[f.name] = _decode(field_tp, item, nested, f"{where}.{key}")
-            elif inner is not MISSING:
-                kwargs[f.name] = inner
+                kwargs[f.name] = _decode(field_tp, item, f"{where}.{key}")
+            elif default is not MISSING:
+                kwargs[f.name] = default
             else:
                 raise ValueError(f"{where}: missing key {key!r}")
         try:
             return tp(**kwargs)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
-    if origin is tuple or (isinstance(tp, type) and issubclass(tp, tuple)):
+    if origin is tuple:
         if not isinstance(value, list):
             raise TypeError(f"{where}: expected a list, got {value!r}")
-        if origin is None:  # a NamedTuple such as Vec2
-            items = tuple(_type_hints(tp).values())
-        elif args[1:] == (Ellipsis,):
-            items = args[:1] * len(value)
-        else:
-            items = args
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
         if len(value) != len(items):
             raise ValueError(f"{where}: expected {len(items)} elements, got {value!r}")
-        decoded = [_decode(t, v, None, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
-        return tuple(decoded) if origin else tp(*decoded)
+        return tuple(_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
     raise TypeError(f"{where}: unsupported type {tp!r}")
 
 

@@ -262,17 +262,15 @@ def optimal_variances(K, w1_sq: float, w2_sq: float, speaker: int = 1) -> Varian
     k = _gain_2x2(K)
     if not (w1_sq > 0 and w2_sq > 0):
         raise ValueError("noise variances must be > 0")
-    if speaker == 1:
-        if k[0, 0] == 0.0:
-            raise SingularGainError("K11 must be nonzero when agent 1 speaks")
-        s1 = k[0, 0] ** 2 * w1_sq * w2_sq / (k[0, 0] ** 2 * w2_sq + k[1, 0] ** 2 * w1_sq)
-        return VariancePair(s1, w2_sq)
-    if speaker == 2:
-        if k[1, 1] == 0.0:
-            raise SingularGainError("K22 must be nonzero when agent 2 speaks")
-        s2 = k[1, 1] ** 2 * w1_sq * w2_sq / (k[1, 1] ** 2 * w1_sq + k[0, 1] ** 2 * w2_sq)
-        return VariancePair(w1_sq, s2)
-    raise ValueError(f"speaker index must be 1 or 2, got {speaker}")
+    if speaker not in (1, 2):
+        raise ValueError(f"speaker index must be 1 or 2, got {speaker}")
+    # i indexes the speaker and j the listener
+    i, j = (0, 1) if speaker == 1 else (1, 0)
+    if k[i, i] == 0.0:
+        raise SingularGainError(f"K{i + 1}{i + 1} must be nonzero when agent {i + 1} speaks")
+    pair = [w1_sq, w2_sq]
+    pair[i] = k[i, i] ** 2 * w1_sq * w2_sq / (k[i, i] ** 2 * pair[j] + k[j, i] ** 2 * pair[i])
+    return VariancePair(*pair)
 
 
 def expected_kl(

@@ -1,4 +1,4 @@
-"""Small numeric utilities: 2D vectors, eigenvalues, seeded sampling.
+"""Small numeric utilities: eigenvalues and seeded sampling.
 
 The random generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer with a
 golden-ratio Weyl increment). It is pinned by construction so that equal seeds
@@ -13,7 +13,6 @@ calls is always 2k draws, popped from the stream's block as `Rng.uniform` does.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +31,6 @@ _WEYL_STEPS = np.array([k * _WEYL & _MASK64 for k in range(1, _BLOCK + 1)], dtyp
 # np.uint64, so that numpy 1.x's value-based casting cannot widen them to float
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
-
-
-class Vec2(NamedTuple):
-    x: float
-    y: float
 
 
 def _mix64(z: int) -> int:

@@ -30,7 +30,7 @@ ATTRACTOR_EPS = 1e-6
 class FieldParams:
     w_att: float = 1.0
     w_rep: float = 1.0
-    w_v: float = 1.0
+    w_v: float = 0.1
     rho0: float = 1.0
 
     def __post_init__(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .errors import GenerationError
-from .numerics import Rng, Vec2, derive_seed, gaussian
+from .numerics import Rng, derive_seed, gaussian
 from .potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
@@ -92,7 +92,7 @@ GEOMETRY_KINDS = {"known": KnownRadius, "unknown": UnknownRadius}
 class TaggedObstacle:
     """An obstacle disc and the agent (1 or 2) that observes it."""
 
-    center: Vec2
+    center: tuple[float, float]
     radius: float
     owner: int
 
@@ -107,8 +107,8 @@ class TaggedObstacle:
 @dataclass(frozen=True)
 class Environment:
     obstacles: tuple[TaggedObstacle, ...]
-    start: Vec2
-    goal: Vec2
+    start: tuple[float, float]
+    goal: tuple[float, float]
     geometry_mode: GeometryMode = field(metadata={"kinds": GEOMETRY_KINDS})
     table_half_length: float = 0.5
 
@@ -165,8 +165,9 @@ class Strategy:
             raise ValueError("period must be >= 1")
         if self.name in ("speaker_listener", "speaker_speaker") and self.period != 0:
             raise ValueError("static strategies take period 0")
-        if not (self.noise_cv >= 0 and math.isfinite(self.noise_cv)):
-            raise ValueError(f"noise_cv must be finite and >= 0, got {self.noise_cv}")
+        # within [0, 1] the channel's stddev cv*|x| is finite for every finite x
+        if not 0.0 <= self.noise_cv <= 1.0:
+            raise ValueError(f"noise_cv must be in [0, 1], got {self.noise_cv}")
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,8 @@ class SimOutcome:
 class Workspace:
     """Environment-generation geometry: obstacle corridor and clearances."""
 
-    start: Vec2 = Vec2(0.0, 0.0)
-    goal: Vec2 = Vec2(10.0, 0.0)
+    start: tuple[float, float] = (0.0, 0.0)
+    goal: tuple[float, float] = (10.0, 0.0)
     x_range: tuple[float, float] = (2.0, 8.0)
     y_range: tuple[float, float] = (-2.5, 2.5)
     clearance: float = 1.2
@@ -244,7 +245,7 @@ class Workspace:
 # communication primitives
 
 
-def closest_observed_index(observed: Sequence[tuple[float, float, float]], own_pos: Vec2) -> int | None:
+def closest_observed_index(observed: Sequence[tuple[float, float, float]], own_pos: Sequence[float]) -> int | None:
     """Index of the observed (cx, cy, radius) obstacle nearest to own_pos;
     ties take the lowest index. None when nothing is observed."""
     best = None
@@ -264,9 +265,10 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
     velocity (vx, vy) or a message (cx, cy, r), left to right. cv = 0 returns
     the input unchanged and consumes no draws, so noise-free runs stay
     stream-aligned however often they would have called the channel. Any
-    other length, or a negative, NaN or infinite cv, raises ValueError."""
-    if not 0.0 <= cv < math.inf:
-        raise ValueError(f"cv must be finite and >= 0, got {cv}")
+    other length, or a cv outside [0, 1], raises ValueError: within it the
+    stddev cv*|x| is finite for every finite x."""
+    if not 0.0 <= cv <= 1.0:
+        raise ValueError(f"cv must be in [0, 1], got {cv}")
     if cv == 0.0 and 2 <= len(values) <= 3:
         return tuple(values)
     if len(values) == 2:
@@ -636,9 +638,7 @@ def generate_environment(
             ds = math.dist((x, y), workspace.start)
             dg = math.dist((x, y), workspace.goal)
             if ds >= required and dg >= required:
-                obstacles.append(
-                    TaggedObstacle(center=Vec2(x, y), radius=radius, owner=1 + i % 2)
-                )
+                obstacles.append(TaggedObstacle(center=(x, y), radius=radius, owner=1 + i % 2))
                 placed = True
                 break
         if not placed:

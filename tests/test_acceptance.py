@@ -36,7 +36,7 @@ from rolecomms.linear_roles import (
     rotation_converges,
     stability_report,
 )
-from rolecomms.numerics import Rng, Vec2, gaussian
+from rolecomms.numerics import Rng, gaussian
 from rolecomms.potential_field import FieldParams, agent_velocity
 from rolecomms.table_sim import infer_obstacle
 
@@ -311,16 +311,16 @@ def test_criterion_5_discrete_oracle_equivalence():
 
 def test_criterion_6_inference_round_trip():
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-    goal = Vec2(10.0, 0.0)
+    goal = (10.0, 0.0)
     radius = 0.5
     tol = 1e-12
     rng = random.Random(6)
     worst = 0.0
     for _ in range(100):
-        q = Vec2(rng.uniform(0.0, 8.0), rng.uniform(-2.0, 2.0))
+        q = (rng.uniform(0.0, 8.0), rng.uniform(-2.0, 2.0))
         angle = rng.uniform(0.0, 2.0 * math.pi)
         rho = rng.uniform(0.02, params.rho0 * 0.99)
-        center = Vec2(
+        center = (
             q[0] + (rho + radius) * math.cos(angle),
             q[1] + (rho + radius) * math.sin(angle),
         )

@@ -26,6 +26,7 @@ from rolecomms.bench import (
 from rolecomms.cli import SystemFile
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ComparisonError, ConfigError, GenerationError
+from rolecomms.potential_field import FieldParams
 from rolecomms.table_sim import Environment, KnownRadius, Workspace, generate_environment
 
 
@@ -366,6 +367,22 @@ class TestConfigSerialization:
         for raw in raws:
             # each committed config is its own echo
             assert config_to_dict(config_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize("section", [{"w_att": 1.0}, {}, None])
+    def test_partial_field_section_takes_each_field_default(self, section):
+        raw = {"conditions": [{"strategy": "explicit", "n": 0}]}
+        if section is not None:
+            raw["field"] = section
+        assert config_from_dict(raw).field_params == FieldParams(1.0, 1.0, 0.1, 1.0)
+
+    def test_environment_points_are_plain_tuples(self, config_dir):
+        raw = json.loads((config_dir / "fig2_env.json").read_text())
+        env = decode(Environment, raw, "environment")
+        points = [env.start, env.goal, *(o.center for o in env.obstacles)]
+        assert points and all(type(p) is tuple and len(p) == 2 for p in points)
+        assert encode(env) == raw
+        workspace = config_from_dict({"conditions": [{"strategy": "explicit", "n": 0}], "workspace": {}}).workspace
+        assert type(workspace.start) is tuple and type(workspace.goal) is tuple
 
     @pytest.mark.parametrize(
         "name, tp", [("fig2_env.json", Environment), ("unstable_system.json", SystemFile)]

@@ -247,10 +247,17 @@ class TestSimulate:
         assert code == 2
         assert err == f"error: environment file not found: {missing}\n"
 
+    def test_bad_config_reported_before_bad_condition(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(missing), "--cv", "2")
+        assert code == 2
+        assert err == f"error: config file not found: {missing}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
             ("--n", "-1"),
+            ("--cv", "2"),
             ("--n", "2", "--config", "{no_room}"),
             ("--env", "{nan_goal}"),
             ("--env", "{inf_start}"),
@@ -266,6 +273,7 @@ class TestSimulate:
         ],
         ids=[
             "negative_n",
+            "cv_above_one",
             "generation_fails",
             "nan_goal",
             "inf_start",
@@ -413,6 +421,7 @@ class TestBench:
             (("limits", "goal_eps"), math.inf),
             (("limits", "dt"), math.inf),
             (("conditions", 0, "cv"), math.nan),
+            (("conditions", 0, "cv"), 2.0),  # beyond 1 the channel's stddev can overflow
             (("format_version",), True),
             (("format_version",), 1.0),
             (("asserts", 0, "a", "T"), 2),  # names a condition that is not configured

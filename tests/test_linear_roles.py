@@ -399,8 +399,31 @@ class TestOptimalVariances:
         assert pair.sigma1_sq == pytest.approx(mirror.sigma2_sq)
 
     def test_zero_speaker_gain_raises(self):
-        with pytest.raises(SingularGainError):
+        with pytest.raises(SingularGainError, match="^K11 must be nonzero when agent 1 speaks$"):
             optimal_variances([[0.0, 1.0], [1.0, 1.0]], 1.0, 1.0, speaker=1)
+        with pytest.raises(SingularGainError, match="^K22 must be nonzero when agent 2 speaks$"):
+            optimal_variances([[1.0, 1.0], [1.0, 0.0]], 1.0, 1.0, speaker=2)
+
+    @pytest.mark.parametrize("speaker", [0, 3])
+    def test_invalid_speaker_index(self, speaker):
+        with pytest.raises(ValueError, match=f"^speaker index must be 1 or 2, got {speaker}$"):
+            optimal_variances([[1.0, 0.0], [0.0, 1.0]], 1.0, 1.0, speaker=speaker)
+
+    def test_bit_identical_to_each_speaker_formula(self):
+        # each speaker's formula written out in its own operand order
+        def speaker_1(k, w1_sq, w2_sq):
+            return k[0, 0] ** 2 * w1_sq * w2_sq / (k[0, 0] ** 2 * w2_sq + k[1, 0] ** 2 * w1_sq), w2_sq
+
+        def speaker_2(k, w1_sq, w2_sq):
+            return w1_sq, k[1, 1] ** 2 * w1_sq * w2_sq / (k[1, 1] ** 2 * w1_sq + k[0, 1] ** 2 * w2_sq)
+
+        rng = random.Random(19)
+        for _ in range(500):
+            k = np.array([[rng.uniform(-3, 3) * 10.0 ** rng.uniform(-4, 4) for _ in range(2)] for _ in range(2)])
+            w1_sq, w2_sq = (10.0 ** rng.uniform(-4, 4) for _ in range(2))
+            for speaker, formula in ((1, speaker_1), (2, speaker_2)):
+                got = optimal_variances(k, w1_sq, w2_sq, speaker=speaker)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in formula(k, w1_sq, w2_sq)]
 
 
 class TestExpectedKl:

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import rolecomms
+from rolecomms import numerics
 from rolecomms.errors import NumericError
 from rolecomms.numerics import (
     _BLOCK,
@@ -236,3 +238,9 @@ class TestGaussian:
         mean = sum(samples) / n
         var = sum((x - mean) ** 2 for x in samples) / n
         assert abs(var - 1.0) < 0.02
+
+
+def test_vec2_is_retired():
+    # a point is a plain (x, y) tuple everywhere
+    assert not hasattr(rolecomms, "Vec2")
+    assert not hasattr(numerics, "Vec2")

@@ -9,7 +9,7 @@ from rolecomms import table_sim
 from rolecomms.bench import config_from_dict
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ConfigError, GenerationError
-from rolecomms.numerics import _BLOCK, _HEAD, Rng, Vec2
+from rolecomms.numerics import _BLOCK, _HEAD, Rng
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     RHO_MIN,
@@ -39,8 +39,8 @@ from rolecomms.table_sim import (
 
 def velocity(q, goal, obstacles, params):
     """potential_field's law at q for (cx, cy, radius) obstacles."""
-    return Vec2(*agent_velocity(q[0], q[1], goal[0], goal[1], obstacles,
-                                params.w_att, params.w_rep, params.w_v, params.rho0))
+    return agent_velocity(q[0], q[1], goal[0], goal[1], obstacles,
+                          params.w_att, params.w_rep, params.w_v, params.rho0)
 
 
 def start_heading(env):
@@ -52,7 +52,7 @@ def endpoints(cx, cy, heading, half_length):
     """The table's endpoints q1 and q2: where agents 1 and 2 hold it."""
     ux = half_length * math.cos(heading)
     uy = half_length * math.sin(heading)
-    return Vec2(cx + ux, cy + uy), Vec2(cx - ux, cy - uy)
+    return (cx + ux, cy + uy), (cx - ux, cy - uy)
 
 
 def game_steps(env, strategy, params, limits, seed):
@@ -99,10 +99,10 @@ class TestTableStep:
         # seen by one agent: agent 1 at (0, 0.5) commands (-0.5, -1) and agent
         # 2 the opposite, so the center stays and, with r = 0.5, omega = 1
         env = Environment(
-            obstacles=(TaggedObstacle(Vec2(1.5, 0.5), 0.5, owner=1),
-                       TaggedObstacle(Vec2(-1.5, -0.5), 0.5, owner=2)),
-            start=Vec2(0.0, 0.0),
-            goal=Vec2(0.0, 0.0),
+            obstacles=(TaggedObstacle((1.5, 0.5), 0.5, owner=1),
+                       TaggedObstacle((-1.5, -0.5), 0.5, owner=2)),
+            start=(0.0, 0.0),
+            goal=(0.0, 0.0),
             geometry_mode=KnownRadius(0.5),
             table_half_length=0.5,
         )
@@ -174,14 +174,14 @@ def one_step_collides(a, b, obstacle, v_max=1e-9):
     """Whether a one-step game whose table starts on segment ab collides with
     the (cx, cy, radius) obstacle. A tiny speed cap keeps the pose tested
     after the step within 10 v_max of the start pose."""
-    mid = Vec2(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+    mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
     half_length = 0.5 * math.dist(a, b)
     # the goal lies along the segment's normal, so the table starts on ab
     # with agent 1 at a
     toward = math.atan2(a[1] - mid[1], a[0] - mid[0]) - 0.5 * math.pi
-    goal = Vec2(mid[0] + 100.0 * math.cos(toward), mid[1] + 100.0 * math.sin(toward))
+    goal = (mid[0] + 100.0 * math.cos(toward), mid[1] + 100.0 * math.sin(toward))
     env = Environment(
-        obstacles=(TaggedObstacle(Vec2(obstacle[0], obstacle[1]), obstacle[2], owner=1),),
+        obstacles=(TaggedObstacle((obstacle[0], obstacle[1]), obstacle[2], owner=1),),
         start=mid,
         goal=goal,
         geometry_mode=KnownRadius(0.5),
@@ -225,9 +225,9 @@ class TestCollision:
         rng = random.Random(5)
         decided = 0
         for _ in range(1000):
-            a = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            b = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            p = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            a = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+            b = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+            p = (rng.uniform(-5, 5), rng.uniform(-5, 5))
             dense = min(
                 math.dist(p, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
                 for t in (i / 999 for i in range(1000))
@@ -245,7 +245,7 @@ class TestCollision:
     def test_table_collides(self):
         # segment (-1, 0)..(1, 0); past either end the segment parameter is
         # clamped, so an obstacle on the segment's line but out of reach misses
-        a, b = Vec2(1.0, 0.0), Vec2(-1.0, 0.0)
+        a, b = (1.0, 0.0), (-1.0, 0.0)
         assert one_step_collides(a, b, (0.0, 0.4, 0.5))
         assert not one_step_collides(a, b, (0.0, 0.6, 0.5))
         assert one_step_collides(a, b, (1.3, 0.0, 0.4))
@@ -281,7 +281,7 @@ class TestCollision:
         # test calls it a hit for any radius above 0, a subnormal one too. A
         # reject by x alone (1e-300 >= radius) would miss it; the reject's
         # floor keeps it in.
-        a, b = Vec2(0.0, 0.0), Vec2(-1.0, 0.0)
+        a, b = (0.0, 0.0), (-1.0, 0.0)
         assert one_step_collides(a, b, (1e-300, 0.0, 1e-300), v_max=1e-200)
         assert one_step_collides(a, b, (1e-300, 0.0, 5e-324), v_max=1e-200)
         assert not one_step_collides(a, b, (1e-300, 0.0, 0.0), v_max=1e-200)
@@ -292,9 +292,9 @@ class TestCollision:
         # then tested as the point where agent 1 holds it: a disc around the
         # start is hit on the first step, one off the path is never hit
         env = Environment(
-            obstacles=(TaggedObstacle(Vec2(obstacle[0], obstacle[1]), obstacle[2], owner=1),),
-            start=Vec2(0.0, 0.0),
-            goal=Vec2(10.0, 0.0),
+            obstacles=(TaggedObstacle((obstacle[0], obstacle[1]), obstacle[2], owner=1),),
+            start=(0.0, 0.0),
+            goal=(10.0, 0.0),
             geometry_mode=KnownRadius(0.5),
             table_half_length=1e-170,
         )
@@ -310,7 +310,7 @@ class TestCollision:
         # infinite and the game died with "math domain error"
         message = f"table_half_length must be > 0 with a finite reciprocal, got {half_length}"
         for make in (
-            lambda: Environment((), Vec2(0.0, 0.0), Vec2(10.0, 0.0), KnownRadius(0.5), half_length),
+            lambda: Environment((), (0.0, 0.0), (10.0, 0.0), KnownRadius(0.5), half_length),
             lambda: Workspace(table_half_length=half_length),
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -319,10 +319,10 @@ class TestCollision:
 
 class TestInference:
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-    goal = Vec2(10.0, 0.0)
+    goal = (10.0, 0.0)
 
     def test_pure_attraction_yields_none(self):
-        q = Vec2(3.0, 1.0)
+        q = (3.0, 1.0)
         v = velocity(q, self.goal, [], self.params)
         assert infer_obstacle(v, q, self.goal, self.params, 0.5) is None
 
@@ -330,11 +330,11 @@ class TestInference:
         rng = random.Random(6)
         hits = 0
         for _ in range(200):
-            q = Vec2(rng.uniform(0, 8), rng.uniform(-2, 2))
+            q = (rng.uniform(0, 8), rng.uniform(-2, 2))
             angle = rng.uniform(0, 2 * math.pi)
             rho = rng.uniform(0.05, self.params.rho0 * 0.98)
             radius = 0.5
-            center = Vec2(
+            center = (
                 q[0] + (rho + radius) * math.cos(angle),
                 q[1] + (rho + radius) * math.sin(angle),
             )
@@ -348,22 +348,22 @@ class TestInference:
 
     def test_weak_residual_places_far_obstacle(self):
         # a residual just above zero inverts to a boundary distance near rho0
-        q = Vec2(0.0, 0.0)
+        q = (0.0, 0.0)
         tiny = 1e-4
         # the attractive gradient at q: the unit vector from the goal toward q
         att = (-self.params.w_att, 0.0)
         # observed velocity engineered so that v/w_v + att = (-tiny, 0)
-        v = Vec2(self.params.w_v * (-tiny - att[0]), self.params.w_v * (0.0 - att[1]))
+        v = (self.params.w_v * (-tiny - att[0]), self.params.w_v * (0.0 - att[1]))
         got = infer_obstacle(v, q, self.goal, self.params, 0.5)
         assert got is not None
         rho = math.dist(got[:2], q) - 0.5
         assert rho > 0.9 * self.params.rho0
 
     def test_saturated_residual_flagged_at_floor(self):
-        q = Vec2(0.0, 0.0)
+        q = (0.0, 0.0)
         att = (-self.params.w_att, 0.0)
         big = repulsive_magnitude(1e-3, self.params) * 2.0
-        v = Vec2(self.params.w_v * (big - att[0]), self.params.w_v * (0.0 - att[1]))
+        v = (self.params.w_v * (big - att[0]), self.params.w_v * (0.0 - att[1]))
         got = infer_obstacle(v, q, self.goal, self.params, 0.5)
         assert got is not None
         assert got.saturated
@@ -372,7 +372,7 @@ class TestInference:
     @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
     def test_invalid_nominal_radius_rejected(self, radius):
         # the residual here is strong enough to infer an obstacle
-        q = Vec2(0.0, 0.0)
+        q = (0.0, 0.0)
         v = velocity(q, self.goal, [(0.0, 1.0, 0.5)], self.params)
         assert infer_obstacle(v, q, self.goal, self.params, 0.5) is not None
         with pytest.raises(ValueError, match="radius"):
@@ -381,7 +381,7 @@ class TestInference:
     def test_invalid_nominal_radius_rejected_without_inference(self):
         # the residual is zero, so nothing would be inferred; the radius is
         # checked all the same
-        q = Vec2(3.0, 1.0)
+        q = (3.0, 1.0)
         v = velocity(q, self.goal, [], self.params)
         with pytest.raises(ValueError, match="radius"):
             infer_obstacle(v, q, self.goal, self.params, -1.0)
@@ -514,14 +514,14 @@ class TestMessages:
         # obstacles as the game loop holds them: (cx, cy, radius) tuples
         a = (2.0, 0.0, 0.3)
         c = (-2.0, 0.0, 0.3)
-        assert closest_observed_index((a, c), Vec2(0, 0)) == 0
-        assert closest_observed_index((c, a), Vec2(0, 0)) == 0
+        assert closest_observed_index((a, c), (0, 0)) == 0
+        assert closest_observed_index((c, a), (0, 0)) == 0
         # a single obstacle, the nearer of two, and nothing observed
         near = (1.0, 0.0, 0.3)
         far = (5.0, 0.0, 0.3)
-        assert closest_observed_index((far,), Vec2(0, 0)) == 0
-        assert closest_observed_index((far, near), Vec2(0, 0)) == 1
-        assert closest_observed_index((), Vec2(0, 0)) is None
+        assert closest_observed_index((far,), (0, 0)) == 0
+        assert closest_observed_index((far, near), (0, 0)) == 1
+        assert closest_observed_index((), (0, 0)) is None
 
 
 class TestCorrupt:
@@ -548,10 +548,11 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt((1.0,), -0.1, Rng(8))
 
-    @pytest.mark.parametrize("cv", [math.nan, math.inf])
-    def test_nan_or_infinite_cv_rejected_without_draws(self, cv):
+    @pytest.mark.parametrize("cv", [math.nan, math.inf, 1.5, 1e308])
+    def test_cv_outside_unit_interval_rejected_without_draws(self, cv):
+        # beyond 1, cv*|x| overflows to an infinite stddev for some finite x
         rng = Rng(8)
-        with pytest.raises(ValueError, match="cv must be finite"):
+        with pytest.raises(ValueError, match=r"cv must be in \[0, 1\]"):
             corrupt((1.0, 2.0), cv, rng)
         assert rng.next_u64() == Rng(8).next_u64()
 
@@ -648,9 +649,9 @@ class TestFieldVelocityParity:
 
     def test_matches_public_agent_velocity(self):
         rng = random.Random(9)
-        goal = Vec2(10.0, 0.0)
+        goal = (10.0, 0.0)
         for _ in range(300):
-            q = Vec2(rng.uniform(-1, 11), rng.uniform(-4, 4))
+            q = (rng.uniform(-1, 11), rng.uniform(-4, 4))
             obstacles = [
                 (rng.uniform(0, 10), rng.uniform(-3, 3), rng.uniform(0.1, 0.8))
                 for _ in range(rng.randrange(0, 6))
@@ -659,13 +660,13 @@ class TestFieldVelocityParity:
 
     @pytest.mark.parametrize(
         "q",
-        [Vec2(3.0, 0.0), Vec2(10.0, -2.0), Vec2(10.0, 0.0)],
+        [(3.0, 0.0), (10.0, -2.0), (10.0, 0.0)],
         ids=["level_with_goal", "below_goal", "at_goal"],
     )
     def test_signed_zero_matches(self, q):
         # an agent level with the goal has a zero attractive term on one
         # axis; the law must give +0.0 there, not -0.0
-        self.assert_bit_identical(q, Vec2(10.0, 0.0), [])
+        self.assert_bit_identical(q, (10.0, 0.0), [])
 
     def range_edge_obstacles(self, rng):
         """Obstacles whose one coordinate offset d from the origin puts the
@@ -691,8 +692,8 @@ class TestFieldVelocityParity:
         # and all together, seen from either signed zero and the goal's side
         rng = random.Random(11)
         obstacles = self.range_edge_obstacles(rng)
-        for q in (Vec2(0.0, 0.0), Vec2(-0.0, -0.0), Vec2(0.0, -0.0)):
-            for goal in (q, Vec2(10.0, 0.0), Vec2(-0.0, 3.0)):
+        for q in ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)):
+            for goal in (q, (10.0, 0.0), (-0.0, 3.0)):
                 self.assert_bit_identical(q, goal, obstacles)
                 for obstacle in obstacles:
                     self.assert_bit_identical(q, goal, [obstacle])
@@ -703,8 +704,8 @@ class TestFieldVelocityParity:
         # offsets of +-inf or NaN from the agent's position: the same answer,
         # NaN bits included
         obstacles = [(0.0, 0.0, 0.5), (3.0, -1.0, 0.0), (-1e300, 2.0, 0.3), (-0.0, -0.0, 0.0)]
-        for goal in (Vec2(10.0, 0.0), Vec2(qx, qy)):
-            self.assert_bit_identical(Vec2(qx, qy), goal, obstacles)
+        for goal in ((10.0, 0.0), (qx, qy)):
+            self.assert_bit_identical((qx, qy), goal, obstacles)
 
 
 def load_fig2_env(config_dir):
@@ -714,8 +715,8 @@ def load_fig2_env(config_dir):
 def make_env(obstacles, half_length=0.5):
     return Environment(
         obstacles=tuple(obstacles),
-        start=Vec2(0.0, 0.0),
-        goal=Vec2(10.0, 0.0),
+        start=(0.0, 0.0),
+        goal=(10.0, 0.0),
         geometry_mode=KnownRadius(0.5),
         table_half_length=half_length,
     )
@@ -758,7 +759,7 @@ class TestRunGame:
         assert min_cy < -0.1
 
     def test_listener_infers_only_while_listening(self):
-        env = make_env([TaggedObstacle(Vec2(5.0, 0.3), 0.5, owner=1)])
+        env = make_env([TaggedObstacle((5.0, 0.3), 0.5, owner=1)])
         out = run_game(env, Strategy("speaker_listener"), self.params, self.limits, 0,
                        record_trajectory=True)
         saw_inference = any(ts.inferred2 is not None for ts in out.trajectory)
@@ -788,8 +789,8 @@ class TestRunGame:
         # agents the full map from the first step; the game must then match a
         # hand-stepped centralized rollout exactly
         obstacles = [
-            TaggedObstacle(Vec2(4.0, 0.8), 0.5, owner=1),
-            TaggedObstacle(Vec2(6.5, -0.7), 0.5, owner=2),
+            TaggedObstacle((4.0, 0.8), 0.5, owner=1),
+            TaggedObstacle((6.5, -0.7), 0.5, owner=2),
         ]
         env = make_env(obstacles)
         out = run_game(env, Strategy("explicit", period=0), self.params, self.limits, 0,
@@ -821,10 +822,10 @@ class TestRunGame:
     def test_periodic_explicit_game_runs_several_deliveries(self):
         # obstacles on both sides: several explicit delivery rounds run in a real game
         obstacles = [
-            TaggedObstacle(Vec2(3.5, 1.0), 0.5, owner=1),
-            TaggedObstacle(Vec2(6.0, -1.0), 0.5, owner=2),
-            TaggedObstacle(Vec2(7.5, 1.2), 0.5, owner=1),
-            TaggedObstacle(Vec2(4.5, -1.5), 0.5, owner=2),
+            TaggedObstacle((3.5, 1.0), 0.5, owner=1),
+            TaggedObstacle((6.0, -1.0), 0.5, owner=2),
+            TaggedObstacle((7.5, 1.2), 0.5, owner=1),
+            TaggedObstacle((4.5, -1.5), 0.5, owner=2),
         ]
         env = make_env(obstacles)
         params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
@@ -834,7 +835,7 @@ class TestRunGame:
     def test_speaker_strictness_blinds_current_speaker(self):
         # an obstacle only agent 1 can see, placed on agent 2's side: while
         # agent 2 speaks it must ignore what it inferred earlier
-        env = make_env([TaggedObstacle(Vec2(5.0, 0.0), 0.5, owner=1)])
+        env = make_env([TaggedObstacle((5.0, 0.0), 0.5, owner=1)])
         checked = 0
         for pose, ts in game_steps(env, Strategy("dynamic", period=8), self.params, self.limits, 0):
             if ts.role2 == "S" and ts.inferred2 is not None:
@@ -863,6 +864,8 @@ class TestRunGame:
             ("speaker_speaker", 4, 0.0),
             ("explicit", 0, math.nan),
             ("dynamic", 1, math.inf),
+            ("explicit", 0, 1.5),
+            ("dynamic", 1, 1e308),
         ],
         ids=[
             "unknown_name",
@@ -873,6 +876,8 @@ class TestRunGame:
             "speaker_speaker_with_period",
             "nan_cv",
             "inf_cv",
+            "cv_above_one",
+            "cv_overflowing_the_stddev",
         ],
     )
     def test_strategy_validation(self, name, period, noise_cv):
@@ -983,11 +988,11 @@ class TestEnvironmentGeneration:
     def test_obstacle_validation(self):
         # radius, then center, then owner, as environment files report them
         with pytest.raises(ValueError, match="radius must be finite and >= 0, got -1.0"):
-            TaggedObstacle(Vec2(math.nan, 0.0), -1.0, 3)
+            TaggedObstacle((math.nan, 0.0), -1.0, 3)
         with pytest.raises(ValueError, match="obstacle center must be finite"):
-            TaggedObstacle(Vec2(math.nan, 0.0), 1.0, 3)
+            TaggedObstacle((math.nan, 0.0), 1.0, 3)
         with pytest.raises(ValueError, match="owner must be 1 or 2, got 3"):
-            TaggedObstacle(Vec2(0.0, 0.0), 1.0, 3)
+            TaggedObstacle((0.0, 0.0), 1.0, 3)
 
     def test_unknown_radii_within_range(self):
         env = generate_environment(5, 8, UnknownRadius(0.3, 0.5), Workspace())
@@ -1062,7 +1067,7 @@ class TestTrajectoryCsv:
 
     def test_never_inferred_agent_leaves_its_columns_empty(self):
         # under speaker_listener agent 1 always speaks, so only agent 2 infers
-        env = make_env([TaggedObstacle(Vec2(5.0, 0.3), 0.5, owner=1)])
+        env = make_env([TaggedObstacle((5.0, 0.3), 0.5, owner=1)])
         limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
         out = run_game(env, Strategy("speaker_listener"), self.params, limits, 0,
                        record_trajectory=True)

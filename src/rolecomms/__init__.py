@@ -14,48 +14,11 @@ Library layout:
 - codec: the one strict JSON codec, for bench configs, environment files
   and system files
 - cli: `rolecomms` command-line entry point
-"""
 
-from .bench import (
-    BenchmarkConfig,
-    BenchmarkReport,
-    Condition,
-    compare_conditions,
-    run_benchmark,
-)
-from .discrete_roles import (
-    interdependence_demo,
-    listener_policy_exact,
-    listener_posterior,
-    speaker_policy_exact,
-)
-from .linear_roles import (
-    DynamicAlternating,
-    SpeakerListener,
-    SpeakerSpeaker,
-    TeamLinearSystem,
-    expected_kl,
-    noisy_listener_action,
-    optimal_variances,
-    role_gain,
-    rotation_action,
-    rotation_converges,
-    stability_report,
-)
-from .numerics import Rng, derive_seed, eig2x2, eig_general, gaussian
-from .potential_field import FieldParams, agent_velocity
-from .table_sim import (
-    Environment,
-    KnownRadius,
-    Limits,
-    SimOutcome,
-    Strategy,
-    UnknownRadius,
-    Workspace,
-    corrupt,
-    generate_environment,
-    infer_obstacle,
-    run_game,
-)
+The package root re-exports nothing: import each name from its module, as in
+`from rolecomms.table_sim import run_game`. numpy loads on first use: with
+`linear_roles` or `discrete_roles`, the eigensolvers, or a game with channel
+noise.
+"""
 
 __version__ = "0.1.0"

@@ -233,8 +233,8 @@ def config_fingerprint(config_echo: dict) -> str:
 
     The version is ``rolecomms.__version__``, the one the code declares, so
     the fingerprint is the same whether the package runs from ``src/`` or is
-    installed. It is read at call time because the package imports this
-    module before defining it.
+    installed. It is read from the package at each call, not bound when this
+    module is imported, so the digest always hashes the package attribute.
     """
     from . import __version__
 
@@ -286,6 +286,10 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
             tasks.append((strategies, config.field_params, config.limits, games[lo : lo + CHUNK_SEEDS]))
 
     workers = min(workers, len(tasks))
+    if workers > 1 and any(condition.cv > 0 for condition in config.conditions):
+        # a noisy game's stream loads numpy; loaded here, every forked worker
+        # inherits it instead of importing it itself
+        import numpy  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # pool.map submits every task at once, so the workers play while this process hashes
         chunks = (map if pool is None else pool.map)(_run_chunk, tasks)

@@ -28,16 +28,6 @@ from pathlib import Path
 from . import bench as bench_mod
 from .codec import decode
 from .errors import ConfigError, GenerationError
-from .linear_roles import (
-    DynamicAlternating,
-    SpeakerListener,
-    SpeakerSpeaker,
-    TeamLinearSystem,
-    expected_kl,
-    optimal_variances,
-    rotation_converges,
-    stability_report,
-)
 from .table_sim import (
     GEOMETRY_KINDS,
     STRATEGY_NAMES,
@@ -48,12 +38,9 @@ from .table_sim import (
     write_trajectory_csv,
 )
 
-_ALLOC_CHOICES = {
-    "speaker_listener_1": SpeakerListener(1),
-    "speaker_listener_2": SpeakerListener(2),
-    "speaker_speaker": SpeakerSpeaker(),
-    "dynamic": DynamicAlternating(),
-}
+# the role allocations of analyze's stability mode; linear_roles, and with it
+# numpy, is imported by analyze alone
+_ALLOC_CHOICES = ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic")
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -80,7 +67,10 @@ class SystemFile:
         # the system's own rules on shapes and variances, checked on decoding
         self.team()
 
-    def team(self) -> TeamLinearSystem:
+    def team(self):
+        """The system as a `linear_roles.TeamLinearSystem`."""
+        from .linear_roles import TeamLinearSystem
+
         return TeamLinearSystem(A=self.A, B=self.B, Kstar=self.Kstar, W=self.W)
 
 
@@ -91,7 +81,7 @@ def _print_json(payload: dict) -> None:
 def _cmd_analyze(args) -> int:
     spec = decode(SystemFile, _load_json(args.system, "system"), "system")
     try:
-        payload = _analysis(spec.team(), spec.sigma_s2_sq, args)
+        payload = _analysis(spec, args)
     except ValueError as exc:
         # the library's own input rules, reported as one error line
         raise ConfigError(str(exc)) from exc
@@ -99,10 +89,15 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict:
+def _analysis(spec: SystemFile, args) -> dict:
     """The payload of the selected analyze mode."""
+    from . import linear_roles as lr
+
+    system, sigma_s2_sq = spec.team(), spec.sigma_s2_sq
     if args.mode == "stability":
-        rep = stability_report(system, _ALLOC_CHOICES[args.alloc])
+        # in _ALLOC_CHOICES's order
+        allocs = (lr.SpeakerListener(1), lr.SpeakerListener(2), lr.SpeakerSpeaker(), lr.DynamicAlternating())
+        rep = lr.stability_report(system, allocs[_ALLOC_CHOICES.index(args.alloc)])
         return {
             "mode": "stability",
             "allocation": args.alloc,
@@ -111,7 +106,7 @@ def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict
             "stable": rep.stable,
         }
     if args.mode == "rotation":
-        rows = rotation_converges(system, args.horizon, args.dts, drift=args.drift)
+        rows = lr.rotation_converges(system, args.horizon, args.dts, drift=args.drift)
         return {
             "mode": "rotation",
             "horizon": args.horizon,
@@ -122,12 +117,12 @@ def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict
         raise ValueError("variances and kl modes need W = [w1_sq, w2_sq] in the system file")
     w1_sq, w2_sq = system.W
     if args.mode == "variances":
-        pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=args.speaker)
+        pair = lr.optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=args.speaker)
         return {"mode": "variances", "speaker": args.speaker, **pair._asdict()}
     # kl mode: a variance not given defaults to the optimal one when agent 1 speaks
     if sigma_s2_sq is None:
         raise ValueError("kl mode needs sigma_s2_sq (partner-state prior variance) in the system file")
-    pair = optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
+    pair = lr.optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
     sigma1_sq = pair.sigma1_sq if args.sigma1_sq is None else args.sigma1_sq
     sigma2_sq = pair.sigma2_sq if args.sigma2_sq is None else args.sigma2_sq
     return {
@@ -135,7 +130,7 @@ def _analysis(system: TeamLinearSystem, sigma_s2_sq: float | None, args) -> dict
         "sigma1_sq": sigma1_sq,
         "sigma2_sq": sigma2_sq,
         "sigma_s2_sq": sigma_s2_sq,
-        "expected_kl": expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq),
+        "expected_kl": lr.expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq),
     }
 
 

@@ -8,13 +8,16 @@ whether it is mixed alone or in a numpy uint64 block, whose arithmetic wraps
 the same way. Gaussian samples come from a Box-Muller transform of two raw
 draws per call, never from rejection sampling, so the stream position after k
 calls is always 2k draws, popped from the stream's block as `Rng.uniform` does.
+
+numpy is imported on first use: by a stream's first block (draw 33 on) and by
+the eigensolvers. A program that makes no longer stream and solves no
+eigenproblem never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
 
 from .errors import NumericError
 
@@ -24,13 +27,10 @@ _TWO_PI = 2.0 * math.pi
 _INF = math.inf
 
 # A stream mixes its first _HEAD draws one at a time, so short streams (an
-# environment's) never pay numpy's per-call cost, and later ones _BLOCK at once.
+# environment's) never pay numpy's per-call cost nor load it, and later ones
+# _BLOCK at once.
 _HEAD = 32
 _BLOCK = 256
-_WEYL_STEPS = np.array([k * _WEYL & _MASK64 for k in range(1, _BLOCK + 1)], dtype=np.uint64)
-# np.uint64, so that numpy 1.x's value-based casting cannot widen them to float
-_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix64(z: int) -> int:
@@ -38,6 +38,32 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+@functools.cache
+def _block_mixer():
+    """The function mapping a Weyl sum to the _BLOCK draws after it, last first.
+
+    Built on the first block, which is where numpy is imported.
+    """
+    import numpy as np
+
+    steps = np.array([k * _WEYL & _MASK64 for k in range(1, _BLOCK + 1)], dtype=np.uint64)
+    # np.uint64, so that numpy 1.x's value-based casting cannot widen them to float
+    m1, m2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    s27, s30, s31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+    def mix_block(state: int) -> list[int]:
+        z = steps + np.uint64(state)
+        # _mix64 of each element; uint64 arrays wrap without a warning
+        z ^= z >> s30
+        z *= m1
+        z ^= z >> s27
+        z *= m2
+        z ^= z >> s31
+        return z[::-1].tolist()
+
+    return mix_block
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -77,15 +103,8 @@ class Rng:
             self._head -= 1
             self._state = (self._state + _WEYL) & _MASK64
             return _mix64(self._state)
-        z = _WEYL_STEPS + np.uint64(self._state)
+        self._block = block = _block_mixer()(self._state)
         self._state = (self._state + _BLOCK * _WEYL) & _MASK64
-        # _mix64 of each element; uint64 arrays wrap without a warning
-        z ^= z >> _S30
-        z *= _M1
-        z ^= z >> _S27
-        z *= _M2
-        z ^= z >> _S31
-        self._block = block = z[::-1].tolist()
         return block.pop()
 
     def uniform(self) -> float:
@@ -120,6 +139,8 @@ def eig2x2(m) -> tuple[complex, complex]:
     Returns the roots of lambda^2 - tr(m) lambda + det(m). For real input the
     pair is either both real or a conjugate pair.
     """
+    import numpy as np
+
     a = np.asarray(m, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
@@ -156,6 +177,8 @@ def eig_general(m, tol: float = 1e-9) -> tuple[complex, ...]:
     of the iteration raises NumericError. Output is sorted by (real, imag)
     for deterministic ordering.
     """
+    import numpy as np
+
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -118,6 +118,13 @@ class Environment:
             raise ValueError(f"table_half_length must be > 0 with a finite reciprocal, got {self.table_half_length}")
         if not all(math.isfinite(x) for x in (*self.start, *self.goal, self.table_half_length)):
             raise ValueError("start, goal and table_half_length must be finite")
+        # the listener infers with the mode's nominal radius, so every radius
+        # must be one the mode allows
+        mode = self.geometry_mode
+        lo, hi = (mode.r_fixed,) * 2 if isinstance(mode, KnownRadius) else (mode.r_min, mode.r_max)
+        for o in self.obstacles:
+            if not lo <= o.radius <= hi:
+                raise ValueError(f"obstacle radius {o.radius} lies outside the geometry mode's range [{lo}, {hi}]")
 
 
 class InferredObstacle(NamedTuple):
@@ -509,7 +516,9 @@ def run_game(
             v1 = _field_velocity(p1x, p1y, gx, gy, obs, w_att, w_rep, w_v, rho0)
             roles = ("L", "S")
 
-        # dynamics: each command is scaled down to at most v_max. The center
+        # dynamics: each command is scaled down to at most v_max, along its
+        # own direction: past about 1.3e154 a finite command's sum of squares
+        # overflows, and its speed is then taken from hypot. The center
         # translates with the mean command; the heading rate is the cross
         # product of the unit table axis with agent 1's command relative to
         # the mean, over the half length (agent 2's arm gives the same value
@@ -519,12 +528,12 @@ def run_game(
         c2x, c2y = v2
         speed = math.sqrt(c1x * c1x + c1y * c1y)
         if speed > v_cap:
-            scale = v_cap / speed
+            scale = v_cap / (speed if speed < math.inf else math.hypot(c1x, c1y))
             c1x *= scale
             c1y *= scale
         speed = math.sqrt(c2x * c2x + c2y * c2y)
         if speed > v_cap:
-            scale = v_cap / speed
+            scale = v_cap / (speed if speed < math.inf else math.hypot(c2x, c2y))
             c2x *= scale
             c2y *= scale
         vcx = 0.5 * (c1x + c2x)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rolecomms
 from rolecomms.potential_field import FieldParams
 from rolecomms.table_sim import Limits, Workspace
 
@@ -19,6 +23,27 @@ def config_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs a script, with arguments, in a fresh interpreter that imports the
+    rolecomms under test, and returns what it prints."""
+    src = str(Path(rolecomms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(script: str, *args: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

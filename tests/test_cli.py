@@ -2,14 +2,12 @@ import argparse
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import rolecomms
 from rolecomms import bench, cli
 from rolecomms.cli import _resolve_workers, build_parser, main
 
@@ -270,6 +268,9 @@ class TestSimulate:
             ("--env", "{missing_owner}"),
             ("--env", "{unknown_kind}"),
             ("--env", "{unknown_key}"),
+            ("--env", "{radius_off_known}"),
+            ("--env", "{radius_below_unknown}"),
+            ("--env", "{radius_above_unknown}"),
         ],
         ids=[
             "negative_n",
@@ -286,6 +287,9 @@ class TestSimulate:
             "missing_owner",
             "unknown_kind",
             "unknown_key",
+            "radius_off_known",
+            "radius_below_unknown",
+            "radius_above_unknown",
         ],
     )
     def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
@@ -319,6 +323,17 @@ class TestSimulate:
                 tmp_path, "unknown_kind.json", geometry_mode={"kind": "fuzzy", "r_fixed": 0.5}
             ),
             "unknown_key": env_file(tmp_path, "unknown_key.json", obstacle_count=1),
+            # the listener infers with the mode's nominal radius, so a file
+            # whose radii contradict its mode is refused
+            "radius_off_known": env_file(tmp_path, "radius_off_known.json", obstacles=[obstacle(radius=2.0)]),
+            "radius_below_unknown": env_file(
+                tmp_path, "radius_below_unknown.json",
+                geometry_mode={"kind": "unknown", "r_min": 0.6, "r_max": 0.8}, obstacles=[obstacle()],
+            ),
+            "radius_above_unknown": env_file(
+                tmp_path, "radius_above_unknown.json",
+                geometry_mode={"kind": "unknown", "r_min": 0.1, "r_max": 0.2}, obstacles=[obstacle()],
+            ),
         }
         argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, "simulate", *argv)
@@ -712,18 +727,43 @@ print(" ".join(sorted(added - set(sys.stdlib_module_names))))
 """
 
 
-def test_cli_import_adds_only_numpy_beyond_the_standard_library():
+def test_cli_import_adds_only_numpy_beyond_the_standard_library(fresh_python):
     # numpy is the one declared dependency, and __mp_main__ is the alias
     # multiprocessing gives __main__; site hooks (certifi, _distutils_hack)
     # load before the probe runs, so only what the import adds counts
-    src = str(Path(rolecomms.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    assert set(probe.stdout.split()) <= {"numpy", "rolecomms", "__mp_main__"}
+    assert set(fresh_python(_IMPORT_PROBE).split()) <= {"numpy", "rolecomms", "__mp_main__"}
+
+
+# a noise-free simulate, and table1 on one process and on a pool, then the
+# modules of numpy and the analysis library that are loaded
+_NOISE_FREE_PROBE = """
+import json, sys
+from dataclasses import replace
+from rolecomms import bench, cli
+cli.main(["simulate", "--seed", "7", "--n", "8", "--trajectory-out", sys.argv[2]])
+config = bench.config_from_dict(json.load(open(sys.argv[1])))
+for workers in (1, 2):
+    bench.run_benchmark(replace(config, games_per_condition=2), workers=workers)
+print(*(m for m in ("numpy", "rolecomms.linear_roles", "rolecomms.discrete_roles") if m in sys.modules))
+"""
+
+# noise.json on a pool of two, then on one process: whether the pool's
+# parent had loaded numpy, and whether the two reports are the same bytes
+_NOISY_POOL_PROBE = """
+import json, sys
+from dataclasses import replace
+from rolecomms import bench
+config = replace(bench.config_from_dict(json.load(open(sys.argv[1]))), games_per_condition=2)
+pooled = bench.report_json(bench.run_benchmark(config, workers=2))
+loaded = "numpy" in sys.modules
+print(loaded, pooled == bench.report_json(bench.run_benchmark(config, workers=1)))
+"""
+
+
+class TestNumpyOnFirstUse:
+    def test_noise_free_runs_never_load_numpy_or_the_analysis_modules(self, fresh_python, config_dir, tmp_path):
+        out = fresh_python(_NOISE_FREE_PROBE, str(config_dir / "table1.json"), str(tmp_path / "t.csv"))
+        assert out.splitlines()[-1] == ""
+
+    def test_noisy_pool_loads_numpy_in_its_parent_with_the_same_bytes(self, fresh_python, config_dir):
+        assert fresh_python(_NOISY_POOL_PROBE, str(config_dir / "noise.json")).split() == ["True", "True"]

@@ -155,6 +155,18 @@ class TestRng:
         assert len(seeds) == 100
 
 
+# whether numpy is loaded before the stream's draws and after, then each draw
+# of a uniform ("u") and gaussian ("g") call sequence, in hex
+_FIRST_BLOCK_PROBE = """
+import sys
+from rolecomms.numerics import Rng, gaussian
+before = "numpy" in sys.modules
+rng = Rng(int(sys.argv[1]))
+values = [gaussian(rng, 0.5, 2.0) if op == "g" else rng.uniform() for op in sys.argv[2]]
+print(before, "numpy" in sys.modules, *(v.hex() for v in values))
+"""
+
+
 class TestBlockStream:
     """Draws made ahead in numpy blocks equal the scalar definition."""
 
@@ -200,6 +212,31 @@ class TestBlockStream:
         # the scalar/block switch and three block boundaries
         assert straddled == list(self.BOUNDARIES) and len(straddled) == 4
         assert rng.next_u64() == self.scalar_draw(seed, self.DRAWS + 1)
+
+    def test_first_block_loads_numpy_and_matches_scalar_definition(self, fresh_python):
+        # the tests above run where numpy is loaded already; here a fresh
+        # interpreter draws the first block, which loads it. Uniform and
+        # gaussian calls alternate, with a gaussian across each boundary.
+        ops, k = "", 1
+        while k <= self.DRAWS:
+            gauss = k in self.BOUNDARIES or (k < self.DRAWS and k + 1 not in self.BOUNDARIES and len(ops) % 2)
+            ops += "g" if gauss else "u"
+            k += 2 if gauss else 1
+        seed = 2**64 - _WEYL
+        expected, k = [], 1
+        for op in ops:
+            if op == "u":
+                expected.append(self.scalar_uniform(seed, k).hex())
+                k += 1
+            else:
+                u1 = self.scalar_uniform(seed, k)
+                u2 = self.scalar_uniform(seed, k + 1)
+                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                expected.append((0.5 + 2.0 * z).hex())
+                k += 2
+        out = fresh_python(_FIRST_BLOCK_PROBE, str(seed), ops).split()
+        assert out[:2] == ["False", "True"]
+        assert out[2:] == expected and k == self.DRAWS + 1
 
 
 class TestGaussian:

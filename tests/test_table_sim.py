@@ -169,6 +169,23 @@ class TestSpeedCap:
             capped_steps += (c1x, c1y) != (ts.v1x, ts.v1y)
         assert capped_steps > 10
 
+    @pytest.mark.parametrize("strategy", [Strategy("speaker_speaker"), Strategy("dynamic", 1)])
+    def test_command_whose_square_overflows_is_capped_along_its_direction(
+        self, default_field, default_limits, default_workspace, strategy
+    ):
+        # at w_v = 1e200 every command's sum of squares overflows; capped to
+        # v_max along its direction, the game plays as it does at w_v = 1e100
+        # instead of standing still
+        env = generate_environment(0, 4, KnownRadius(0.5), default_workspace)
+        poses = []
+        for w_v in (1e100, 1e200):
+            params = FieldParams(default_field.w_att, default_field.w_rep, w_v, default_field.rho0)
+            out = run_game(env, strategy, params, default_limits, 0, record_trajectory=True)
+            poses.append([(ts.cx, ts.cy, ts.heading) for ts in out.trajectory[:20]])
+        assert [len(p) for p in poses] == [20, 20]
+        for slow, fast in zip(*poses):
+            assert fast == pytest.approx(slow, abs=1e-12)
+
 
 def one_step_collides(a, b, obstacle, v_max=1e-9):
     """Whether a one-step game whose table starts on segment ab collides with
@@ -184,7 +201,7 @@ def one_step_collides(a, b, obstacle, v_max=1e-9):
         obstacles=(TaggedObstacle((obstacle[0], obstacle[1]), obstacle[2], owner=1),),
         start=mid,
         goal=goal,
-        geometry_mode=KnownRadius(0.5),
+        geometry_mode=KnownRadius(obstacle[2]),
         table_half_length=half_length,
     )
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)

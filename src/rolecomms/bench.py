@@ -6,7 +6,10 @@ each seed's environment is generated once per (n, geometry), in the calling
 process, then played by every condition sharing it; with a process pool,
 the calling process hashes them while the workers play. Aggregation is keyed
 by seed and sorted, so the report is bit-identical for any worker count or
-completion order.
+completion order. The process pool, `ProcessPoolExecutor`, is imported on
+first use, by a run on more than one worker: concurrent.futures loads
+multiprocessing, socket, logging and subprocess, which a 1-worker run, a
+single game and the analysis never need.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
 identical config must reproduce the report byte for byte, whether the package
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
@@ -44,6 +47,12 @@ CHUNK_SEEDS = 5
 
 REPORT_CSV_HEADER = "strategy,T,n,cv,lambda,failure_mean_steps,games"
 
+# declared upper bounds on the work a config asks for, far above the committed
+# configs (8 obstacles, 1,000 games per condition): a larger obstacle count
+# would grow an environment without limit, a larger game count the seed list
+MAX_OBSTACLES = 1_000
+MAX_GAMES = 100_000
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -65,8 +74,8 @@ class Condition:
             raise ConfigError(f"{self.strategy}: {exc}") from exc
         if self.geometry not in GEOMETRY_KINDS:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.n < 0:
-            raise ConfigError("obstacle count must be >= 0")
+        if not 0 <= self.n <= MAX_OBSTACLES:
+            raise ConfigError(f"obstacle count must be in [0, {MAX_OBSTACLES}]")
 
     def comm_strategy(self) -> Strategy:
         return Strategy(self.strategy, self.T, self.cv)
@@ -139,8 +148,8 @@ class BenchmarkConfig:
     def __post_init__(self):
         if not self.conditions:
             raise ConfigError("at least one condition is required")
-        if self.games_per_condition < 1:
-            raise ConfigError("games_per_condition must be >= 1")
+        if not 1 <= self.games_per_condition <= MAX_GAMES:
+            raise ConfigError(f"games_per_condition must be in [1, {MAX_GAMES}]")
         keys = [condition.key() for condition in self.conditions]
         for i, key in enumerate(keys):
             if key in keys[:i]:
@@ -202,6 +211,18 @@ class BenchmarkReport:
 # execution
 
 
+def __getattr__(name: str):
+    # the pool class, imported on first access and cached as a module global;
+    # run_benchmark reads it as a module attribute, so a class swapped in by
+    # name is the one that runs
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_chunk(args) -> list[tuple[int, int, int, str]]:
     """Worker task: play each (condition_index, Strategy) of strategies on
     each (seed, environment) of games; returns (condition_index, seed,
@@ -255,7 +276,9 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     CHUNK_SEEDS of its environments. Every task is submitted before the
     calling process hashes each key's environment sequence, so that a pool
     plays while it hashes. The result is independent of `workers`, and at
-    most one process per task starts.
+    most one process per task starts. More than one worker runs the tasks on
+    the module's `ProcessPoolExecutor`, imported at that first use; one
+    worker plays them in this process and never imports it.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
     sharing: dict[tuple, tuple[int, ...]] = {}
@@ -290,7 +313,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         # a noisy game's stream loads numpy; loaded here, every forked worker
         # inherits it instead of importing it itself
         import numpy  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # pool.map submits every task at once, so the workers play while this process hashes
         chunks = (map if pool is None else pool.map)(_run_chunk, tasks)
         env_hash = {key: _env_sequence_hash(seeds, envs) for key, envs in generated.items()}

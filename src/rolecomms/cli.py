@@ -49,7 +49,8 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer longer than int() converts
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -191,7 +192,9 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
 
 
 def _resolve_workers(args) -> int:
-    """Worker count from --workers or ROLECOMMS_THREADS, within [1, cpu count]."""
+    """Worker count from --workers or ROLECOMMS_THREADS, within [1, usable
+    CPUs]: the CPUs this process may run on where the platform reports them
+    (a `taskset` or cpuset narrows them), else `os.cpu_count()`."""
     requested = args.workers
     if requested is None:
         env_value = os.environ.get("ROLECOMMS_THREADS")
@@ -201,7 +204,8 @@ def _resolve_workers(args) -> int:
             requested = int(env_value)
         except ValueError:
             raise ConfigError(f"ROLECOMMS_THREADS must be an integer, got {env_value!r}")
-    return max(1, min(requested, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(requested, cpus))
 
 
 def _cmd_bench(args) -> int:

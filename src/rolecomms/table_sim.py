@@ -177,6 +177,13 @@ class Strategy:
             raise ValueError(f"noise_cv must be in [0, 1], got {self.noise_cv}")
 
 
+# declared upper bounds on the work one game asks for, far above the
+# committed configs (200 steps, 200 retries): a larger value is refused
+# before any game instead of running for ever
+MAX_STEPS = 100_000
+MAX_RETRY_CAP = 10_000
+
+
 @dataclass(frozen=True)
 class Limits:
     max_steps: int = 200
@@ -185,8 +192,8 @@ class Limits:
     v_max: float | None = 0.25
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(f"max_steps must be in [1, {MAX_STEPS}]")
         if not self.goal_eps > 0:
             raise ValueError("goal_eps must be > 0")
         if not self.dt > 0:
@@ -242,8 +249,8 @@ class Workspace:
     retry_cap: int = 200
 
     def __post_init__(self):
-        if self.retry_cap < 1:
-            raise ValueError("retry_cap must be >= 1")
+        if not 1 <= self.retry_cap <= MAX_RETRY_CAP:
+            raise ValueError(f"retry_cap must be in [1, {MAX_RETRY_CAP}]")
         # the environment's own rules, checked before any environment is generated
         Environment((), self.start, self.goal, KnownRadius(0.0), self.table_half_length)
 

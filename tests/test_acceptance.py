@@ -8,6 +8,7 @@ count to pin byte-level determinism. Expect a few minutes of wall time.
 Run `pytest tests/test_acceptance.py -v -s` to watch the verdict lines.
 """
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -18,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from rolecomms import __version__
 from rolecomms.bench import (
     Condition,
     compare_conditions,
@@ -458,16 +460,34 @@ def test_criterion_10_failure_lengths(table1_runs):
     )
 
 
-def test_criterion_11_byte_identical_reports(table1_runs, fig3_runs, noise_runs):
+def test_criterion_11_byte_identical_reports(table1_runs, fig3_runs, noise_runs, golden_dir):
     problems = []
+    digests = {}
     for name, runs in (("table1", table1_runs), ("fig3", fig3_runs), ("noise", noise_runs)):
         if runs["w1_json"] != runs["w2_json"]:
             problems.append(f"{name}: JSON differs across worker counts")
         if runs["w1_csv"] != runs["w2_csv"]:
             problems.append(f"{name}: CSV differs across worker counts")
+        digests[name] = {
+            "report.json": hashlib.sha256(runs["w1_json"].encode()).hexdigest(),
+            "report.csv": hashlib.sha256(runs["w1_csv"].encode()).hexdigest(),
+        }
+    # the digests of the reports rolecomms.__version__ writes: a change to
+    # any outcome must bump the version and re-record them in the same change
+    pinned = json.loads((golden_dir / "full_reports.json").read_text())
+    record = {"version": __version__, "reports": digests}
+    if record != pinned:
+        if __version__ == pinned["version"]:
+            why = f"report digests changed but __version__ is still {__version__}"
+        else:
+            why = f"__version__ is {__version__} but the digests are pinned for {pinned['version']}"
+        problems.append(
+            f"{why}; a declared semantic change bumps __version__ and records in"
+            f" tests/golden/full_reports.json: {json.dumps(record, sort_keys=True)}"
+        )
     verdict(
         11,
-        "full benchmark reports are byte-identical at any worker count",
+        "full benchmark reports are byte-identical at any worker count and match the pinned digests",
         not problems,
-        "; ".join(problems) or "three configs, workers 1 vs 2",
+        "; ".join(problems) or f"three configs, workers 1 vs 2, digests pinned for {__version__}",
     )

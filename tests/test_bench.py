@@ -27,7 +27,15 @@ from rolecomms.cli import SystemFile
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ComparisonError, ConfigError, GenerationError
 from rolecomms.potential_field import FieldParams
-from rolecomms.table_sim import Environment, KnownRadius, Workspace, generate_environment
+from rolecomms.table_sim import (
+    MAX_RETRY_CAP,
+    MAX_STEPS,
+    Environment,
+    KnownRadius,
+    Limits,
+    Workspace,
+    generate_environment,
+)
 
 
 def small_config(conditions, games=30, **kwargs):
@@ -75,6 +83,17 @@ class TestConditionValidation:
 
     def test_explicit_allows_realtime(self):
         Condition("explicit", 0, 2, "known", 0.0)
+
+    def test_counts_are_accepted_up_to_their_declared_bounds(self):
+        # the bounds are inclusive; one beyond each exits 2 (test_cli)
+        condition = Condition("dynamic", 1, bench.MAX_OBSTACLES, "known", 0.0)
+        config = small_config(
+            [condition],
+            games=bench.MAX_GAMES,
+            limits=Limits(max_steps=MAX_STEPS),
+            workspace=Workspace(retry_cap=MAX_RETRY_CAP),
+        )
+        assert config.conditions[0].n == bench.MAX_OBSTACLES
 
     def test_strategy_construction(self):
         explicit = Condition("explicit", 4, 2, "known", 0.1).comm_strategy()

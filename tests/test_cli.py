@@ -10,6 +10,7 @@ import pytest
 
 from rolecomms import bench, cli
 from rolecomms.cli import _resolve_workers, build_parser, main
+from rolecomms.table_sim import MAX_RETRY_CAP
 
 
 def run_cli(capsys, *argv):
@@ -453,6 +454,16 @@ class TestBench:
                 [{"strategy": "dynamic", "T": 1, "n": 2}, {"strategy": "speaker_speaker", "n": 2},
                  {"strategy": "dynamic", "T": 1, "n": 2, "geometry": "known", "cv": 0.0}],
             ),
+            # counts beyond their declared bounds, which would run for ever or
+            # grow without limit
+            (
+                ("conditions",),
+                [{"strategy": "dynamic", "T": 1, "n": 2}, {"strategy": "speaker_speaker", "n": 2},
+                 {"strategy": "dynamic", "T": 4, "n": 1e308}],
+            ),
+            (("limits", "max_steps"), 2**63),
+            (("games_per_condition",), bench.MAX_GAMES + 1),
+            (("workspace", "retry_cap"), MAX_RETRY_CAP + 1),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -492,6 +503,25 @@ class TestBench:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "--config", "{config}", "--out", "{out}", "--games", str(bench.MAX_GAMES + 1)),
+            ("simulate", "--n", str(bench.MAX_OBSTACLES + 1), "--trajectory-out", "{out}"),
+            ("bench", "--config", "{huge}", "--out", "{out}"),
+        ],
+        ids=["games", "simulate_n", "5000_digit_n"],
+    )
+    def test_count_beyond_its_bound_exits_2_before_running(self, capsys, tiny_bench_config, tmp_path, argv):
+        huge = tmp_path / "huge.json"
+        # json.dumps cannot write an integer this long
+        huge.write_text('{"conditions": [{"strategy": "dynamic", "T": 1, "n": ' + "9" * 5000 + "}]}")
+        out = tmp_path / "never"
+        code, _, err = run_cli(capsys, *(a.format(config=tiny_bench_config, huge=huge, out=out) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_greater_assert_across_keys_exits_2_before_running(self, capsys, tmp_path):
         dynamic = {"strategy": "dynamic", "T": 1, "n": 2}
@@ -557,6 +587,8 @@ class TestBench:
         assert out_dir.is_dir()
 
     def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        # a platform without affinity sets falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert _resolve_workers(argparse.Namespace(workers=None)) == 1
@@ -568,6 +600,18 @@ class TestBench:
         assert _resolve_workers(argparse.Namespace(workers=2)) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_workers(argparse.Namespace(workers=8)) == 1
+
+    def test_worker_count_clamped_to_cpu_affinity(self, monkeypatch):
+        # taskset -c 0 on a 4-CPU host: one usable core, whatever the CPU count
+        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(argparse.Namespace(workers=2)) == 1
+        monkeypatch.setenv("ROLECOMMS_THREADS", "4")
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 3}, raising=False)
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 3
+        assert _resolve_workers(argparse.Namespace(workers=2)) == 2
 
     def test_worker_flag_does_not_change_bytes(self, capsys, tiny_bench_config, tmp_path):
         outs = []
@@ -728,10 +772,12 @@ print(" ".join(sorted(added - set(sys.stdlib_module_names))))
 
 
 def test_cli_import_adds_only_numpy_beyond_the_standard_library(fresh_python):
-    # numpy is the one declared dependency, and __mp_main__ is the alias
-    # multiprocessing gives __main__; site hooks (certifi, _distutils_hack)
-    # load before the probe runs, so only what the import adds counts
-    assert set(fresh_python(_IMPORT_PROBE).split()) <= {"numpy", "rolecomms", "__mp_main__"}
+    # numpy loads on first use and the process pool with it, so the import
+    # adds the package alone: no numpy, and no __mp_main__, the alias that
+    # importing multiprocessing gives __main__; site hooks (certifi,
+    # _distutils_hack) load before the probe runs, so only what the import
+    # adds counts
+    assert fresh_python(_IMPORT_PROBE).split() == ["rolecomms"]
 
 
 # a noise-free simulate, and table1 on one process and on a pool, then the
@@ -767,3 +813,38 @@ class TestNumpyOnFirstUse:
 
     def test_noisy_pool_loads_numpy_in_its_parent_with_the_same_bytes(self, fresh_python, config_dir):
         assert fresh_python(_NOISY_POOL_PROBE, str(config_dir / "noise.json")).split() == ["True", "True"]
+
+
+# the pool's modules loaded after importing the CLI, after a noise-free
+# simulate, an analyze and a 1-worker table1 bench, then after the same
+# config on a pool of two; then whether the pooled report is the 1-worker
+# bench's bytes
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from dataclasses import replace
+from rolecomms import bench, cli
+system, config_path, out = sys.argv[1:]
+def pool_modules():
+    names = ("concurrent", "multiprocessing", "socket", "logging", "subprocess")
+    return [name for name in names if name in sys.modules]
+seen = [pool_modules()]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["simulate", "--seed", "7", "--n", "8"])
+    cli.main(["analyze", "--system", system, "--mode", "stability"])
+    cli.main(["bench", "--config", config_path, "--out", out, "--games", "2", "--workers", "1"])
+seen.append(pool_modules())
+config = replace(bench.config_from_dict(json.load(open(config_path))), games_per_condition=2)
+pooled = bench.run_benchmark(config, workers=2)
+seen.append(pool_modules())
+same = [bench.report_json(pooled) == open(out + "/report.json").read(),
+        bench.report_csv(pooled) == open(out + "/report.csv").read()]
+print(json.dumps({"seen": seen, "same": same}))
+"""
+
+
+def test_process_pool_loads_only_when_a_run_uses_one(fresh_python, config_dir, system_file, tmp_path):
+    out = fresh_python(_POOL_PROBE, system_file, str(config_dir / "table1.json"), str(tmp_path / "w1"))
+    probe = json.loads(out.splitlines()[-1])
+    assert probe["seen"][:2] == [[], []]
+    assert {"concurrent", "multiprocessing"} <= set(probe["seen"][2])
+    assert probe["same"] == [True, True]

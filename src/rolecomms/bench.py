@@ -36,6 +36,7 @@ from .table_sim import (
     Strategy,
     UnknownRadius,
     Workspace,
+    check_finite_commands,
     generate_environment,
     run_game,
 )
@@ -158,6 +159,12 @@ class BenchmarkConfig:
             for condition in (ta.a, ta.b):
                 if condition is not None and condition.key() not in keys:
                     raise ConfigError(f"assert names condition {condition.key()}, which is not configured")
+        try:
+            # an agent owns at most n obstacles and acts on one more
+            n_max = max(condition.n for condition in self.conditions)
+            check_finite_commands(self.field_params, n_max + 1, max(condition.cv for condition in self.conditions))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

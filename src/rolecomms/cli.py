@@ -33,6 +33,7 @@ from .table_sim import (
     STRATEGY_NAMES,
     Environment,
     SimOutcome,
+    check_finite_commands,
     generate_environment,
     run_game,
     write_trajectory_csv,
@@ -147,6 +148,11 @@ def _cmd_simulate(args) -> int:
     else:
         mode = condition.geometry_mode(config.radii)
         env = generate_environment(args.seed, args.n, mode, config.workspace)
+    owned = [o.owner for o in env.obstacles]
+    try:
+        check_finite_commands(config.field_params, max(owned.count(1), owned.count(2)) + 1, args.cv)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.trajectory_out is not None:
         # created before the game, so a bad path fails before it is played
         open(args.trajectory_out, "w").close()

@@ -5,9 +5,10 @@ golden-ratio Weyl increment). It is pinned by construction so that equal seeds
 produce bit-identical streams on every platform and Python version: draw k
 (k = 1, 2, ...) of the stream seeded s is _mix64((s + k * _WEYL) mod 2**64),
 whether it is mixed alone or in a numpy uint64 block, whose arithmetic wraps
-the same way. Gaussian samples come from a Box-Muller transform of two raw
-draws per call, never from rejection sampling, so the stream position after k
-calls is always 2k draws, popped from the stream's block as `Rng.uniform` does.
+the same way. There is no raw-integer draw: draw z is seen only as the uniform
+((z >> 11) + 1) / 2**53 in (0, 1], and a block holds the exact uniforms.
+Gaussian samples come from a Box-Muller transform of two uniforms per call,
+never from rejection sampling, so after k calls the stream is 2k draws on.
 
 numpy is imported on first use: by a stream's first block (draw 33 on) and by
 the eigensolvers. A program that makes no longer stream and solves no
@@ -42,7 +43,7 @@ def _mix64(z: int) -> int:
 
 @functools.cache
 def _block_mixer():
-    """The function mapping a Weyl sum to the _BLOCK draws after it, last first.
+    """The function mapping a Weyl sum to the next _BLOCK draws' uniforms, last first.
 
     Built on the first block, which is where numpy is imported.
     """
@@ -51,9 +52,9 @@ def _block_mixer():
     steps = np.array([k * _WEYL & _MASK64 for k in range(1, _BLOCK + 1)], dtype=np.uint64)
     # np.uint64, so that numpy 1.x's value-based casting cannot widen them to float
     m1, m2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-    s27, s30, s31 = np.uint64(27), np.uint64(30), np.uint64(31)
+    s11, s27, s30, s31, one = (np.uint64(k) for k in (11, 27, 30, 31, 1))
 
-    def mix_block(state: int) -> list[int]:
+    def mix_block(state: int) -> list[float]:
         z = steps + np.uint64(state)
         # _mix64 of each element; uint64 arrays wrap without a warning
         z ^= z >> s30
@@ -61,7 +62,8 @@ def _block_mixer():
         z ^= z >> s27
         z *= m2
         z ^= z >> s31
-        return z[::-1].tolist()
+        # (z >> 11) + 1 <= 2**53 converts without rounding; scaling by 2**-53 is exact
+        return (((z >> s11) + one).astype(np.float64) * 2.0**-53)[::-1].tolist()
 
     return mix_block
 
@@ -79,10 +81,10 @@ def derive_seed(seed: int, *salts: int) -> int:
 
 
 class Rng:
-    """Deterministic splitmix64 stream.
+    """Deterministic splitmix64 stream of uniforms.
 
-    Draws past the first _HEAD come from numpy blocks, next draw last in
-    `_block`; `uniform` and `gaussian` pop from it without calling `next_u64`.
+    Uniforms past the first _HEAD come from numpy blocks, next draw last in
+    `_block`; `uniform` and `gaussian` pop from it, or call `_refill` if empty.
 
     Single-owner: do not share one instance across concurrent tasks; derive
     child seeds with :func:`derive_seed` instead.
@@ -93,32 +95,32 @@ class Rng:
     def __init__(self, seed: int):
         self._state = seed & _MASK64  # the Weyl sum of the last draw computed
         self._head = _HEAD
-        self._block: list[int] = []
+        self._block: list[float] = []
 
-    def next_u64(self) -> int:
+    def uniform(self) -> float:
+        """Uniform draw in the half-open interval (0, 1]."""
+        block = self._block
+        return block.pop() if block else self._refill()
+
+    def _refill(self) -> float:
+        # a caller's list may be stale: a refill before it replaced `_block`
         block = self._block
         if block:
             return block.pop()
         if self._head:
             self._head -= 1
             self._state = (self._state + _WEYL) & _MASK64
-            return _mix64(self._state)
+            return ((_mix64(self._state) >> 11) + 1) * (1.0 / 9007199254740992.0)
         self._block = block = _block_mixer()(self._state)
         self._state = (self._state + _BLOCK * _WEYL) & _MASK64
         return block.pop()
-
-    def uniform(self) -> float:
-        """Uniform draw in the half-open interval (0, 1]."""
-        block = self._block
-        z = block.pop() if block else self.next_u64()
-        return ((z >> 11) + 1) * (1.0 / 9007199254740992.0)
 
 
 def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     """One sample from N(mean, stddev^2) via the Box-Muller transform.
 
     stddev = 0 returns the mean exactly and consumes no draws; otherwise the
-    call pops exactly two raw draws from the stream's block, as `uniform` does.
+    call pops exactly two uniforms from the stream's block, as `uniform` does.
     A negative, NaN or infinite stddev raises ValueError.
     """
     if not 0.0 <= stddev < _INF:
@@ -126,10 +128,8 @@ def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     if stddev == 0.0:
         return mean
     block = rng._block
-    z1 = block.pop() if block else rng.next_u64()
-    z2 = block.pop() if block else rng.next_u64()  # a refill replaces the list
-    u1 = ((z1 >> 11) + 1) * (1.0 / 9007199254740992.0)
-    u2 = ((z2 >> 11) + 1) * (1.0 / 9007199254740992.0)
+    u1 = block.pop() if block else rng._refill()
+    u2 = block.pop() if block else rng._refill()
     return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
 
 

@@ -296,6 +296,42 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
     )
 
 
+# |z| of one Box-Muller sample: at most sqrt(-2 ln 2**-53) < 8.6, as u1 >= 2**-53
+_CHANNEL_Z_MAX = 8.6
+
+
+def check_finite_commands(params: FieldParams, k: int, cv: float) -> None:
+    """Raise ValueError unless every command an agent acting on at most k
+    obstacles (its own plus one received or inferred) can form is finite,
+    with the channel at cv.
+
+    Each intermediate of the worst case must be finite: a term's scale, its
+    magnitude over a distance of at least ATTRACTOR_EPS; the field sum
+    w_att + k * repulsive_magnitude(RHO_MIN), the largest attraction plus k
+    of the largest repulsions; the command, w_v times that sum; the sum of
+    both agents' commands, which the table's mean velocity takes; and the
+    field sum and the command times 1 + 8.6 * cv, for the corrupted command
+    and the listener's residual.
+
+    That suffices because the corrupted command adds at most 8.6 * cv times
+    the command, so the residual, v / w_v plus the attraction, is a
+    repulsive sum plus noise / w_v and stays finite. The inferred center lies
+    rho + radius from the speaker along that finite residual (or at the
+    speaker, when the residual's squared length overflows), so it is finite
+    too. The table moves by dt times the mean of two finite capped commands
+    per step.
+    """
+    rep_max = repulsive_magnitude(RHO_MIN, params)
+    field_sum = params.w_att + k * rep_max
+    command = params.w_v * field_sum
+    noisy = 1.0 + _CHANNEL_Z_MAX * cv
+    worst = (max(params.w_att, rep_max) / ATTRACTOR_EPS, command + command, field_sum * noisy, command * noisy)
+    if not all(map(math.isfinite, worst)):
+        raise ValueError(
+            f"field weights allow a non-finite command for an agent acting on {k} obstacles at cv {cv}"
+        )
+
+
 def infer_obstacle(
     observed_partner_velocity: Sequence[float],
     partner_pos: Sequence[float],

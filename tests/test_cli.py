@@ -230,6 +230,43 @@ class TestSimulate:
         assert doc["success"] is False
         assert doc["failure_kind"] == "collision"
 
+    @pytest.mark.parametrize(
+        "weight, value, argv",
+        [
+            # a traceback from infer_obstacle ("obstacle center must be finite")
+            ("w_v", 1e308, ("--seed", "2", "--n", "8", "--strategy", "dynamic", "--T", "1")),
+            # a game played on NaN poses, reported as an ordinary timeout
+            ("w_v", 1.7e308, ("--seed", "0", "--n", "4", "--strategy", "speaker_speaker")),
+            ("w_att", 1.7e308, ("--seed", "2", "--n", "8", "--strategy", "dynamic", "--T", "1")),
+            ("w_rep", 1e308, ("--seed", "2", "--n", "8", "--strategy", "dynamic", "--T", "1")),
+        ],
+    )
+    def test_unbounded_field_weight_exits_2_before_playing(self, capsys, config_dir, tmp_path, weight, value, argv):
+        config = json.loads((config_dir / "table1.json").read_text())
+        config["field"][weight] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        traj = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), *argv, "--trajectory-out", str(traj))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite command" in err
+        assert not traj.exists()
+
+    @pytest.mark.parametrize("argv", [("--n", "8"), ("--n", "2", "--cv", "1.0")], ids=["env", "cv"])
+    def test_field_bound_checked_for_the_game_played(self, capsys, tmp_path, argv):
+        # the config's own conditions (n = 2, cv = 0) stay finite: 2 * w_v *
+        # (w_att + 3 * repulsive_magnitude(RHO_MIN)) is about 1.2e308. An
+        # agent of an 8-obstacle environment acts on at least 5, and cv = 1
+        # scales the command by 9.6; either overflows.
+        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 2e301}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--n", "2", "--strategy", "dynamic")
+        assert code == 0
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--strategy", "dynamic", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite command" in err
+
     def test_same_invocation_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -464,6 +501,10 @@ class TestBench:
             (("limits", "max_steps"), 2**63),
             (("games_per_condition",), bench.MAX_GAMES + 1),
             (("workspace", "retry_cap"), MAX_RETRY_CAP + 1),
+            # field weights whose worst-case command overflows
+            (("field", "w_att"), 1.7e308),
+            (("field", "w_rep"), 1e308),
+            (("field", "w_v"), 1e308),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )

@@ -136,13 +136,13 @@ class TestBisect:
 
 class TestRng:
     def test_known_stream_head(self):
-        # splitmix64 reference vector for seed 0
-        assert Rng(0).next_u64() == 0xE220A8397B1DCDAF
+        # splitmix64 reference vector for seed 0, as its uniform
+        assert Rng(0).uniform() == ((0xE220A8397B1DCDAF >> 11) + 1) / 2**53
 
     def test_same_seed_same_stream(self):
         a = Rng(123456789)
         b = Rng(123456789)
-        assert [a.next_u64() for _ in range(1000)] == [b.next_u64() for _ in range(1000)]
+        assert [a.uniform() for _ in range(1000)] == [b.uniform() for _ in range(1000)]
 
     def test_uniform_in_half_open_interval(self):
         rng = Rng(42)
@@ -153,6 +153,43 @@ class TestRng:
     def test_derive_seed_varies_with_salt(self):
         seeds = {derive_seed(7, salt) for salt in range(100)}
         assert len(seeds) == 100
+
+
+def unxorshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == y; each pass fixes shift more high bits."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The inverse of _mix64: each xorshift undone, each multiplier by its
+    inverse modulo 2**64."""
+    z = unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & _MASK64
+    z = unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _MASK64
+    return unxorshift(z, 30)
+
+
+class TestUniformConversion:
+    """A draw's uniform ((z >> 11) + 1) / 2**53 is exact at its extremes, in
+    the scalar head and in a numpy block."""
+
+    @pytest.mark.parametrize("k", [1, _HEAD + 1])
+    @pytest.mark.parametrize(
+        "raw, want",
+        [(2**64 - 1, 1.0), (0, 2.0**-53), (2**11 - 1, 2.0**-53), (2**11, 2.0**-52)],
+    )
+    def test_extreme_raw_draws(self, k, raw, want):
+        # the seed whose draw k is raw
+        assert _mix64(unmix64(raw)) == raw
+        seed = (unmix64(raw) - k * _WEYL) & _MASK64
+        rng = Rng(seed)
+        for _ in range(k - 1):
+            rng.uniform()
+        assert rng.uniform() == want
 
 
 # whether numpy is loaded before the stream's draws and after, then each draw
@@ -171,72 +208,70 @@ class TestBlockStream:
     """Draws made ahead in numpy blocks equal the scalar definition."""
 
     DRAWS = 1000
-    # the last scalar draw and the last draw of each block; the next call
-    # to gaussian at one of these takes its two draws across the boundary
+    # the last scalar draw and the last draw of each block; a gaussian
+    # starting at one takes its two draws across the boundary
     BOUNDARIES = tuple(range(_HEAD, DRAWS, _BLOCK))
+    # the first draw of each block; a gaussian starting at one builds the
+    # block for its first draw and pops its second from it, as every noisy
+    # game stream does at draw 33
+    FIRSTS = tuple(k + 1 for k in BOUNDARIES)
+    SEEDS = (0, 1, 2**63, 2**64 - 1, 2**64 - _WEYL)
 
     @staticmethod
-    def scalar_draw(seed: int, k: int) -> int:
-        return _mix64((seed + k * _WEYL) & _MASK64)
+    def scalar_uniform(seed: int, k: int) -> float:
+        return ((_mix64((seed + k * _WEYL) & _MASK64) >> 11) + 1) * (1.0 / 9007199254740992.0)
 
-    def scalar_uniform(self, seed: int, k: int) -> float:
-        return ((self.scalar_draw(seed, k) >> 11) + 1) * (1.0 / 9007199254740992.0)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 - _WEYL])
-    def test_mixed_calls_match_scalar_definition(self, seed):
-        rng = Rng(seed)
-        k = 1  # the next draw
-        cycle = 0
-        straddled = []
+    def calls(self, gauss_at: tuple[int, ...]) -> str:
+        """Uniform ("u") and gaussian ("g") calls over draws 1..DRAWS,
+        alternating, with a gaussian starting at each draw of gauss_at."""
+        ops, k, starts = "", 1, []
         while k <= self.DRAWS:
-            if k in self.BOUNDARIES:
-                op = "gaussian"
-                straddled.append(k)
-            elif k + 1 in self.BOUNDARIES or k == self.DRAWS:
-                op = "uniform"
-            else:
-                op = ("next_u64", "uniform", "gaussian")[cycle % 3]
-                cycle += 1
-            if op == "next_u64":
-                assert rng.next_u64() == self.scalar_draw(seed, k)
-                k += 1
-            elif op == "uniform":
-                assert rng.uniform() == self.scalar_uniform(seed, k)
+            gauss = k in gauss_at or (k < self.DRAWS and k + 1 not in gauss_at and len(ops) % 2)
+            ops += "g" if gauss else "u"
+            if gauss:
+                starts.append(k)
+            k += 2 if gauss else 1
+        assert k == self.DRAWS + 1 and set(gauss_at) <= set(starts) and len(gauss_at) == 4
+        return ops
+
+    def scalar_values(self, seed: int, ops: str) -> list[float]:
+        values, k = [], 1
+        for op in ops:
+            if op == "u":
+                values.append(self.scalar_uniform(seed, k))
                 k += 1
             else:
                 u1 = self.scalar_uniform(seed, k)
                 u2 = self.scalar_uniform(seed, k + 1)
                 z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                assert gaussian(rng, 0.5, 2.0) == 0.5 + 2.0 * z
+                values.append(0.5 + 2.0 * z)
                 k += 2
-        # the scalar/block switch and three block boundaries
-        assert straddled == list(self.BOUNDARIES) and len(straddled) == 4
-        assert rng.next_u64() == self.scalar_draw(seed, self.DRAWS + 1)
+        return values
+
+    def assert_stream_matches(self, seed: int, gauss_at: tuple[int, ...]) -> None:
+        rng = Rng(seed)
+        ops = self.calls(gauss_at)
+        got = [gaussian(rng, 0.5, 2.0) if op == "g" else rng.uniform() for op in ops]
+        assert got == self.scalar_values(seed, ops)
+        assert rng.uniform() == self.scalar_uniform(seed, self.DRAWS + 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_calls_match_scalar_definition(self, seed):
+        self.assert_stream_matches(seed, self.BOUNDARIES)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gaussian_starting_a_block_matches_scalar_definition(self, seed):
+        self.assert_stream_matches(seed, self.FIRSTS)
 
     def test_first_block_loads_numpy_and_matches_scalar_definition(self, fresh_python):
         # the tests above run where numpy is loaded already; here a fresh
-        # interpreter draws the first block, which loads it. Uniform and
-        # gaussian calls alternate, with a gaussian across each boundary.
-        ops, k = "", 1
-        while k <= self.DRAWS:
-            gauss = k in self.BOUNDARIES or (k < self.DRAWS and k + 1 not in self.BOUNDARIES and len(ops) % 2)
-            ops += "g" if gauss else "u"
-            k += 2 if gauss else 1
+        # interpreter draws the first block, which loads it
         seed = 2**64 - _WEYL
-        expected, k = [], 1
-        for op in ops:
-            if op == "u":
-                expected.append(self.scalar_uniform(seed, k).hex())
-                k += 1
-            else:
-                u1 = self.scalar_uniform(seed, k)
-                u2 = self.scalar_uniform(seed, k + 1)
-                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                expected.append((0.5 + 2.0 * z).hex())
-                k += 2
-        out = fresh_python(_FIRST_BLOCK_PROBE, str(seed), ops).split()
-        assert out[:2] == ["False", "True"]
-        assert out[2:] == expected and k == self.DRAWS + 1
+        for gauss_at in (self.BOUNDARIES, self.FIRSTS):
+            ops = self.calls(gauss_at)
+            out = fresh_python(_FIRST_BLOCK_PROBE, str(seed), ops).split()
+            assert out[:2] == ["False", "True"]
+            assert out[2:] == [v.hex() for v in self.scalar_values(seed, ops)]
 
 
 class TestGaussian:
@@ -244,7 +279,7 @@ class TestGaussian:
         rng = Rng(1)
         assert gaussian(rng, 3.0, 0.0) == 3.0
         # and consumes nothing: identical next draw to a fresh stream
-        assert rng.next_u64() == Rng(1).next_u64()
+        assert rng.uniform() == Rng(1).uniform()
 
     def test_negative_stddev_raises(self):
         with pytest.raises(ValueError):
@@ -255,7 +290,7 @@ class TestGaussian:
         rng = Rng(1)
         with pytest.raises(ValueError, match="stddev must be finite"):
             gaussian(rng, 0.0, stddev)
-        assert rng.next_u64() == Rng(1).next_u64()
+        assert rng.uniform() == Rng(1).uniform()
 
     def test_same_seed_same_sample(self):
         assert gaussian(Rng(77), 0.0, 1.0) == gaussian(Rng(77), 0.0, 1.0)
@@ -281,3 +316,8 @@ def test_vec2_is_retired():
     # a point is a plain (x, y) tuple everywhere
     assert not hasattr(rolecomms, "Vec2")
     assert not hasattr(numerics, "Vec2")
+
+
+def test_next_u64_is_retired():
+    # a stream yields uniforms only; its blocks hold no raw integers
+    assert not hasattr(Rng, "next_u64")

@@ -545,7 +545,7 @@ class TestCorrupt:
     def test_zero_cv_identity_and_no_draws(self):
         rng = Rng(5)
         assert corrupt((1.0, -2.0, 3.0), 0.0, rng) == (1.0, -2.0, 3.0)
-        assert rng.next_u64() == Rng(5).next_u64()
+        assert rng.uniform() == Rng(5).uniform()
 
     def test_zero_component_unchanged(self):
         out = corrupt((0.0, 5.0), 0.5, Rng(6))
@@ -571,7 +571,7 @@ class TestCorrupt:
         rng = Rng(8)
         with pytest.raises(ValueError, match=r"cv must be in \[0, 1\]"):
             corrupt((1.0, 2.0), cv, rng)
-        assert rng.next_u64() == Rng(8).next_u64()
+        assert rng.uniform() == Rng(8).uniform()
 
     @pytest.mark.parametrize("cv", [0.0, 0.2])
     @pytest.mark.parametrize("values", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
@@ -579,7 +579,7 @@ class TestCorrupt:
         rng = Rng(9)
         with pytest.raises(ValueError):
             corrupt(values, cv, rng)
-        assert rng.next_u64() == Rng(9).next_u64()
+        assert rng.uniform() == Rng(9).uniform()
 
     @staticmethod
     def seed_corrupt(values, cv, rng):
@@ -608,12 +608,12 @@ class TestCorrupt:
                 for seed in (3, 2**64 - 1):
                     rng, ref = Rng(seed), Rng(seed)
                     for _ in range(offset):
-                        rng.next_u64()
-                        ref.next_u64()
+                        rng.uniform()
+                        ref.uniform()
                     got = corrupt(values, 0.3, rng)
                     want = self.seed_corrupt(values, 0.3, ref)
                     assert list(map(float_bits, got)) == list(map(float_bits, want)), (offset, seed)
-                    assert rng.next_u64() == ref.next_u64()
+                    assert rng.uniform() == ref.uniform()
 
 
 def float_bits(x: float) -> int:

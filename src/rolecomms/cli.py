@@ -39,8 +39,8 @@ from .table_sim import (
     write_trajectory_csv,
 )
 
-# the role allocations of analyze's stability mode; linear_roles, and with it
-# numpy, is imported by analyze alone
+# linear_roles.ROLE_MASKS's names, the role allocations of analyze's
+# stability mode; linear_roles, and with it numpy, is imported by analyze alone
 _ALLOC_CHOICES = ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic")
 
 
@@ -97,9 +97,7 @@ def _analysis(spec: SystemFile, args) -> dict:
 
     system, sigma_s2_sq = spec.team(), spec.sigma_s2_sq
     if args.mode == "stability":
-        # in _ALLOC_CHOICES's order
-        allocs = (lr.SpeakerListener(1), lr.SpeakerListener(2), lr.SpeakerSpeaker(), lr.DynamicAlternating())
-        rep = lr.stability_report(system, allocs[_ALLOC_CHOICES.index(args.alloc)])
+        rep = lr.stability_report(system, args.alloc)
         return {
             "mode": "stability",
             "allocation": args.alloc,

@@ -23,38 +23,18 @@ from .errors import InconsistentObservationError
 _NORM_TOL = 1e-9
 
 
-def _check_distribution(p: np.ndarray, name: str) -> None:
-    if np.any(p < 0):
-        raise ValueError(f"{name} has negative entries")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > _NORM_TOL):
+def _distribution(table, ndim: int, name: str) -> np.ndarray:
+    """`table` as a float array of `ndim` axes whose last axis holds
+    probability distributions: entries >= 0 and sums within _NORM_TOL of 1.
+    Each test is written to fail on NaN."""
+    t = np.asarray(table, dtype=float)
+    if t.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got {t.ndim}-d")
+    if not np.all(t >= 0):
+        raise ValueError(f"{name} entries must be >= 0 and not NaN")
+    if not np.all(np.abs(t.sum(axis=-1) - 1.0) <= _NORM_TOL):
         raise ValueError(f"{name} rows must sum to 1 within {_NORM_TOL}")
-
-
-def validate_centralized(table) -> np.ndarray:
-    """Validate a centralized policy table of shape (S_own, S_partner, A)."""
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 3:
-        raise ValueError(f"centralized policy must be 3-d (own, partner, action), got {t.ndim}-d")
-    _check_distribution(t, "centralized policy")
     return t
-
-
-def validate_speaker(table) -> np.ndarray:
-    """Validate a speaker-form policy table of shape (S_own, A)."""
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 2:
-        raise ValueError(f"speaker policy must be 2-d (state, action), got {t.ndim}-d")
-    _check_distribution(t, "speaker policy")
-    return t
-
-
-def validate_belief(vec) -> np.ndarray:
-    b = np.asarray(vec, dtype=float)
-    if b.ndim != 1:
-        raise ValueError("belief must be a 1-d probability vector")
-    _check_distribution(b[None, :], "belief")
-    return b
 
 
 def speaker_policy_exact(centralized, belief, own_state: int) -> np.ndarray:
@@ -62,8 +42,8 @@ def speaker_policy_exact(centralized, belief, own_state: int) -> np.ndarray:
 
     Returns sum_j pi[own_state, j, :] * belief[j], normalized.
     """
-    pi = validate_centralized(centralized)
-    b = validate_belief(belief)
+    pi = _distribution(centralized, 3, "centralized policy")
+    b = _distribution(belief, 1, "belief")
     if b.shape[0] != pi.shape[1]:
         raise ValueError(
             f"belief length {b.shape[0]} does not match partner-state axis {pi.shape[1]}"
@@ -79,8 +59,8 @@ def listener_posterior(prior, speaker_action: int, speaker_policy) -> np.ndarray
     Raises InconsistentObservationError when the observed action has zero
     probability under every state the prior supports.
     """
-    p = validate_belief(prior)
-    pi = validate_speaker(speaker_policy)
+    p = _distribution(prior, 1, "prior")
+    pi = _distribution(speaker_policy, 2, "speaker policy")
     if p.shape[0] != pi.shape[0]:
         raise ValueError(f"prior length {p.shape[0]} does not match policy states {pi.shape[0]}")
     unnorm = pi[:, speaker_action] * p
@@ -99,8 +79,8 @@ def listener_policy_exact(centralized, posterior, own_state: int) -> np.ndarray:
     the listener's point of view: returns
     sum_i pi[i, own_state, :] * posterior(i), normalized.
     """
-    pi = validate_centralized(centralized)
-    post = validate_belief(posterior)
+    pi = _distribution(centralized, 3, "centralized policy")
+    post = _distribution(posterior, 1, "posterior")
     if post.shape[0] != pi.shape[0]:
         raise ValueError(
             f"posterior length {post.shape[0]} does not match partner-state axis {pi.shape[0]}"
@@ -141,10 +121,10 @@ def interdependence_demo(
     """
     if iterations < 1:
         raise ValueError("iteration cap must be >= 1")
-    pi1_star = validate_centralized(centralized1)  # (S1, S2, A1)
-    pi2_star = validate_centralized(centralized2)  # (S1, S2, A2), indexed (s1, s2, a2)
-    p2 = validate_belief(prior_s2)
-    p1 = validate_belief(prior_s1)
+    pi1_star = _distribution(centralized1, 3, "centralized1")  # (S1, S2, A1)
+    pi2_star = _distribution(centralized2, 3, "centralized2")  # (S1, S2, A2), indexed (s1, s2, a2)
+    p2 = _distribution(prior_s2, 1, "prior_s2")
+    p1 = _distribution(prior_s1, 1, "prior_s1")
     n_s1, n_s2, n_a1 = pi1_star.shape
     n_a2 = pi2_star.shape[2]
 

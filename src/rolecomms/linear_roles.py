@@ -1,14 +1,16 @@
 """Role analysis for linear feedback teams.
 
 Covers the closed-loop consequences of role assignment when a decentralized
-team mimics a centralized gain: masked gains and stability for fixed roles,
-the rotation construction whose phase average recovers the centralized
+team mimics a centralized gain: masked gains and stability for the role
+allocations named in `ROLE_MASKS` (the names `rolecomms analyze --alloc`
+takes), the rotation construction whose phase average recovers the centralized
 action, propagation of unbiased action-observation noise, and the variance
 trade-off a speaker faces when the centralized policy is stochastic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -53,30 +55,19 @@ class TeamLinearSystem:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class SpeakerSpeaker:
-    """Both agents act on their own state only."""
-
-
-@dataclass(frozen=True)
-class SpeakerListener:
-    """Fixed roles: the given agent speaks, the other listens."""
-
-    speaker: int = 1
-
-    def __post_init__(self):
-        if self.speaker not in (1, 2):
-            raise ValueError(f"speaker index must be 1 or 2, got {self.speaker}")
-
-
-@dataclass(frozen=True)
-class DynamicAlternating:
-    """Roles rotate every phase. For any phase length the phase-averaged gain
-    is the full Kstar; rotation_converges takes the phase lengths as dts and
-    gives the O(dt) error of one cycle under a drifting state."""
-
-
-RoleAllocation = SpeakerSpeaker | SpeakerListener | DynamicAlternating
+# The four role allocations, by the names `rolecomms analyze --alloc` takes,
+# and the gain entries each one masks. A speaking agent cannot use the other
+# agent's state, so its cross gain is zeroed: agent 1 speaking zeroes K12,
+# agent 2 speaking zeroes K21. Under "dynamic" the roles rotate every phase:
+# for any phase length the phase-averaged gain is the full Kstar, and
+# rotation_converges gives the O(dt) error of one cycle under a drifting
+# state.
+ROLE_MASKS = {
+    "speaker_listener_1": ((0, 1),),
+    "speaker_listener_2": ((1, 0),),
+    "speaker_speaker": ((0, 1), (1, 0)),
+    "dynamic": (),
+}
 
 
 def _gain_2x2(K) -> np.ndarray:
@@ -87,28 +78,18 @@ def _gain_2x2(K) -> np.ndarray:
     return k
 
 
-def role_gain(Kstar, alloc: RoleAllocation) -> np.ndarray:
-    """Effective 2x2 feedback gain under a role allocation.
+def role_gain(Kstar, alloc: str) -> np.ndarray:
+    """Effective 2x2 feedback gain under the role allocation named `alloc`.
 
-    A speaking agent cannot use the other agent's state, so its cross gain is
-    masked to zero: SpeakerListener(1) zeroes K12, SpeakerListener(2) zeroes
-    K21, and SpeakerSpeaker zeroes both. DynamicAlternating returns the gain
-    unchanged (the fast-switching phase average reproduces the full gain).
-    Diagonal entries are never modified; the operation is idempotent.
+    The entries `ROLE_MASKS[alloc]` lists are zeroed; "dynamic" returns the
+    gain unchanged. Diagonal entries are never modified, so the operation is
+    idempotent. An unknown name is refused before the gain's shape is checked.
     """
+    if alloc not in ROLE_MASKS:
+        raise ValueError(f"unknown role allocation {alloc!r}, expected one of {sorted(ROLE_MASKS)}")
     k = _gain_2x2(Kstar)
-    if isinstance(alloc, SpeakerSpeaker):
-        k[0, 1] = 0.0
-        k[1, 0] = 0.0
-    elif isinstance(alloc, SpeakerListener):
-        if alloc.speaker == 1:
-            k[0, 1] = 0.0
-        else:
-            k[1, 0] = 0.0
-    elif isinstance(alloc, DynamicAlternating):
-        pass
-    else:
-        raise TypeError(f"unknown allocation {alloc!r}")
+    for entry in ROLE_MASKS[alloc]:
+        k[entry] = 0.0
     return k
 
 
@@ -118,24 +99,32 @@ class StabilityReport(NamedTuple):
     max_real_part: float
 
 
-def stability_report(sys: TeamLinearSystem, alloc: RoleAllocation) -> StabilityReport:
-    """Closed-loop eigenvalues of A - B * role_gain(Kstar) and the stability verdict.
+def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
+    """Closed-loop eigenvalues of A - B * role_gain(Kstar, alloc) and the stability verdict.
 
-    Stable iff every eigenvalue has a strictly negative real part. Fixed
-    allocations require a 2x2 system; DynamicAlternating (whose averaged gain
-    is the full Kstar) is accepted for any supported dimension.
+    Stable iff every eigenvalue has a strictly negative real part. The fixed
+    allocations require a 2x2 system; "dynamic" (whose averaged gain is the
+    full Kstar) is accepted for any supported dimension.
     """
-    if isinstance(alloc, DynamicAlternating):
+    if alloc == "dynamic":
         gain = sys.Kstar
     else:
-        if sys.n != 2:
+        # an unknown name is role_gain's error, whatever the shape
+        if sys.n != 2 and alloc in ROLE_MASKS:
             raise ValueError("fixed role allocations are defined for 2x2 systems only")
         gain = role_gain(sys.Kstar, alloc)
-    closed = sys.A - sys.B @ gain
-    if closed.shape == (2, 2):
-        eigs = eig2x2(closed)
-    else:
-        eigs = eig_general(closed)
+    # an overflow shows as a closed loop or a spectrum that is not finite,
+    # reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = sys.A - sys.B @ gain
+        if not np.all(np.isfinite(closed)):
+            raise ValueError(f"the closed-loop matrix A - B K is not finite, got {closed.tolist()}")
+        if closed.shape == (2, 2):
+            eigs = eig2x2(closed)
+        else:
+            eigs = eig_general(closed)
+    if not all(cmath.isfinite(e) for e in eigs):
+        raise ValueError(f"the closed-loop eigenvalues are not finite, got {list(eigs)}")
     max_re = max(e.real for e in eigs)
     return StabilityReport(tuple(eigs), max_re < 0.0, max_re)
 
@@ -258,6 +247,7 @@ def optimal_variances(K, w1_sq: float, w2_sq: float, speaker: int = 1) -> Varian
         sigma_spk^2 = K_ss^2 w_s^2 w_l^2 / (K_ss^2 w_l^2 + K_ls^2 w_s^2)
 
     which is always <= w_s^2, with equality iff the cross gain K_ls is zero.
+    A speaker variance that overflows, or underflows to 0, raises ValueError.
     """
     k = _gain_2x2(K)
     if not (w1_sq > 0 and w2_sq > 0):
@@ -269,7 +259,12 @@ def optimal_variances(K, w1_sq: float, w2_sq: float, speaker: int = 1) -> Varian
     if k[i, i] == 0.0:
         raise SingularGainError(f"K{i + 1}{i + 1} must be nonzero when agent {i + 1} speaks")
     pair = [w1_sq, w2_sq]
-    pair[i] = k[i, i] ** 2 * w1_sq * w2_sq / (k[i, i] ** 2 * pair[j] + k[j, i] ** 2 * pair[i])
+    # an overflow shows as a variance that is not finite, and an underflow as
+    # a variance of 0, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair[i] = k[i, i] ** 2 * w1_sq * w2_sq / (k[i, i] ** 2 * pair[j] + k[j, i] ** 2 * pair[i])
+    if not 0.0 < pair[i] < math.inf:
+        raise ValueError(f"sigma{i + 1}_sq must come out finite and > 0, got {pair[i]}")
     return VariancePair(*pair)
 
 
@@ -288,6 +283,9 @@ def expected_kl(
 
         K12^2 sigma_s2^2 / (2 w1^2) + log(w1 w2 / (sigma1 sigma2))
         + sigma1^2 / (2 w1^2) + (sigma2^2 + K21^2 sigma1^2 / K11^2) / (2 w2^2)
+
+    The log's quotient and its denominator must not underflow to 0, and the
+    divergence must be finite; each raises ValueError otherwise.
     """
     k = _gain_2x2(K)
     for name, v in (
@@ -302,9 +300,19 @@ def expected_kl(
         raise ValueError(f"sigma_s2_sq must be finite and >= 0, got {sigma_s2_sq}")
     if k[0, 0] == 0.0:
         raise SingularGainError("K11 must be nonzero when agent 1 speaks")
-    return (
-        k[0, 1] ** 2 * sigma_s2_sq / (2.0 * w1_sq)
-        + 0.5 * math.log(w1_sq * w2_sq / (sigma1_sq * sigma2_sq))
-        + sigma1_sq / (2.0 * w1_sq)
-        + (sigma2_sq + k[1, 0] ** 2 * sigma1_sq / k[0, 0] ** 2) / (2.0 * w2_sq)
-    )
+    # an overflow shows as a divergence that is not finite, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sigma1_sq * sigma2_sq == 0.0:
+            raise ValueError(f"sigma1_sq * sigma2_sq underflows to 0, got {sigma1_sq} and {sigma2_sq}")
+        quotient = w1_sq * w2_sq / (sigma1_sq * sigma2_sq)
+        if quotient == 0.0:
+            raise ValueError("w1_sq * w2_sq / (sigma1_sq * sigma2_sq) underflows to 0")
+        kl = (
+            k[0, 1] ** 2 * sigma_s2_sq / (2.0 * w1_sq)
+            + 0.5 * math.log(quotient)
+            + sigma1_sq / (2.0 * w1_sq)
+            + (sigma2_sq + k[1, 0] ** 2 * sigma1_sq / k[0, 0] ** 2) / (2.0 * w2_sq)
+        )
+    if not math.isfinite(kl):
+        raise ValueError(f"expected_kl is not finite, got {kl}")
+    return kl

@@ -29,7 +29,6 @@ from rolecomms.bench import (
     run_benchmark,
 )
 from rolecomms.linear_roles import (
-    SpeakerListener,
     TeamLinearSystem,
     expected_kl,
     noisy_listener_action,
@@ -110,7 +109,7 @@ def test_criterion_1_fixed_roles_unstable():
         sys = TeamLinearSystem(
             A=UNSTABLE_A, B=UNSTABLE_B, Kstar=np.array([[k11, 0.0], [k21, k22]])
         )
-        rep = stability_report(sys, SpeakerListener(1))
+        rep = stability_report(sys, "speaker_listener_1")
         worst = min(worst, rep.max_real_part)
         if rep.stable:
             break

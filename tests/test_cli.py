@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rolecomms import bench, cli
+from rolecomms import bench, cli, linear_roles
 from rolecomms.cli import _resolve_workers, build_parser, main
 from rolecomms.table_sim import MAX_RETRY_CAP
 
@@ -59,13 +59,25 @@ class TestAnalyze:
         assert doc["max_real_part"] == pytest.approx(1.0)
 
     def test_stability_other_allocations(self, capsys, system_file):
-        for alloc in ("speaker_listener_2", "speaker_speaker", "dynamic"):
+        system = cli.SystemFile(**json.loads(Path(system_file).read_text())).team()
+        for alloc in ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic"):
             code, out, _ = run_cli(
                 capsys, "analyze", "--system", system_file, "--mode", "stability",
                 "--alloc", alloc,
             )
             assert code == 0
-            assert json.loads(out)["allocation"] == alloc
+            rep = linear_roles.stability_report(system, alloc)
+            assert json.loads(out) == {
+                "mode": "stability",
+                "allocation": alloc,
+                "eigenvalues": [[e.real, e.imag] for e in rep.eigenvalues],
+                "max_real_part": rep.max_real_part,
+                "stable": rep.stable,
+            }
+
+    def test_alloc_choices_are_the_role_masks(self):
+        # cli keeps its own copy so that importing it loads no numpy
+        assert sorted(cli._ALLOC_CHOICES) == sorted(linear_roles.ROLE_MASKS)
 
     def test_variances_unit_example(self, capsys, tmp_path):
         system = {
@@ -161,6 +173,31 @@ class TestAnalyze:
         assert err.startswith("error: " + start) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "changes, mode, start",
+        [
+            ({"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "Kstar": [[1.0, 0.0], [1.0, 1.0]],
+              "W": [1e308, 1e308]}, "variances", "sigma1_sq must come out finite and > 0, got nan"),
+            ({"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "Kstar": [[1.0, 1e200], [0.0, 1.0]],
+              "sigma_s2_sq": 1e200}, "kl", "expected_kl is not finite, got inf"),
+            ({"A": [[1e308, 1e308], [1e308, 1e308]], "B": [[1e308, 1e308], [1e308, 1e308]],
+              "Kstar": [[1e200, 1e200], [1e200, 1e200]]}, "stability", "the closed-loop matrix A - B K is not finite"),
+            ({"A": [[1e308, 0.0], [0.0, 1e308]]}, "stability", "the closed-loop eigenvalues are not finite"),
+        ],
+        ids=["nan_variance", "infinite_kl", "overflowing_closed_loop", "overflowing_trace"],
+    )
+    def test_non_finite_result_exits_2_with_one_error_line(
+        self, capsys, recwarn, tmp_path, system_file, changes, mode, start
+    ):
+        # each once printed NaN or Infinity, which JSON does not allow, and
+        # exited 0, or printed numpy's overflow warning before its error line
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({**json.loads(Path(system_file).read_text()), **changes}))
+        code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + start) and err.count("\n") == 1
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize(
         "argv, start",
         [
             (("--mode", "rotation", "--dts", "0"), "every dt must be finite and > 0, got [0.0]"),
@@ -177,10 +214,13 @@ class TestAnalyze:
             (("--mode", "rotation", "--dts", "5e-324"), "horizon / (n*dt) must be finite, got horizon 2.0"),
             (("--mode", "rotation", "--horizon", "100", "--dts", "10", "--drift", "1e308", "1e308"),
              "the deviation at dt 10.0 is not finite"),
+            # once a ZeroDivisionError traceback
+            (("--mode", "kl", "--sigma1-sq", "1e-300", "--sigma2-sq", "1e-300"),
+             "sigma1_sq * sigma2_sq underflows to 0, got 1e-300 and 1e-300"),
         ],
         ids=["zero_dt", "inf_dt", "nan_horizon", "inf_horizon", "negative_horizon",
              "short_drift", "inf_drift", "long_drift", "nan_drift", "inf_sigma1", "tiny_dt",
-             "overflowing_drift"],
+             "overflowing_drift", "underflowing_sigmas"],
     )
     def test_invalid_mode_argument_exits_2_with_one_error_line(self, capsys, recwarn, system_file, argv, start):
         code, out, err = run_cli(capsys, "analyze", "--system", system_file, *argv)

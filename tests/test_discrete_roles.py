@@ -39,6 +39,36 @@ def brute_force_listener(pi, posterior, own_state):
     return out / out.sum()
 
 
+# a valid 2-state input of each kind, and the four ways it is made invalid;
+# NaN fails both the sign test and the sum test, and once passed them both:
+# speaker_policy_exact(pi, [nan, 1.0], 0) returned [nan nan]
+_PI = np.full((2, 2, 2), 0.5)
+_SPEAKER = np.array([[0.9, 0.1], [0.3, 0.7]])
+_BELIEF = np.array([0.5, 0.5])
+_BAD = {
+    "ndim": (lambda t: t[..., None], r"must be \d-d, got \d-d"),
+    "negative": (lambda t: t + np.where(np.arange(t.shape[-1]) == 0, -1.0, 1.0), "entries must be >= 0 and not NaN"),
+    "row_sum": (lambda t: t * 0.9, "rows must sum to 1 within 1e-09"),
+    "nan": (lambda t: np.where(np.arange(t.shape[-1]) == 0, np.nan, t), "entries must be >= 0 and not NaN"),
+}
+_CALLS = {
+    "centralized": (lambda t: speaker_policy_exact(t, _BELIEF, 0), _PI, "centralized policy"),
+    "speaker": (lambda t: listener_posterior(_BELIEF, 0, t), _SPEAKER, "speaker policy"),
+    "belief": (lambda t: speaker_policy_exact(_PI, t, 0), _BELIEF, "belief"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD))
+@pytest.mark.parametrize("table", sorted(_CALLS))
+def test_every_input_distribution_is_checked(recwarn, table, bad):
+    call, valid, name = _CALLS[table]
+    change, message = _BAD[bad]
+    call(valid)
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        call(change(valid))
+    assert [str(w.message) for w in recwarn] == []
+
+
 class TestSpeakerPolicy:
     def test_point_mass_belief_selects_row(self):
         rng = np.random.default_rng(0)

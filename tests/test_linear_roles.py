@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from rolecomms import linear_roles
 from rolecomms.errors import SingularGainError
 from rolecomms.linear_roles import (
-    DynamicAlternating,
-    SpeakerListener,
-    SpeakerSpeaker,
+    ROLE_MASKS,
     TeamLinearSystem,
     expected_kl,
     noisy_listener_action,
@@ -30,44 +29,52 @@ def unstable_system(K):
 
 class TestRoleGain:
     def test_speaker_one_masks_k12(self):
-        out = role_gain([[1, 2], [3, 4]], SpeakerListener(1))
+        out = role_gain([[1, 2], [3, 4]], "speaker_listener_1")
         assert np.array_equal(out, [[1, 0], [3, 4]])
 
     def test_speaker_two_masks_k21(self):
-        out = role_gain([[1, 2], [3, 4]], SpeakerListener(2))
+        out = role_gain([[1, 2], [3, 4]], "speaker_listener_2")
         assert np.array_equal(out, [[1, 2], [0, 4]])
 
     def test_speaker_speaker_masks_both(self):
-        out = role_gain([[1, 2], [3, 4]], SpeakerSpeaker())
+        out = role_gain([[1, 2], [3, 4]], "speaker_speaker")
         assert np.array_equal(out, [[1, 0], [0, 4]])
 
     def test_diagonal_gain_unchanged(self):
-        for alloc in (SpeakerSpeaker(), SpeakerListener(1), SpeakerListener(2)):
+        for alloc in ("speaker_speaker", "speaker_listener_1", "speaker_listener_2"):
             assert np.array_equal(role_gain([[2, 0], [0, 5]], alloc), [[2, 0], [0, 5]])
 
     def test_dynamic_returns_full_gain(self):
-        out = role_gain([[1, 2], [3, 4]], DynamicAlternating())
+        out = role_gain([[1, 2], [3, 4]], "dynamic")
         assert np.array_equal(out, [[1, 2], [3, 4]])
 
     def test_idempotent_and_preserves_diagonal(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = rng.uniform(-5, 5, size=(2, 2))
-            for alloc in (SpeakerSpeaker(), SpeakerListener(1), SpeakerListener(2)):
+            for alloc in ROLE_MASKS:
                 once = role_gain(k, alloc)
                 twice = role_gain(once, alloc)
                 assert np.array_equal(once, twice)
                 assert once[0, 0] == k[0, 0] and once[1, 1] == k[1, 1]
 
     def test_invalid_speaker_index(self):
-        with pytest.raises(ValueError):
-            SpeakerListener(3)
+        # an unknown name is refused before the gain's shape is checked
+        for K in ([[1, 2], [3, 4]], np.eye(3)):
+            with pytest.raises(ValueError, match=r"^unknown role allocation 'speaker_listener_3', expected one of \["):
+                role_gain(K, "speaker_listener_3")
+
+
+def test_allocation_classes_are_retired():
+    # a role allocation is one of ROLE_MASKS's names
+    for name in ("SpeakerSpeaker", "SpeakerListener", "DynamicAlternating", "RoleAllocation"):
+        assert not hasattr(linear_roles, name)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda k: role_gain(k, SpeakerSpeaker()),
+        lambda k: role_gain(k, "speaker_speaker"),
         lambda k: noisy_listener_action(k, [1.0, 1.0], [0.0, 0.0]),
         lambda k: optimal_variances(k, 1.0, 1.0),
         lambda k: expected_kl(k, 1.0, 1.0, 1.0, 1.0, 1.0),
@@ -94,11 +101,11 @@ class TestStability:
         for _ in range(100):
             K = [[rng.uniform(-10, 10), rng.uniform(-10, 10)],
                  [rng.uniform(-10, 10), rng.uniform(-10, 10)]]
-            rep = stability_report(unstable_system(K), SpeakerListener(1))
+            rep = stability_report(unstable_system(K), "speaker_listener_1")
             assert not rep.stable
             assert rep.max_real_part >= 1.0 - 1e-9
             # cross-check the spectrum against an independent eigensolver
-            closed = UNSTABLE_A - UNSTABLE_B @ role_gain(K, SpeakerListener(1))
+            closed = UNSTABLE_A - UNSTABLE_B @ role_gain(K, "speaker_listener_1")
             reference = sorted(np.linalg.eigvals(closed), key=lambda z: (z.real, z.imag))
             got = sorted(rep.eigenvalues, key=lambda z: (z.real, z.imag))
             for a, b in zip(got, reference):
@@ -106,7 +113,7 @@ class TestStability:
 
     def test_already_stable_plant(self):
         sys = TeamLinearSystem(A=-np.eye(2), B=np.eye(2), Kstar=np.zeros((2, 2)))
-        rep = stability_report(sys, SpeakerListener(1))
+        rep = stability_report(sys, "speaker_listener_1")
         assert rep.stable
         assert rep.eigenvalues == (-1 + 0j, -1 + 0j)
 
@@ -117,13 +124,37 @@ class TestStability:
         sys = TeamLinearSystem(A=UNSTABLE_A, B=UNSTABLE_B, Kstar=K)
         closed = UNSTABLE_A - UNSTABLE_B @ K
         assert max(e.real for e in np.linalg.eigvals(closed)) < 0
-        rep = stability_report(sys, DynamicAlternating())
+        rep = stability_report(sys, "dynamic")
         assert rep.stable
 
     def test_fixed_alloc_requires_2x2(self):
         sys = TeamLinearSystem(A=-np.eye(3), B=np.eye(3), Kstar=np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            stability_report(sys, SpeakerSpeaker())
+        with pytest.raises(ValueError, match="^fixed role allocations are defined for 2x2 systems only$"):
+            stability_report(sys, "speaker_speaker")
+        assert stability_report(sys, "dynamic").eigenvalues == (-1 + 0j,) * 3
+
+    def test_unknown_allocation_is_refused_for_any_shape(self):
+        for n in (2, 3):
+            sys = TeamLinearSystem(A=-np.eye(n), B=np.eye(n), Kstar=np.zeros((n, n)))
+            with pytest.raises(ValueError, match="^unknown role allocation 'Dynamic'"):
+                stability_report(sys, "Dynamic")
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (1e308, "the closed-loop matrix A - B K is not finite"),
+            (0.0, "the closed-loop eigenvalues are not finite"),
+        ],
+        ids=["overflowing_matrix", "overflowing_trace"],
+    )
+    def test_overflow_raises_and_warns_of_nothing(self, recwarn, plant, message):
+        # A = 1e308 I and K = 1e200: with B = 1e308 the product B K
+        # overflows; with B = 0 the closed loop is A, whose trace overflows
+        sys = TeamLinearSystem(A=np.eye(2) * 1e308, B=np.full((2, 2), plant), Kstar=np.full((2, 2), 1e200))
+        for alloc in ROLE_MASKS:
+            with pytest.raises(ValueError, match=f"^{message}, got "):
+                stability_report(sys, alloc)
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestRotationAction:
@@ -409,6 +440,21 @@ class TestOptimalVariances:
         with pytest.raises(ValueError, match=f"^speaker index must be 1 or 2, got {speaker}$"):
             optimal_variances([[1.0, 0.0], [0.0, 1.0]], 1.0, 1.0, speaker=speaker)
 
+    @pytest.mark.parametrize(
+        "K, w1_sq, w2_sq, got",
+        [
+            ([[1.0, 0.0], [1.0, 1.0]], 1e308, 1e308, "nan"),
+            ([[1.0, 0.0], [1.0, 1.0]], 1e200, 1e200, "inf"),
+            ([[1.0, 0.0], [0.0, 1.0]], 1e-200, 1e-200, "0.0"),
+        ],
+        ids=["nan", "inf", "underflow"],
+    )
+    def test_speaker_variance_out_of_range_raises_and_warns_of_nothing(self, recwarn, K, w1_sq, w2_sq, got):
+        # a NaN variance was once printed by analyze as the JSON-invalid NaN
+        with pytest.raises(ValueError, match=f"^sigma1_sq must come out finite and > 0, got {got}$"):
+            optimal_variances(K, w1_sq, w2_sq, speaker=1)
+        assert [str(w.message) for w in recwarn] == []
+
     def test_bit_identical_to_each_speaker_formula(self):
         # each speaker's formula written out in its own operand order
         def speaker_1(k, w1_sq, w2_sq):
@@ -497,3 +543,18 @@ class TestExpectedKl:
         # an infinite variance once failed inside the logarithm with "math domain error"
         with pytest.raises(ValueError, match=f"^{message}$"):
             expected_kl(self.K, *args)
+
+    @pytest.mark.parametrize(
+        "K, args, message",
+        [
+            (K, (1e-300, 1e-300, 1.0, 1.0, 0.0), r"sigma1_sq \* sigma2_sq underflows to 0, got 1e-300 and 1e-300"),
+            (K, (1.0, 1.0, 1e-200, 1e-200, 0.0), r"w1_sq \* w2_sq / \(sigma1_sq \* sigma2_sq\) underflows to 0"),
+            ([[1.0, 1e200], [0.0, 1.0]], (1.0, 1.0, 1.0, 1.0, 1e200), "expected_kl is not finite, got inf"),
+        ],
+        ids=["zero_denominator", "zero_quotient", "infinite"],
+    )
+    def test_out_of_range_result_raises_and_warns_of_nothing(self, recwarn, K, args, message):
+        # the first once ended in ZeroDivisionError, the last printed the JSON-invalid Infinity
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expected_kl(K, *args)
+        assert [str(w.message) for w in recwarn] == []

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -283,8 +284,10 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     CHUNK_SEEDS of its environments. Every task is submitted before the
     calling process hashes each key's environment sequence, so that a pool
     plays while it hashes. The result is independent of `workers`, and at
-    most one process per task starts. More than one worker runs the tasks on
-    the module's `ProcessPoolExecutor`, imported at that first use; one
+    most one process per task and per usable CPU starts: the CPUs this
+    process may run on where the platform reports them (a `taskset` or cpuset
+    narrows them), else `os.cpu_count()`. More than one worker runs the tasks
+    on the module's `ProcessPoolExecutor`, imported at that first use; one
     worker plays them in this process and never imports it.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
@@ -315,7 +318,8 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         for lo in range(0, len(games), CHUNK_SEEDS):
             tasks.append((strategies, config.field_params, config.limits, games[lo : lo + CHUNK_SEEDS]))
 
-    workers = min(workers, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(tasks), cpus)
     if workers > 1 and any(condition.cv > 0 for condition in config.conditions):
         # a noisy game's stream loads numpy; loaded here, every forked worker
         # inherits it instead of importing it itself

@@ -11,16 +11,14 @@ Subcommands:
 Exit codes: 0 success; 1 only when a trend assert listed in the bench config
 failed; 2 every usage, config, input or file error, which `main` reports as
 one `error:` line on stderr. All randomness is seed-driven and every artifact
-from a seeded run embeds its seed; the ROLECOMMS_THREADS environment
-variable (or --workers) sets the worker pool size, which never affects
-outputs.
+from a seeded run embeds its seed; bench's --workers sets the worker pool
+size, which `run_benchmark` caps and which never affects outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +31,6 @@ from .table_sim import (
     STRATEGY_NAMES,
     Environment,
     SimOutcome,
-    check_finite_commands,
     generate_environment,
     run_game,
     write_trajectory_csv,
@@ -138,19 +135,16 @@ def _cmd_simulate(args) -> int:
     period = args.T if args.strategy in ("explicit", "dynamic") else 0
     # a bad config file is reported before a bad condition
     config = bench_mod.config_from_dict(_load_json(args.config, "config")) if args.config else None
-    condition = bench_mod.Condition(args.strategy, period, args.n, args.geometry, args.cv)
+    env = None if args.env is None else decode(Environment, _load_json(args.env, "environment"), "environment")
+    n = args.n if env is None else len(env.obstacles)
+    condition = bench_mod.Condition(args.strategy, period, n, args.geometry, args.cv)
+    # the game played is checked as a one-condition bench config, field bound included
     if config is None:
         config = bench_mod.BenchmarkConfig(conditions=(condition,))
-    if args.env is not None:
-        env = decode(Environment, _load_json(args.env, "environment"), "environment")
     else:
-        mode = condition.geometry_mode(config.radii)
-        env = generate_environment(args.seed, args.n, mode, config.workspace)
-    owned = [o.owner for o in env.obstacles]
-    try:
-        check_finite_commands(config.field_params, max(owned.count(1), owned.count(2)) + 1, args.cv)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        config = replace(config, conditions=(condition,), asserts=())
+    if env is None:
+        env = generate_environment(args.seed, n, condition.geometry_mode(config.radii), config.workspace)
     if args.trajectory_out is not None:
         # created before the game, so a bad path fails before it is played
         open(args.trajectory_out, "w").close()
@@ -195,23 +189,6 @@ def _bench_config_for_cli(args) -> bench_mod.BenchmarkConfig:
     return config
 
 
-def _resolve_workers(args) -> int:
-    """Worker count from --workers or ROLECOMMS_THREADS, within [1, usable
-    CPUs]: the CPUs this process may run on where the platform reports them
-    (a `taskset` or cpuset narrows them), else `os.cpu_count()`."""
-    requested = args.workers
-    if requested is None:
-        env_value = os.environ.get("ROLECOMMS_THREADS")
-        if not env_value:
-            return 1
-        try:
-            requested = int(env_value)
-        except ValueError:
-            raise ConfigError(f"ROLECOMMS_THREADS must be an integer, got {env_value!r}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(requested, cpus))
-
-
 def _cmd_bench(args) -> int:
     config = _bench_config_for_cli(args)
     # --out is created first, so a bad path fails before any game is played;
@@ -221,7 +198,7 @@ def _cmd_bench(args) -> int:
     fresh = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        report = bench_mod.run_benchmark(config, workers=_resolve_workers(args))
+        report = bench_mod.run_benchmark(config, workers=args.workers)
     except ConfigError:
         if fresh:
             out.rmdir()
@@ -248,8 +225,16 @@ def _cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, its subcommands' included, leave through
+    `main`'s one error line rather than argparse's usage block and exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rolecomms",
         description="Speaker/listener role coordination: analysis, simulation, benchmarks.",
     )
@@ -301,20 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--games", type=int, default=None, help="override games per condition")
     p_bench.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    p_bench.add_argument("--workers", type=int, default=None)
+    p_bench.add_argument("--workers", type=int, default=1, help="worker processes; 1 or fewer plays serially")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, GenerationError, OSError) as exc:
-        # every config or input error, and an output path that cannot be
-        # created or written, ends the command with one error line
+        # every usage, config or input error, and an output path that cannot
+        # be created or written, ends the command with one error line
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

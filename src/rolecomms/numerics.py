@@ -137,7 +137,8 @@ def eig2x2(m) -> tuple[complex, complex]:
     """Both eigenvalues of a real 2x2 matrix, in closed form.
 
     Returns the roots of lambda^2 - tr(m) lambda + det(m). For real input the
-    pair is either both real or a conjugate pair.
+    pair is either both real or a conjugate pair. A root too large for a
+    float is infinite.
     """
     import numpy as np
 
@@ -146,8 +147,16 @@ def eig2x2(m) -> tuple[complex, complex]:
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    # Outside (2^-480, 2^480) the trace squared or the determinant can over-
+    # or underflow, so the matrix is scaled by 2^-shift to put its largest
+    # entry in [1, 2); every step below, sqrt included, then scales exactly.
+    amax = float(np.abs(a).max())
+    shift = math.frexp(amax)[1] - 1 if amax and not 2.0**-480 < amax < 2.0**480 else 0
+    (p, q), (r, s) = ([math.ldexp(x, -shift) for x in row] for row in a.tolist())
+    # a float multiply, which overflows to infinity where math.ldexp would raise
+    unscale = 2.0**shift
+    tr = p + s
+    det = p * s - q * r
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         root = math.sqrt(disc)
@@ -159,9 +168,9 @@ def eig2x2(m) -> tuple[complex, complex]:
             r1 = 0.5 * (tr - root)
         # r1 == 0 forces tr == root == 0, hence det == 0 and both roots are 0.
         r2 = det / r1 if r1 != 0.0 else 0.0
-        return complex(r1), complex(r2)
-    imag = 0.5 * math.sqrt(-disc)
-    re = 0.5 * tr
+        return complex(r1 * unscale), complex(r2 * unscale)
+    imag = 0.5 * math.sqrt(-disc) * unscale
+    re = 0.5 * tr * unscale
     return complex(re, imag), complex(re, -imag)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.metadata
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -45,6 +46,29 @@ def small_config(conditions, games=30, **kwargs):
         base_seed=100,
         **kwargs,
     )
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool run_benchmark builds, in a stand-in
+    pool that plays its tasks in this process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 class TestSignTest:
@@ -203,28 +227,37 @@ class TestRunBenchmark:
             assert sorted(r.seeds + r.skipped_seeds) == sequence
             assert r.games == 21
 
-    def test_pool_never_larger_than_task_count(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    def test_pool_never_larger_than_task_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         # one key, so one task per CHUNK_SEEDS seeds
         config = small_config([Condition("dynamic", 1, 2, "known", 0.0)], games=3 * bench.CHUNK_SEEDS)
         pooled = run_benchmark(config, workers=64)
-        assert sizes == [3]
+        assert pool_sizes == [3]
         assert report_json(pooled) == report_json(run_benchmark(config))
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch, pool_sizes):
+        # a platform without affinity sets falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        config = small_config([Condition("dynamic", 1, 0, "known", 0.0)], games=8 * bench.CHUNK_SEEDS)
+        for workers in (0, 1, 3, 10_000):
+            run_benchmark(config, workers=workers)
+        assert pool_sizes == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_benchmark(config, workers=8)
+        assert pool_sizes == [3, 4]
+
+    def test_worker_count_clamped_to_cpu_affinity(self, monkeypatch, pool_sizes):
+        # taskset -c 0 on a 4-CPU host: one usable core, whatever the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        config = small_config([Condition("dynamic", 1, 0, "known", 0.0)], games=8 * bench.CHUNK_SEEDS)
+        run_benchmark(config, workers=2)
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 3}, raising=False)
+        run_benchmark(config, workers=10_000)
+        run_benchmark(config, workers=2)
+        assert pool_sizes == [3, 2]
 
     def test_lambda_is_exact_ratio(self):
         report = run_benchmark(small_config([Condition("speaker_speaker", 0, 8, "known", 0.0)]))

@@ -1,15 +1,15 @@
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rolecomms import bench, cli, linear_roles
-from rolecomms.cli import _resolve_workers, build_parser, main
+from rolecomms.cli import build_parser, main
 from rolecomms.table_sim import MAX_RETRY_CAP
 
 
@@ -74,6 +74,29 @@ class TestAnalyze:
                 "max_real_part": rep.max_real_part,
                 "stable": rep.stable,
             }
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[-1e-170, 2e-170], [-3e-170, 0.0]],
+            [[1e-200, 1e-200], [-1e-200, 1e-200]],
+            [[1e300, 0.0], [0.0, 1e308]],
+        ],
+        ids=["underflowing_det", "underflowing_complex", "overflowing_trace"],
+    )
+    def test_stability_at_extreme_magnitudes_matches_numpy(self, capsys, tmp_path, A):
+        # once "stable": false for a stable system, a real pair for a complex
+        # one, and a refusal of the finite eigenvalues 1e300 and 1e308
+        system = {"A": A, "B": [[0.0, 0.0], [0.0, 0.0]], "Kstar": [[1.0, 0.0], [0.0, 1.0]], "W": [1.0, 1.0]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, out, _ = run_cli(capsys, "analyze", "--system", str(path), "--mode", "stability", "--alloc", "dynamic")
+        assert code == 0
+        doc = json.loads(out)
+        want = sorted(np.linalg.eigvals(np.array(A)), key=lambda z: (z.real, z.imag))
+        got = sorted((complex(*e) for e in doc["eigenvalues"]), key=lambda z: (z.real, z.imag))
+        assert got == [pytest.approx(z, rel=1e-14) for z in want]
+        assert doc["stable"] is bool(max(z.real for z in want) < 0.0)
 
     def test_alloc_choices_are_the_role_masks(self):
         # cli keeps its own copy so that importing it loads no numpy
@@ -181,7 +204,8 @@ class TestAnalyze:
               "sigma_s2_sq": 1e200}, "kl", "expected_kl is not finite, got inf"),
             ({"A": [[1e308, 1e308], [1e308, 1e308]], "B": [[1e308, 1e308], [1e308, 1e308]],
               "Kstar": [[1e200, 1e200], [1e200, 1e200]]}, "stability", "the closed-loop matrix A - B K is not finite"),
-            ({"A": [[1e308, 0.0], [0.0, 1e308]]}, "stability", "the closed-loop eigenvalues are not finite"),
+            # eigenvalues 2e308 and 0
+            ({"A": [[1e308, 1e308], [1e308, 1e308]]}, "stability", "the closed-loop eigenvalues are not finite"),
         ],
         ids=["nan_variance", "infinite_kl", "overflowing_closed_loop", "overflowing_trace"],
     )
@@ -296,7 +320,7 @@ class TestSimulate:
     def test_field_bound_checked_for_the_game_played(self, capsys, tmp_path, argv):
         # the config's own conditions (n = 2, cv = 0) stay finite: 2 * w_v *
         # (w_att + 3 * repulsive_magnitude(RHO_MIN)) is about 1.2e308. An
-        # agent of an 8-obstacle environment acts on at least 5, and cv = 1
+        # agent of an 8-obstacle environment acts on at most 9, and cv = 1
         # scales the command by 9.6; either overflows.
         config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 2e301}}
         path = tmp_path / "config.json"
@@ -306,6 +330,19 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--strategy", "dynamic", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite command" in err
+
+    def test_field_bound_counts_every_obstacle_as_bench_does(self, capsys, tmp_path):
+        # four obstacles, two per agent: the k = 3 of the larger owner count
+        # plus one stays finite (about 1.2e308, as above), but k = n + 1 = 5,
+        # the rule bench applies, overflows
+        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 2e301}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        obstacles = [obstacle(center=[2.0 * i + 2.0, 3.0], owner=1 + i % 2) for i in range(4)]
+        env = env_file(tmp_path, "four.json", obstacles=obstacles)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--env", str(env))
+        assert (code, out) == (2, "")
+        assert err == "error: field weights allow a non-finite command for an agent acting on 5 obstacles at cv 0.0\n"
 
     def test_same_invocation_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -349,6 +386,7 @@ class TestSimulate:
             ("--env", "{radius_off_known}"),
             ("--env", "{radius_below_unknown}"),
             ("--env", "{radius_above_unknown}"),
+            ("--env", "{too_many_obstacles}"),
         ],
         ids=[
             "negative_n",
@@ -368,6 +406,7 @@ class TestSimulate:
             "radius_off_known",
             "radius_below_unknown",
             "radius_above_unknown",
+            "too_many_obstacles",
         ],
     )
     def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
@@ -411,6 +450,10 @@ class TestSimulate:
             "radius_above_unknown": env_file(
                 tmp_path, "radius_above_unknown.json",
                 geometry_mode={"kind": "unknown", "r_min": 0.1, "r_max": 0.2}, obstacles=[obstacle()],
+            ),
+            # one more than bench's MAX_OBSTACLES
+            "too_many_obstacles": env_file(
+                tmp_path, "too_many_obstacles.json", obstacles=[obstacle()] * (bench.MAX_OBSTACLES + 1)
             ),
         }
         argv = [a.format(**files) for a in argv]
@@ -629,7 +672,6 @@ class TestBench:
             return run_game(*args, **kwargs)
 
         monkeypatch.setattr(bench, "run_game", counting_run_game)
-        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
         config_path = tmp_path / "no_room.json"
         config_path.write_text(json.dumps(NO_ROOM_CONFIG))
         out_dir = tmp_path / "never"
@@ -657,7 +699,6 @@ class TestBench:
 
     def test_existing_out_dir_is_kept_on_config_error(self, capsys, tmp_path, monkeypatch):
         # only a directory the command made itself is removed again
-        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
         config_path = tmp_path / "no_room.json"
         config_path.write_text(json.dumps(NO_ROOM_CONFIG))
         out_dir = tmp_path / "kept"
@@ -666,33 +707,6 @@ class TestBench:
         assert code == 2
         assert "every seed failed environment generation" in err
         assert out_dir.is_dir()
-
-    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
-        # a platform without affinity sets falls back to the CPU count
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _resolve_workers(argparse.Namespace(workers=None)) == 1
-        assert _resolve_workers(argparse.Namespace(workers=3)) == 3
-        assert _resolve_workers(argparse.Namespace(workers=10_000)) == 4
-        assert _resolve_workers(argparse.Namespace(workers=0)) == 1
-        monkeypatch.setenv("ROLECOMMS_THREADS", "10000")
-        assert _resolve_workers(argparse.Namespace(workers=None)) == 4
-        assert _resolve_workers(argparse.Namespace(workers=2)) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_workers(argparse.Namespace(workers=8)) == 1
-
-    def test_worker_count_clamped_to_cpu_affinity(self, monkeypatch):
-        # taskset -c 0 on a 4-CPU host: one usable core, whatever the CPU count
-        monkeypatch.delenv("ROLECOMMS_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _resolve_workers(argparse.Namespace(workers=2)) == 1
-        monkeypatch.setenv("ROLECOMMS_THREADS", "4")
-        assert _resolve_workers(argparse.Namespace(workers=None)) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 3}, raising=False)
-        assert _resolve_workers(argparse.Namespace(workers=None)) == 3
-        assert _resolve_workers(argparse.Namespace(workers=2)) == 2
 
     def test_worker_flag_does_not_change_bytes(self, capsys, tiny_bench_config, tmp_path):
         outs = []
@@ -706,19 +720,16 @@ class TestBench:
             outs.append((out_dir / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_env_var(self, capsys, tiny_bench_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROLECOMMS_THREADS", "2")
-        code, _, _ = run_cli(
-            capsys, "bench", "--config", str(tiny_bench_config), "--out", str(tmp_path / "env")
-        )
-        assert code == 0
-        monkeypatch.setenv("ROLECOMMS_THREADS", "soup")
-        code, _, err = run_cli(
-            capsys, "bench", "--config", str(tiny_bench_config), "--out", str(tmp_path / "env2")
-        )
-        assert code == 2
-        assert "ROLECOMMS_THREADS" in err
-        assert not (tmp_path / "env2").exists()
+    def test_threads_env_var_is_retired(self, capsys, tiny_bench_config, tmp_path, monkeypatch):
+        # once a worker count, and a value that is no integer an error
+        def no_pool(max_workers):
+            raise AssertionError("a 1-worker run started a process pool")
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        for value in ("2", "soup"):
+            monkeypatch.setenv("ROLECOMMS_THREADS", value)
+            code, _, err = run_cli(capsys, "bench", "--config", str(tiny_bench_config), "--out", str(tmp_path / value))
+            assert (code, err) == (0, "")
 
 
 class TestOutputPaths:
@@ -796,10 +807,12 @@ def test_every_float_option_rejects_nan_and_inf(capsys, monkeypatch, system_file
 
 class TestHelp:
     def test_subcommands_listed(self, capsys):
+        # help is no error: it leaves main through argparse's exit 0
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["--help"])
+            main(["--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == ""
         for sub in ("analyze", "simulate", "bench"):
             assert sub in out
 
@@ -815,31 +828,42 @@ class TestHelp:
             for flag in flags:
                 assert flag in out
 
-    def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--mode", "stability"])  # missing --system
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--geometry", "fuzzy"])
-        assert exc.value.code == 2
+    def test_usage_error_exit_code(self, capsys, system_file, tiny_bench_config, tmp_path):
+        # once argparse's own exit, after a usage block on stderr
+        files = {"system": system_file, "config": tiny_bench_config, "out": tmp_path / "never"}
+        for argv, start in (
+            (("analyze", "--mode", "stability"), "the following arguments are required: --system"),
+            (("analyze", "--system", "{system}", "--mode", "kl", "--sigma1-sq", "x"),
+             "argument --sigma1-sq: invalid float value: 'x'"),
+            (("simulate", "--geometry", "fuzzy"), "argument --geometry: invalid choice: 'fuzzy'"),
+            (("bench", "--config", "{config}", "--out", "{out}", "--workers", "zz"),
+             "argument --workers: invalid int value: 'zz'"),
+            ((), "the following arguments are required: command"),
+        ):
+            assert_usage_error(capsys, [a.format(**files) for a in argv], start)
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, start",
         [
-            ("analyze", "--system", "{system}", "--mode", "rotation", "--state", "1", "2"),
-            ("sweep", "--config", "{config}", "--out", "{out}", "--cv", "0.1"),
+            (("analyze", "--system", "{system}", "--mode", "rotation", "--state", "1", "2"),
+             "unrecognized arguments: --state 1 2"),
+            (("sweep", "--config", "{config}", "--out", "{out}", "--cv", "0.1"), "argument command: invalid choice"),
         ],
         ids=["analyze_state", "sweep"],
     )
-    def test_retired_interfaces_are_usage_errors(self, capsys, system_file, tiny_bench_config, tmp_path, argv):
+    def test_retired_interfaces_are_usage_errors(self, capsys, system_file, tiny_bench_config, tmp_path, argv, start):
         # the rotation deviation no longer depends on a start state, and bench
         # plays a cv grid listed in its config; neither old form is accepted
         files = {"system": system_file, "config": tiny_bench_config, "out": tmp_path / "never"}
-        with pytest.raises(SystemExit) as exc:
-            main([a.format(**files) for a in argv])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert_usage_error(capsys, [a.format(**files) for a in argv], start)
         assert not (tmp_path / "never").exists()
+
+
+def assert_usage_error(capsys, argv, start):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + start) and err.count("\n") == 1
 
 
 # prints the top-level modules beyond the standard library that the import adds

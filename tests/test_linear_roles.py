@@ -148,9 +148,9 @@ class TestStability:
         ids=["overflowing_matrix", "overflowing_trace"],
     )
     def test_overflow_raises_and_warns_of_nothing(self, recwarn, plant, message):
-        # A = 1e308 I and K = 1e200: with B = 1e308 the product B K
-        # overflows; with B = 0 the closed loop is A, whose trace overflows
-        sys = TeamLinearSystem(A=np.eye(2) * 1e308, B=np.full((2, 2), plant), Kstar=np.full((2, 2), 1e200))
+        # every entry of A 1e308 and K = 1e200: with B = 1e308 the product B K
+        # overflows; with B = 0 the closed loop is A, whose eigenvalues are 2e308 and 0
+        sys = TeamLinearSystem(A=np.full((2, 2), 1e308), B=np.full((2, 2), plant), Kstar=np.full((2, 2), 1e200))
         for alloc in ROLE_MASKS:
             with pytest.raises(ValueError, match=f"^{message}, got "):
                 stability_report(sys, alloc)

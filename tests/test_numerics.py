@@ -79,6 +79,52 @@ class TestEig2x2:
         with pytest.raises(ValueError):
             eig2x2([[math.inf, 0], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # once a determinant underflowing to 0: a real pair [-5e-171, 0]
+            [[-1e-170, 2e-170], [-3e-170, 0.0]],
+            # once a real pair rather than 1e-200 +- 1e-200i
+            [[1e-200, 1e-200], [-1e-200, 1e-200]],
+            # once a trace squared overflowing to inf: "not finite"
+            [[1e300, 0.0], [0.0, 1e308]],
+            [[-1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+            [[5e-324, 0.0], [0.0, -5e-324]],
+        ],
+        ids=["underflowing_det", "underflowing_complex", "overflowing_trace", "largest", "smallest"],
+    )
+    def test_matches_numpy_outside_the_unscaled_range(self, m):
+        ours = sorted(eig2x2(m), key=lambda z: (z.real, z.imag))
+        theirs = sorted(np.linalg.eigvals(np.array(m)), key=lambda z: (z.real, z.imag))
+        for a, b in zip(ours, theirs):
+            assert cmath.isfinite(a)
+            assert abs(a.real - b.real) <= 1e-14 * abs(b) and abs(a.imag - b.imag) <= 1e-14 * abs(b)
+
+    def test_overflowing_root_is_infinite(self):
+        # the eigenvalues of this matrix are 2e308 and 0
+        assert eig2x2([[1e308, 1e308], [1e308, 1e308]]) == (complex(math.inf), 0j)
+
+    def test_unscaled_range_keeps_the_closed_form_bits(self):
+        def closed_form(m):
+            # the formula before scaling, on entries within (2^-480, 2^480)
+            (p, q), (r, s) = m
+            tr = p + s
+            det = p * s - q * r
+            disc = tr * tr - 4.0 * det
+            if disc >= 0.0:
+                root = math.sqrt(disc)
+                r1 = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
+                return complex(r1), complex(det / r1 if r1 != 0.0 else 0.0)
+            imag = 0.5 * math.sqrt(-disc)
+            return complex(0.5 * tr, imag), complex(0.5 * tr, -imag)
+
+        rng = random.Random(20)
+        for _ in range(5000):
+            scale = 10.0 ** rng.uniform(-140, 140)
+            m = [[rng.uniform(-1, 1) * scale for _ in range(2)] for _ in range(2)]
+            got, want = eig2x2(m), closed_form(m)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+
 
 class TestEigGeneral:
     def test_diagonal(self):

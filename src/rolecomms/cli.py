@@ -229,6 +229,20 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors, its subcommands' included, leave through
     `main`'s one error line rather than argparse's usage block and exit."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads a value such as -1e-3 or -inf as an option
+        self._negative_number_matcher = self
+
+    @staticmethod
+    def match(token: str) -> bool:
+        """Whether a token that starts with "-" is a number rather than an option."""
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
     def error(self, message):
         raise ConfigError(message)
 

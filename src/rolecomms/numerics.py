@@ -147,11 +147,12 @@ def eig2x2(m) -> tuple[complex, complex]:
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    # Outside (2^-480, 2^480) the trace squared or the determinant can over-
-    # or underflow, so the matrix is scaled by 2^-shift to put its largest
-    # entry in [1, 2); every step below, sqrt included, then scales exactly.
+    # The trace squared and the determinant over- or underflow long before the
+    # roots do (det = -1e-140 * -1e-200 is 0), so the matrix is scaled by
+    # 2^-shift to put its largest entry in [1, 2). Every step below, sqrt
+    # included, then scales exactly, unless a value falls 2^1022 below it.
     amax = float(np.abs(a).max())
-    shift = math.frexp(amax)[1] - 1 if amax and not 2.0**-480 < amax < 2.0**480 else 0
+    shift = math.frexp(amax)[1] - 1 if amax else 0
     (p, q), (r, s) = ([math.ldexp(x, -shift) for x in row] for row in a.tolist())
     # a float multiply, which overflows to infinity where math.ldexp would raise
     unscale = 2.0**shift
@@ -182,9 +183,11 @@ def eig_general(m, tol: float = 1e-9) -> tuple[complex, ...]:
 
     Backed by LAPACK's Hessenberg-reduction + shifted-QR iteration. Each
     returned value is verified to make (m - lambda I) rank deficient to within
-    tol (scaled by the matrix norm); verification failure or non-convergence
-    of the iteration raises NumericError. Output is sorted by (real, imag)
-    for deterministic ordering.
+    tol (scaled by the largest entry magnitude); verification failure or
+    non-convergence of the iteration raises NumericError. When a value is not
+    finite (an eigenvalue beyond the float range), LAPACK's values are
+    returned unverified for the caller to refuse. Output is sorted by
+    (real, imag) for deterministic ordering.
     """
     import numpy as np
 
@@ -200,13 +203,18 @@ def eig_general(m, tol: float = 1e-9) -> tuple[complex, ...]:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
-    scale = max(1.0, float(np.linalg.norm(a, ord="fro")))
+    ordered = tuple(sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag)))
+    if not np.all(np.isfinite(vals)):
+        return ordered
+    # The check runs on m / scale: unscaled, m - lambda I and its Frobenius
+    # norm overflow from entries near 1e308 and 1e154. The largest entry is
+    # within a factor of n of that norm; NaN fails the check.
+    scale = max(1.0, float(np.abs(a).max()))
     eye = np.eye(n)
     for lam in vals:
-        sigma_min = np.linalg.svd(a - lam * eye, compute_uv=False)[-1]
-        if sigma_min > tol * scale:
+        sigma_min = np.linalg.svd(a / scale - (lam / scale) * eye, compute_uv=False)[-1]
+        if not sigma_min <= tol:
             raise NumericError(
                 f"eigenvalue {lam} fails the residual check: sigma_min={sigma_min:.3e}"
             )
-    ordered = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
-    return tuple(ordered)
+    return ordered

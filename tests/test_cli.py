@@ -81,12 +81,14 @@ class TestAnalyze:
             [[-1e-170, 2e-170], [-3e-170, 0.0]],
             [[1e-200, 1e-200], [-1e-200, 1e-200]],
             [[1e300, 0.0], [0.0, 1e308]],
+            [[-1e-140, 0.0], [0.0, -1e-200]],
         ],
-        ids=["underflowing_det", "underflowing_complex", "overflowing_trace"],
+        ids=["underflowing_det", "underflowing_complex", "overflowing_trace", "underflowing_real_det"],
     )
     def test_stability_at_extreme_magnitudes_matches_numpy(self, capsys, tmp_path, A):
         # once "stable": false for a stable system, a real pair for a complex
-        # one, and a refusal of the finite eigenvalues 1e300 and 1e308
+        # one, a refusal of the finite eigenvalues 1e300 and 1e308, and a
+        # root -1e-200 read as -0.0, so "stable": false
         system = {"A": A, "B": [[0.0, 0.0], [0.0, 0.0]], "Kstar": [[1.0, 0.0], [0.0, 1.0]], "W": [1.0, 1.0]}
         path = tmp_path / "system.json"
         path.write_text(json.dumps(system))
@@ -95,7 +97,12 @@ class TestAnalyze:
         doc = json.loads(out)
         want = sorted(np.linalg.eigvals(np.array(A)), key=lambda z: (z.real, z.imag))
         got = sorted((complex(*e) for e in doc["eigenvalues"]), key=lambda z: (z.real, z.imag))
-        assert got == [pytest.approx(z, rel=1e-14) for z in want]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            # per part, relative to the larger part: pytest.approx's absolute
+            # slack of 1e-12 would let -0.0 pass for -1e-200
+            size = max(abs(b.real), abs(b.imag))
+            assert abs(a.real - b.real) <= 1e-14 * size and abs(a.imag - b.imag) <= 1e-14 * size
         assert doc["stable"] is bool(max(z.real for z in want) < 0.0)
 
     def test_alloc_choices_are_the_role_masks(self):
@@ -827,6 +834,18 @@ class TestHelp:
             out = capsys.readouterr().out
             for flag in flags:
                 assert flag in out
+
+    @pytest.mark.parametrize("drift", ["-1e-3", "-1E-3", "-.001"])
+    def test_negative_value_in_any_float_form_is_a_value(self, capsys, system_file, drift):
+        # argparse's own pattern once read -1e-3 as an option name
+        code, out, err = run_cli(capsys, "analyze", "--system", system_file, "--mode", "rotation",
+                                 "--drift", drift, "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["drift"] == [-0.001, 0.5]
+
+    def test_negative_infinity_is_a_value_the_command_refuses(self, capsys, system_file):
+        assert_usage_error(capsys, ["analyze", "--system", system_file, "--mode", "rotation",
+                                    "--drift", "-inf", "0.5"], "drift must be 2 finite values")
 
     def test_usage_error_exit_code(self, capsys, system_file, tiny_bench_config, tmp_path):
         # once argparse's own exit, after a usage block on stderr

@@ -156,6 +156,32 @@ class TestStability:
                 stability_report(sys, alloc)
         assert [str(w.message) for w in recwarn] == []
 
+    def test_overflowing_3x3_spectrum_is_refused(self, recwarn):
+        # once "SVD did not converge" from the residual check of an infinite root
+        sys = TeamLinearSystem(A=np.full((3, 3), 1e308), B=np.zeros((3, 3)), Kstar=np.eye(3))
+        with pytest.raises(ValueError, match="^the closed-loop eigenvalues are not finite, got "):
+            stability_report(sys, "dynamic")
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize(
+        "A, B, alloc, eigenvalues",
+        [
+            # closed loop [[1, 1], [-1, -1]], a double root at 0
+            ([[1.0, 1.0], [0.0, -1.0]], UNSTABLE_B, "speaker_listener_1", (0j, 0j)),
+            ([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), "dynamic", (1j, -1j)),
+            # once a determinant 1e-340 underflowing to 0, the root -1e-200 read as -0.0
+            ([[-1e-140, 0.0], [0.0, -1e-200]], np.zeros((2, 2)), "dynamic", (-1e-140 + 0j, -1e-200 + 0j)),
+            # closed loop [[1, 1], [-1e154, -6e153]]: roots -6e153 and -2/3
+            (UNSTABLE_A, [[0.0, 0.0], [1e154, 0.0]], "speaker_listener_2", (-6e153 + 0j, -2 / 3 + 0j)),
+        ],
+        ids=["double_zero_root", "imaginary_pair", "tiny_negative", "graded"],
+    )
+    def test_roots_at_and_near_the_axis_are_exact(self, A, B, alloc, eigenvalues):
+        sys = TeamLinearSystem(A=A, B=B, Kstar=[[1.0, 0.6], [0.7, 1.2]] if alloc != "dynamic" else np.eye(2))
+        rep = stability_report(sys, alloc)
+        assert rep.eigenvalues == eigenvalues
+        assert rep.stable is (max(e.real for e in eigenvalues) < 0.0)
+
 
 class TestRotationAction:
     def test_hand_worked_two_agent_phases(self):

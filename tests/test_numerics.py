@@ -90,10 +90,13 @@ class TestEig2x2:
             [[1e300, 0.0], [0.0, 1e308]],
             [[-1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
             [[5e-324, 0.0], [0.0, -5e-324]],
+            # once a determinant 1e-340 underflowing to 0: roots -1e-140, -0.0
+            [[-1e-140, 0.0], [0.0, -1e-200]],
         ],
-        ids=["underflowing_det", "underflowing_complex", "overflowing_trace", "largest", "smallest"],
+        ids=["underflowing_det", "underflowing_complex", "overflowing_trace", "largest", "smallest",
+             "underflowing_real_det"],
     )
-    def test_matches_numpy_outside_the_unscaled_range(self, m):
+    def test_matches_numpy_at_extreme_magnitudes(self, m):
         ours = sorted(eig2x2(m), key=lambda z: (z.real, z.imag))
         theirs = sorted(np.linalg.eigvals(np.array(m)), key=lambda z: (z.real, z.imag))
         for a, b in zip(ours, theirs):
@@ -104,9 +107,10 @@ class TestEig2x2:
         # the eigenvalues of this matrix are 2e308 and 0
         assert eig2x2([[1e308, 1e308], [1e308, 1e308]]) == (complex(math.inf), 0j)
 
-    def test_unscaled_range_keeps_the_closed_form_bits(self):
+    def test_scaling_keeps_the_closed_form_bits(self):
         def closed_form(m):
-            # the formula before scaling, on entries within (2^-480, 2^480)
+            # the formula on the unscaled entries, where nothing over- or
+            # underflows for magnitudes within (1e-140, 1e140)
             (p, q), (r, s) = m
             tr = p + s
             det = p * s - q * r
@@ -155,12 +159,25 @@ class TestEigGeneral:
         with pytest.raises(ValueError):
             eig_general(np.eye(9))
 
-    def test_tight_tolerance_raises(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_tight_tolerance_raises(self, scale):
         # LAPACK's iterated roots carry ~1e-16 backward error, which the
-        # residual verification must catch at an impossible tolerance
-        companion = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        # residual verification must catch at an impossible tolerance; at
+        # 1e300 the matrix's Frobenius norm overflows, its largest entry not
+        companion = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) * scale
         with pytest.raises(NumericError):
             eig_general(companion, tol=1e-18)
+
+    def test_non_finite_value_is_returned_unverified(self):
+        # the eigenvalues 2e308 and 0 are beyond the float range and below
+        # LAPACK's accuracy; no tolerance is applied to what cannot be checked
+        vals = eig_general([[1e308, 1e308], [1e308, 1e308]], tol=0.0)
+        assert len(vals) == 2 and cmath.isfinite(vals[0])
+        assert vals[1] == complex(math.inf)
+
+    def test_extreme_diagonal_passes_the_check(self):
+        # unscaled, m - lambda I holds -2e308, which is -inf
+        assert eig_general([[1e308, 0.0], [0.0, -1e308]]) == (-1e308 + 0j, 1e308 + 0j)
 
 
 class TestBisect:

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- numerics: pinned RNG, Gaussian sampling, small eigensolvers
+- numerics: pinned RNG, Gaussian sampling, eigenvalues of small matrices
 - discrete_roles: exact speaker/listener policies on finite spaces
 - linear_roles: role allocations, stability, rotation, and variance analysis
   for linear feedback teams
@@ -17,8 +17,8 @@ Library layout:
 
 The package root re-exports nothing: import each name from its module, as in
 `from rolecomms.table_sim import run_game`. numpy loads on first use: with
-`linear_roles` or `discrete_roles`, the eigensolvers, or a game with channel
-noise.
+`linear_roles` or `discrete_roles`, `numerics.eigenvalues`, or a game with
+channel noise.
 """
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .codec import decode
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, NumericError
 from .table_sim import (
     GEOMETRY_KINDS,
     STRATEGY_NAMES,
@@ -81,8 +81,9 @@ def _cmd_analyze(args) -> int:
     spec = decode(SystemFile, _load_json(args.system, "system"), "system")
     try:
         payload = _analysis(spec, args)
-    except ValueError as exc:
-        # the library's own input rules, reported as one error line
+    except (ValueError, NumericError) as exc:
+        # the library's own input rules, and an eigensolver that fails on a
+        # finite closed loop, reported as one error line
         raise ConfigError(str(exc)) from exc
     _print_json(payload)
     return 0

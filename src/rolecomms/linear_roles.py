@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SingularGainError
-from .numerics import eig2x2, eig_general
+from .numerics import eigenvalues
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,11 @@ def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
         closed = sys.A - sys.B @ gain
         if not np.all(np.isfinite(closed)):
             raise ValueError(f"the closed-loop matrix A - B K is not finite, got {closed.tolist()}")
-        if closed.shape == (2, 2):
-            eigs = eig2x2(closed)
-        else:
-            eigs = eig_general(closed)
+        eigs = eigenvalues(closed)
     if not all(cmath.isfinite(e) for e in eigs):
         raise ValueError(f"the closed-loop eigenvalues are not finite, got {list(eigs)}")
     max_re = max(e.real for e in eigs)
-    return StabilityReport(tuple(eigs), max_re < 0.0, max_re)
+    return StabilityReport(eigs, max_re < 0.0, max_re)
 
 
 def rotation_action(sys: TeamLinearSystem, s, phase: int) -> np.ndarray:

@@ -11,7 +11,7 @@ Gaussian samples come from a Box-Muller transform of two uniforms per call,
 never from rejection sampling, so after k calls the stream is 2k draws on.
 
 numpy is imported on first use: by a stream's first block (draw 33 on) and by
-the eigensolvers. A program that makes no longer stream and solves no
+`eigenvalues`. A program that makes no longer stream and solves no
 eigenproblem never loads it.
 """
 
@@ -133,61 +133,20 @@ def gaussian(rng: Rng, mean: float, stddev: float) -> float:
     return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
 
 
-def eig2x2(m) -> tuple[complex, complex]:
-    """Both eigenvalues of a real 2x2 matrix, in closed form.
-
-    Returns the roots of lambda^2 - tr(m) lambda + det(m). For real input the
-    pair is either both real or a conjugate pair. A root too large for a
-    float is infinite.
-    """
-    import numpy as np
-
-    a = np.asarray(m, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    # The trace squared and the determinant over- or underflow long before the
-    # roots do (det = -1e-140 * -1e-200 is 0), so the matrix is scaled by
-    # 2^-shift to put its largest entry in [1, 2). Every step below, sqrt
-    # included, then scales exactly, unless a value falls 2^1022 below it.
-    amax = float(np.abs(a).max())
-    shift = math.frexp(amax)[1] - 1 if amax else 0
-    (p, q), (r, s) = ([math.ldexp(x, -shift) for x in row] for row in a.tolist())
-    # a float multiply, which overflows to infinity where math.ldexp would raise
-    unscale = 2.0**shift
-    tr = p + s
-    det = p * s - q * r
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        # Add the half-trace and half-root with matching signs first to avoid
-        # cancellation, then recover the partner root from the product.
-        if tr >= 0.0:
-            r1 = 0.5 * (tr + root)
-        else:
-            r1 = 0.5 * (tr - root)
-        # r1 == 0 forces tr == root == 0, hence det == 0 and both roots are 0.
-        r2 = det / r1 if r1 != 0.0 else 0.0
-        return complex(r1 * unscale), complex(r2 * unscale)
-    imag = 0.5 * math.sqrt(-disc) * unscale
-    re = 0.5 * tr * unscale
-    return complex(re, imag), complex(re, -imag)
-
-
 _EIG_MAX_DIM = 8
+# the bound on the smallest singular value of (m - lambda I) / scale
+_EIG_TOL = 1e-9
 
 
-def eig_general(m, tol: float = 1e-9) -> tuple[complex, ...]:
-    """Eigenvalues of a small dense matrix (n <= 8).
+def eigenvalues(m) -> tuple[complex, ...]:
+    """Eigenvalues of a real n x n matrix, 1 <= n <= 8, sorted by (real, imag).
 
-    Backed by LAPACK's Hessenberg-reduction + shifted-QR iteration. Each
-    returned value is verified to make (m - lambda I) rank deficient to within
-    tol (scaled by the largest entry magnitude); verification failure or
-    non-convergence of the iteration raises NumericError. When a value is not
-    finite (an eigenvalue beyond the float range), LAPACK's values are
-    returned unverified for the caller to refuse. Output is sorted by
-    (real, imag) for deterministic ordering.
+    The size picks the solver, each where it is exact. A 2x2 takes the closed
+    form, the roots of lambda^2 - tr(m) lambda + det(m). Any other size takes
+    LAPACK's shifted-QR iteration on the unscaled matrix, and each value must
+    make (m - lambda I) rank deficient to within _EIG_TOL of the largest
+    entry; a failed check or iteration raises NumericError. A root too large
+    for a float is infinite, and is returned unchecked for the caller to refuse.
     """
     import numpy as np
 
@@ -195,26 +154,46 @@ def eig_general(m, tol: float = 1e-9) -> tuple[complex, ...]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n > _EIG_MAX_DIM:
-        raise ValueError(f"matrix dimension {n} exceeds the supported cap {_EIG_MAX_DIM}")
+    if not 1 <= n <= _EIG_MAX_DIM:
+        raise ValueError(f"matrix dimension {n} is outside the supported 1..{_EIG_MAX_DIM}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
-    ordered = tuple(sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag)))
-    if not np.all(np.isfinite(vals)):
-        return ordered
-    # The check runs on m / scale: unscaled, m - lambda I and its Frobenius
-    # norm overflow from entries near 1e308 and 1e154. The largest entry is
-    # within a factor of n of that norm; NaN fails the check.
-    scale = max(1.0, float(np.abs(a).max()))
-    eye = np.eye(n)
-    for lam in vals:
-        sigma_min = np.linalg.svd(a / scale - (lam / scale) * eye, compute_uv=False)[-1]
-        if not sigma_min <= tol:
-            raise NumericError(
-                f"eigenvalue {lam} fails the residual check: sigma_min={sigma_min:.3e}"
-            )
-    return ordered
+    amax = float(np.abs(a).max())
+    if n == 2:
+        # The trace squared and the determinant over- or underflow long before
+        # the roots do (det = -1e-140 * -1e-200 is 0), so the matrix is scaled
+        # by 2^-shift to put its largest entry in [1, 2). Every step below then
+        # scales exactly, sqrt included, unless a value falls 2^1022 below it.
+        shift = math.frexp(amax)[1] - 1 if amax else 0
+        (p, q), (r, s) = ([math.ldexp(x, -shift) for x in row] for row in a.tolist())
+        # a float multiply, which overflows to infinity where math.ldexp would raise
+        unscale = 2.0**shift
+        tr = p + s
+        det = p * s - q * r
+        disc = tr * tr - 4.0 * det
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            # Add the half-trace and half-root with matching signs first to
+            # avoid cancellation, then recover the partner root from the product.
+            r1 = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
+            # r1 == 0 forces tr == root == 0, hence det == 0 and both roots are 0.
+            vals = (r1 * unscale, (det / r1 if r1 != 0.0 else 0.0) * unscale)
+        else:
+            imag = 0.5 * math.sqrt(-disc) * unscale
+            vals = (complex(0.5 * tr * unscale, imag), complex(0.5 * tr * unscale, -imag))
+    else:
+        try:
+            vals = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
+        if np.all(np.isfinite(vals)):
+            # The check runs on m / scale: unscaled, m - lambda I and its
+            # Frobenius norm overflow from entries near 1e308 and 1e154. The
+            # largest entry is within a factor of n of that norm; NaN fails it.
+            scale = max(1.0, amax)
+            eye = np.eye(n)
+            for lam in vals:
+                sigma_min = np.linalg.svd(a / scale - (lam / scale) * eye, compute_uv=False)[-1]
+                if not sigma_min <= _EIG_TOL:
+                    raise NumericError(f"eigenvalue {lam} fails the residual check: sigma_min={sigma_min:.3e}")
+    return tuple(sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag)))

@@ -36,6 +36,8 @@ _ENV_STREAM = 1
 _GAME_STREAM = 2
 
 RESIDUAL_EPS = 1e-9
+# per unit w_att, the most residual rounding leaves (infer_obstacle)
+_RESIDUAL_ROUNDING = 2.0**-49
 DEFAULT_INFER_TOL = 1e-10
 _STEER_WINDOW = 1e-12
 # run_game's collision reject distance floor: its square, 2**-1000, is normal
@@ -348,11 +350,19 @@ def infer_obstacle(
         residual = v / w_v + att(partner_pos)
 
     with att the attractive gradient of potential_field's law. A residual
-    below RESIDUAL_EPS means the motion is explained by the goal alone and
-    nothing is inferred. Otherwise the repulsive magnitude curve is inverted
-    for the boundary distance rho by bisection on (RHO_MIN, rho0], steered by
-    the curve's certified closed-form root to the plain bisection's result
-    within tol, and the obstacle center is placed at
+    below max(RESIDUAL_EPS, 2^-49 w_att) means the motion is explained by
+    the goal alone and nothing is inferred. The second bound is rounding's,
+    with u = 2^-53. Each component of each attraction term, the speaker's
+    inside v and the one added here, is exact to a relative 6u: u each from
+    p - g, the last product, the root and w_att / dist, and 2u from the
+    radicand's 4u, halved by the root. With the multiply and divide by w_v,
+    an obstacle-free speaker leaves under (6u + 6u + 2u) w_att < 16u w_att =
+    2^-49 w_att. A residual that small cannot be told apart from rounding,
+    and a repulsion below it is already lost from v itself. Otherwise the
+    repulsive magnitude curve is inverted for the boundary distance rho by
+    bisection on (RHO_MIN, rho0], steered by the curve's certified
+    closed-form root to the plain bisection's result within tol, and the
+    obstacle center is placed at
 
         partner_pos - (rho + nominal_radius) * residual / |residual|
 
@@ -378,6 +388,12 @@ def infer_obstacle(
         ry += dy * scale
     mag = math.sqrt(rx * rx + ry * ry)
     if mag < RESIDUAL_EPS:
+        return None
+    # rounding's bound, tested second so that the common return above costs
+    # one compare; hypot decides where the squared length overflows, from
+    # residuals near 1e154, which rounding leaves once w_att passes 1e170
+    gate = _RESIDUAL_ROUNDING * params.w_att
+    if mag < gate or (mag == math.inf and math.hypot(rx, ry) < gate):
         return None
     saturated = mag >= repulsive_magnitude(RHO_MIN, params)
     rho = RHO_MIN if saturated else _invert_repulsive_magnitude(mag, params, tol)

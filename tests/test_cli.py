@@ -57,6 +57,19 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["stable"] is False
         assert doc["max_real_part"] == pytest.approx(1.0)
+        # sorted by (real, imag), as at every size
+        assert doc["eigenvalues"] == [[1.0, -1.0], [1.0, 1.0]]
+
+    def test_stability_of_a_one_state_system(self, capsys, tmp_path):
+        # a 1x1 loop takes LAPACK, a 2x2 one the closed form
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"A": [[-2.5]], "B": [[0.0]], "Kstar": [[1.0]]}))
+        code, out, _ = run_cli(capsys, "analyze", "--system", str(path), "--mode", "stability", "--alloc", "dynamic")
+        assert code == 0
+        assert json.loads(out) == {
+            "mode": "stability", "allocation": "dynamic", "eigenvalues": [[-2.5, 0.0]], "max_real_part": -2.5,
+            "stable": True,
+        }
 
     def test_stability_other_allocations(self, capsys, system_file):
         system = cli.SystemFile(**json.loads(Path(system_file).read_text())).team()
@@ -226,6 +239,20 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", mode)
         assert (code, out) == (2, "")
         assert err.startswith("error: " + start) and err.count("\n") == 1
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_non_converging_spectrum_exits_2_with_one_error_line(self, capsys, recwarn, tmp_path):
+        # a finite 3x3 closed loop on which LAPACK's iteration does not
+        # converge once ended in a NumericError traceback and exit 1
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "A": [[1e-200, 1e300, 1e308], [1e308, 1e-200, 0.0], [-1e308, 1e-200, -1.0]],
+            "B": [[0.0] * 3] * 3,
+            "Kstar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        }))
+        code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", "stability", "--alloc", "dynamic")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: eigenvalue iteration did not converge") and err.count("\n") == 1
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize(

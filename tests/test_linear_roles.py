@@ -168,7 +168,7 @@ class TestStability:
         [
             # closed loop [[1, 1], [-1, -1]], a double root at 0
             ([[1.0, 1.0], [0.0, -1.0]], UNSTABLE_B, "speaker_listener_1", (0j, 0j)),
-            ([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), "dynamic", (1j, -1j)),
+            ([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), "dynamic", (-1j, 1j)),
             # once a determinant 1e-340 underflowing to 0, the root -1e-200 read as -0.0
             ([[-1e-140, 0.0], [0.0, -1e-200]], np.zeros((2, 2)), "dynamic", (-1e-140 + 0j, -1e-200 + 0j)),
             # closed loop [[1, 1], [-1e154, -6e153]]: roots -6e153 and -2/3

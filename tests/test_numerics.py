@@ -16,8 +16,7 @@ from rolecomms.numerics import (
     Rng,
     _mix64,
     derive_seed,
-    eig2x2,
-    eig_general,
+    eigenvalues,
     gaussian,
 )
 from rolecomms.potential_field import FieldParams, repulsive_magnitude
@@ -31,13 +30,18 @@ def char_poly_residual(m, lam):
     return abs(lam * lam - tr * lam + det)
 
 
-class TestEig2x2:
+def by_real_imag(values):
+    return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
+
+
+class TestClosedForm:
+    """A 2x2 matrix takes the closed form."""
+
     def test_identity(self):
-        assert eig2x2([[1, 0], [0, 1]]) == (1 + 0j, 1 + 0j)
+        assert eigenvalues([[1, 0], [0, 1]]) == (1 + 0j, 1 + 0j)
 
     def test_rotation_generator(self):
-        e1, e2 = eig2x2([[0, 1], [-1, 0]])
-        assert e1 == 1j and e2 == -1j
+        assert eigenvalues([[0, 1], [-1, 0]]) == (-1j, 1j)
 
     def test_speaker_listener_closed_loop_is_one_plus_minus_i(self):
         # closed loop of the double-integrator example: only the first
@@ -49,14 +53,13 @@ class TestEig2x2:
             k21 = rng.uniform(-10, 10)
             k22 = rng.uniform(-10, 10)
             K = np.array([[1.0, 0.0], [k21, k22]])
-            e1, e2 = eig2x2(A - B @ K)
-            assert sorted([e1, e2], key=lambda z: z.imag) == [1 - 1j, 1 + 1j]
+            assert eigenvalues(A - B @ K) == (1 - 1j, 1 + 1j)
 
     def test_characteristic_polynomial_residual(self):
         rng = random.Random(99)
         for _ in range(300):
             m = [[rng.uniform(-100, 100) for _ in range(2)] for _ in range(2)]
-            for lam in eig2x2(m):
+            for lam in eigenvalues(m):
                 assert char_poly_residual(m, lam) < 1e-10 * max(
                     1.0, abs(lam) ** 2
                 )
@@ -65,19 +68,11 @@ class TestEig2x2:
         rng = random.Random(3)
         for _ in range(100):
             m = [[rng.uniform(-5, 5) for _ in range(2)] for _ in range(2)]
-            e1, e2 = eig2x2(m)
+            e1, e2 = eigenvalues(m)
             if e1.imag != 0:
-                assert e2 == e1.conjugate()
+                assert e2 == e1.conjugate() and e1.imag < 0
             else:
-                assert e2.imag == 0
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            eig2x2([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            eig2x2([[math.inf, 0], [0, 1]])
+                assert e2.imag == 0 and e1.real <= e2.real
 
     @pytest.mark.parametrize(
         "m",
@@ -97,15 +92,24 @@ class TestEig2x2:
              "underflowing_real_det"],
     )
     def test_matches_numpy_at_extreme_magnitudes(self, m):
-        ours = sorted(eig2x2(m), key=lambda z: (z.real, z.imag))
-        theirs = sorted(np.linalg.eigvals(np.array(m)), key=lambda z: (z.real, z.imag))
+        ours = eigenvalues(m)
+        theirs = by_real_imag(np.linalg.eigvals(np.array(m)))
         for a, b in zip(ours, theirs):
             assert cmath.isfinite(a)
             assert abs(a.real - b.real) <= 1e-14 * abs(b) and abs(a.imag - b.imag) <= 1e-14 * abs(b)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)"):
+            eigenvalues([[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("m", [[[math.inf, 0], [0, 1]], np.diag([1.0, math.nan, 2.0])], ids=["2x2", "3x3"])
+    def test_rejects_nonfinite(self, m):
+        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+            eigenvalues(m)
+
     def test_overflowing_root_is_infinite(self):
         # the eigenvalues of this matrix are 2e308 and 0
-        assert eig2x2([[1e308, 1e308], [1e308, 1e308]]) == (complex(math.inf), 0j)
+        assert eigenvalues([[1e308, 1e308], [1e308, 1e308]]) == (0j, complex(math.inf))
 
     def test_scaling_keeps_the_closed_form_bits(self):
         def closed_form(m):
@@ -122,62 +126,69 @@ class TestEig2x2:
             imag = 0.5 * math.sqrt(-disc)
             return complex(0.5 * tr, imag), complex(0.5 * tr, -imag)
 
+        def bits(values):
+            return [(z.real.hex(), z.imag.hex()) for z in values]
+
         rng = random.Random(20)
         for _ in range(5000):
             scale = 10.0 ** rng.uniform(-140, 140)
             m = [[rng.uniform(-1, 1) * scale for _ in range(2)] for _ in range(2)]
-            got, want = eig2x2(m), closed_form(m)
-            assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+            assert bits(eigenvalues(m)) == bits(by_real_imag(closed_form(m)))
 
 
-class TestEigGeneral:
+class TestLapack:
+    """Every size but 2 takes LAPACK, each value checked."""
+
     def test_diagonal(self):
-        vals = eig_general(np.diag([2.0, 3.0, 5.0]))
+        vals = eigenvalues(np.diag([2.0, 3.0, 5.0]))
         assert np.allclose([v.real for v in vals], [2, 3, 5])
         assert all(v.imag == 0 for v in vals)
 
-    def test_matches_eig2x2_on_2x2(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            m = [[rng.uniform(-10, 10) for _ in range(2)] for _ in range(2)]
-            general = eig_general(m, tol=1e-9)
-            closed = sorted(eig2x2(m), key=lambda z: (z.real, z.imag))
-            for a, b in zip(general, closed):
-                assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+    def test_one_by_one(self):
+        assert eigenvalues([[-2.5]]) == (-2.5 + 0j,)
 
     def test_companion_cube_roots_of_unity(self):
         companion = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        vals = eig_general(companion)
-        expected = sorted(
-            (cmath.exp(2j * cmath.pi * k / 3) for k in range(3)),
-            key=lambda z: (z.real, z.imag),
-        )
+        vals = eigenvalues(companion)
+        expected = by_real_imag(cmath.exp(2j * cmath.pi * k / 3) for k in range(3))
         for a, b in zip(vals, expected):
             assert abs(a - b) < 1e-9
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            eig_general(np.eye(9))
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_dimension_cap(self, n):
+        with pytest.raises(ValueError, match=f"^matrix dimension {n} is outside the supported 1..8"):
+            eigenvalues(np.eye(n))
 
     @pytest.mark.parametrize("scale", [1.0, 1e300])
-    def test_tight_tolerance_raises(self, scale):
+    def test_tight_tolerance_raises(self, monkeypatch, scale):
         # LAPACK's iterated roots carry ~1e-16 backward error, which the
         # residual verification must catch at an impossible tolerance; at
         # 1e300 the matrix's Frobenius norm overflows, its largest entry not
+        monkeypatch.setattr(numerics, "_EIG_TOL", 1e-18)
         companion = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) * scale
-        with pytest.raises(NumericError):
-            eig_general(companion, tol=1e-18)
+        with pytest.raises(NumericError, match="fails the residual check"):
+            eigenvalues(companion)
 
-    def test_non_finite_value_is_returned_unverified(self):
-        # the eigenvalues 2e308 and 0 are beyond the float range and below
-        # LAPACK's accuracy; no tolerance is applied to what cannot be checked
-        vals = eig_general([[1e308, 1e308], [1e308, 1e308]], tol=0.0)
-        assert len(vals) == 2 and cmath.isfinite(vals[0])
-        assert vals[1] == complex(math.inf)
+    def test_non_convergence_raises(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericError, match="^eigenvalue iteration did not converge"):
+            eigenvalues(np.eye(3))
+
+    def test_non_finite_value_is_returned_unverified(self, monkeypatch):
+        # the eigenvalues 3e308 and 0 (twice) are beyond the float range and
+        # below LAPACK's accuracy; no tolerance is applied to what cannot be
+        # checked
+        monkeypatch.setattr(numerics, "_EIG_TOL", 0.0)
+        vals = eigenvalues(np.full((3, 3), 1e308))
+        assert len(vals) == 3 and all(cmath.isfinite(v) for v in vals[:2])
+        assert vals[2] == complex(math.inf)
 
     def test_extreme_diagonal_passes_the_check(self):
         # unscaled, m - lambda I holds -2e308, which is -inf
-        assert eig_general([[1e308, 0.0], [0.0, -1e308]]) == (-1e308 + 0j, 1e308 + 0j)
+        assert eigenvalues(np.diag([1e308, -1e308, 1.0])) == (-1e308 + 0j, 1 + 0j, 1e308 + 0j)
 
 
 class TestBisect:

@@ -28,6 +28,7 @@ from rolecomms.table_sim import (
     TrajectoryStep,
     UnknownRadius,
     Workspace,
+    check_finite_commands,
     closest_observed_index,
     corrupt,
     generate_environment,
@@ -342,6 +343,41 @@ class TestInference:
         q = (3.0, 1.0)
         v = velocity(q, self.goal, [], self.params)
         assert infer_obstacle(v, q, self.goal, self.params, 0.5) is None
+
+    @pytest.mark.parametrize("w_v", [0.1, 0.3])
+    def test_obstacle_free_speaker_yields_none_at_every_accepted_w_att(self, w_v):
+        # the residual's rounding grows with w_att, and once read as an
+        # obstacle from w_att 1e7 on, under an absolute gate alone
+        def field(w_att):
+            return FieldParams(w_att=w_att, w_rep=self.params.w_rep, w_v=w_v, rho0=self.params.rho0)
+
+        def accepted(bits):
+            try:
+                check_finite_commands(field(struct.unpack("<d", struct.pack("<Q", bits))[0]), 2, 0.0)
+            except ValueError:
+                return False
+            return True
+
+        # the largest w_att the finite-command check accepts, by bisection on
+        # the bit patterns of positive floats, which sort as the floats do
+        lo, hi = float_bits(1.0), float_bits(math.inf)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        top = struct.unpack("<d", struct.pack("<Q", lo))[0]
+        assert 1e302 < top < 1e303
+        rng = random.Random(w_v)
+        # up to 1e170 the squared residual stays finite; above, it overflows
+        weights = [1.0, 1e6, 1e7, 1e8, 1e100, 1e170, 1e200, top]
+        weights += [10.0 ** rng.uniform(0.0, math.log10(top)) for _ in range(12)]
+        phantoms = 0
+        for w_att in weights:
+            params = field(w_att)
+            for _ in range(500):
+                # table1's corridor
+                q = (rng.uniform(1.4, 9.3), rng.uniform(-3.5, 3.5))
+                phantoms += infer_obstacle(velocity(q, self.goal, [], params), q, self.goal, params, 0.5) is not None
+        assert phantoms == 0
 
     def test_forward_round_trip(self):
         rng = random.Random(6)

@@ -191,7 +191,7 @@ class Limits:
     max_steps: int = 200
     goal_eps: float = 0.5
     dt: float = 1.0
-    v_max: float | None = 0.25
+    v_max: float = 0.25
 
     def __post_init__(self):
         if not 1 <= self.max_steps <= MAX_STEPS:
@@ -200,8 +200,8 @@ class Limits:
             raise ValueError("goal_eps must be > 0")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.v_max is not None and not self.v_max > 0:
-            raise ValueError("v_max must be > 0 when set")
+        if not (self.v_max > 0 and math.isfinite(self.v_max)):
+            raise ValueError("v_max must be finite and > 0")
 
 
 class TrajectoryStep(NamedTuple):
@@ -504,8 +504,7 @@ def run_game(
     half_len = env.table_half_length
     w_att, w_rep, w_v, rho0 = params.w_att, params.w_rep, params.w_v, params.rho0
     dt = limits.dt
-    # an absent cap is an infinite one: no speed exceeds it
-    v_cap = math.inf if limits.v_max is None else limits.v_max
+    v_cap = limits.v_max
     goal_eps = limits.goal_eps
     # each disc with its reject distance: the radius, raised to _REJECT_FLOOR
     env_obs = tuple((o.center[0], o.center[1], o.radius, max(o.radius, _REJECT_FLOOR)) for o in env.obstacles)
@@ -605,51 +604,42 @@ def run_game(
         if trajectory is not None:
             trajectory.append(TrajectoryStep(step, cx_, cy_, heading, *v1, *v2, *roles, inf1, inf2))
 
-        # the new pose's endpoints: the segment tested here, next step's positions
+        # the new pose's endpoints, center -/+ (ux, uy): next step's positions
         cos_h = math.cos(heading)
         sin_h = math.sin(heading)
-        p1x = cx_ + half_len * cos_h
-        p1y = cy_ + half_len * sin_h
-        p2x = cx_ - half_len * cos_h
-        p2y = cy_ - half_len * sin_h
-        # collision: any obstacle disc against the table segment. Most discs
-        # are ruled out first from one coordinate, exactly: with t clamped to
-        # [0, 1], the rounded t*abx lies between min(abx, 0) and max(abx, 0),
-        # so by monotone rounding the loop's ddx is at least apx - max(abx, 0)
-        # and -ddx at least min(abx, 0) - apx; the same holds on y. Once one
-        # of these reaches lim, the radius raised to _REJECT_FLOOR, so does
-        # the computed distance: sqrt(fl(ddx*ddx)) is |ddx| unless the square
+        ux = half_len * cos_h
+        uy = half_len * sin_h
+        p1x = cx_ + ux
+        p1y = cy_ + uy
+        p2x = cx_ - ux
+        p2y = cy_ - uy
+        # collision: any obstacle disc against the table segment, measured
+        # from the center: s, the disc center's offset along the axis, clamped
+        # to the half length, gives the closest point. Most discs are ruled
+        # out first from one coordinate, exactly: for |s| <= half_len,
+        # monotone rounding gives |fl(s*cos_h)| <= fl(half_len*|cos_h|) =
+        # |ux|, so the loop's ddx is at least dx - |ux| and -ddx at least
+        # -dx - |ux|, both rounded; the same holds on y. Once one of these
+        # reaches lim, the radius raised to _REJECT_FLOOR, so does the
+        # computed distance: sqrt(fl(ddx*ddx)) is |ddx| unless the square
         # underflows, which the floor rules out, and adding ddy*ddy rounds no
         # lower. The exact test would not fire; a NaN never collides anyway.
-        abx = p2x - p1x
-        aby = p2y - p1y
-        if abx > 0.0:
-            abx_hi, abx_lo = abx, 0.0
-        else:
-            abx_hi, abx_lo = 0.0, abx
-        if aby > 0.0:
-            aby_hi, aby_lo = aby, 0.0
-        else:
-            aby_hi, aby_lo = 0.0, aby
-        denom = abx * abx + aby * aby
-        if denom == 0.0:
-            # the squared length underflowed: t = 0 tests each disc against
-            # the point p1, as for a zero-length segment
-            denom = math.inf
+        ex = abs(ux)
+        ey = abs(uy)
         for ocx, ocy, orad, lim in env_obs:
-            apx = ocx - p1x
-            if apx - abx_hi >= lim or abx_lo - apx >= lim:
+            dx = ocx - cx_
+            if dx - ex >= lim or -dx - ex >= lim:
                 continue
-            apy = ocy - p1y
-            if apy - aby_hi >= lim or aby_lo - apy >= lim:
+            dy = ocy - cy_
+            if dy - ey >= lim or -dy - ey >= lim:
                 continue
-            t = (apx * abx + apy * aby) / denom
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            ddx = apx - t * abx
-            ddy = apy - t * aby
+            s = dx * cos_h + dy * sin_h
+            if s > half_len:
+                s = half_len
+            elif s < -half_len:
+                s = -half_len
+            ddx = dx - s * cos_h
+            ddy = dy - s * sin_h
             if math.sqrt(ddx * ddx + ddy * ddy) < orad:
                 outcome_kind = "collision"
                 break

@@ -329,6 +329,23 @@ class TestSimulate:
         assert doc["failure_kind"] == "collision"
 
     @pytest.mark.parametrize(
+        "half_length, center, kind, steps",
+        [(7e153, [0.0, 0.0], "collision", 1), (1e150, [5.0, 0.0], "timeout", 200)],
+    )
+    def test_long_table_collides_with_the_discs_it_touches(self, capsys, tmp_path, half_length, center, kind, steps):
+        # the table starts across the origin: a disc there is hit at once, and
+        # one on the goal line 5 away is never reached, since the endpoints'
+        # pulls toward the goal cancel. Measured from an endpoint, the squared
+        # length of the 7e153 table overflowed, and the 1e150 table's offsets
+        # cancelled, giving the opposite verdicts.
+        env = env_file(tmp_path, "long.json", table_half_length=half_length,
+                       obstacles=[obstacle(center=center, radius=0.5, owner=1)])
+        code, out, _ = run_cli(capsys, "simulate", "--env", str(env), "--strategy", "speaker_speaker")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["failure_kind"], doc["steps"]) == (kind, steps)
+
+    @pytest.mark.parametrize(
         "weight, value, argv",
         [
             # a traceback from infer_obstacle ("obstacle center must be finite")
@@ -622,6 +639,8 @@ class TestBench:
             (("field", "w_att"), 1.7e308),
             (("field", "w_rep"), 1e308),
             (("field", "w_v"), 1e308),
+            # every table has a finite speed cap
+            (("limits", "v_max"), None),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -657,8 +676,8 @@ class TestBench:
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps(config))
         out_dir = tmp_path / "never"
-        code, _, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
-        assert code == 2
+        code, out, err = run_cli(capsys, "bench", "--config", str(config_path), "--out", str(out_dir))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 

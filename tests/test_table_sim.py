@@ -2,6 +2,7 @@ import json
 import math
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 
@@ -82,14 +83,25 @@ def corridor_games(limits):
         yield from ((env, pose, ts) for pose, ts in game_steps(env, strategy, params, limits, seed))
 
 
+# a speed cap far above every command the corridor games make (at most about 0.21)
+NO_CAP = 1e9
+
+
+def cap_never_binds(ts):
+    """Whether both of a step's commands are within NO_CAP, so the applied
+    commands are the recorded ones."""
+    return math.hypot(ts.v1x, ts.v1y) <= NO_CAP and math.hypot(ts.v2x, ts.v2y) <= NO_CAP
+
+
 class TestTableStep:
     # properties of run_game's kinematics, read off recorded trajectories
 
     def test_center_moves_by_mean_command(self):
-        # without a speed cap the applied commands are the recorded ones
+        # the cap never binds, so the applied commands are the recorded ones
         for dt in (0.5, 2.0):
             steps = 0
-            for _, (cx, cy, _), ts in corridor_games(Limits(dt=dt, v_max=None)):
+            for _, (cx, cy, _), ts in corridor_games(Limits(dt=dt, v_max=NO_CAP)):
+                assert cap_never_binds(ts)
                 assert ts.cx == pytest.approx(cx + dt * 0.5 * (ts.v1x + ts.v2x), abs=1e-12)
                 assert ts.cy == pytest.approx(cy + dt * 0.5 * (ts.v1y + ts.v2y), abs=1e-12)
                 steps += 1
@@ -108,9 +120,10 @@ class TestTableStep:
             table_half_length=0.5,
         )
         params = FieldParams(w_att=1.0, w_rep=1.0, w_v=1.0, rho0=2.0)
-        out = run_game(env, Strategy("speaker_speaker"), params, Limits(dt=0.25, v_max=None), 0,
+        out = run_game(env, Strategy("speaker_speaker"), params, Limits(dt=0.25, v_max=NO_CAP), 0,
                        record_trajectory=True)
         (ts,) = out.trajectory
+        assert cap_never_binds(ts)
         assert (ts.v1x, ts.v1y) == pytest.approx((-0.5, -1.0), abs=1e-15)
         assert (ts.v2x, ts.v2y) == (-ts.v1x, -ts.v1y)
         assert (ts.cx, ts.cy) == (0.0, 0.0)
@@ -121,7 +134,8 @@ class TestTableStep:
         # omega computed from agent 2's arm
         dt = 0.5
         turned = 0
-        for env, (_, _, heading), ts in corridor_games(Limits(dt=dt, v_max=None)):
+        for env, (_, _, heading), ts in corridor_games(Limits(dt=dt, v_max=NO_CAP)):
+            assert cap_never_binds(ts)
             r = env.table_half_length
             vcx = 0.5 * (ts.v1x + ts.v2x)
             vcy = 0.5 * (ts.v1y + ts.v2y)
@@ -188,10 +202,11 @@ class TestSpeedCap:
             assert fast == pytest.approx(slow, abs=1e-12)
 
 
-def one_step_collides(a, b, obstacle, v_max=1e-9):
-    """Whether a one-step game whose table starts on segment ab collides with
-    the (cx, cy, radius) obstacle. A tiny speed cap keeps the pose tested
-    after the step within 10 v_max of the start pose."""
+def one_step_game(a, b, obstacle, v_max=1e-9):
+    """A one-step game whose table starts on segment ab against the (cx, cy,
+    radius) obstacle: whether it collides, and the pose it tested, as (cx,
+    cy, heading, half_length). A tiny speed cap keeps that pose within 10
+    v_max of the start pose."""
     mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
     half_length = 0.5 * math.dist(a, b)
     # the goal lies along the segment's normal, so the table starts on ab
@@ -206,15 +221,37 @@ def one_step_collides(a, b, obstacle, v_max=1e-9):
         table_half_length=half_length,
     )
     params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
-    out = run_game(env, Strategy("speaker_speaker"), params, Limits(max_steps=1, v_max=v_max), 0)
+    out = run_game(env, Strategy("speaker_speaker"), params, Limits(max_steps=1, v_max=v_max), 0,
+                   record_trajectory=True)
     assert out.steps == 1 and out.failure_kind in ("collision", "timeout")
-    return out.failure_kind == "collision"
+    (ts,) = out.trajectory
+    return out.failure_kind == "collision", (ts.cx, ts.cy, ts.heading, half_length)
+
+
+def one_step_collides(a, b, obstacle, v_max=1e-9):
+    """Whether one_step_game's game collides."""
+    return one_step_game(a, b, obstacle, v_max)[0]
+
+
+def exact_offset(pose, disc):
+    """The offset, in exact rational arithmetic, of the disc's center from
+    the closest point of the segment {c + s*u : |s| <= half_length} of the
+    float pose, with u = (cos(heading), sin(heading)) as the game rounds it."""
+    cx, cy, heading, half_length = pose
+    ux, uy = Fraction(math.cos(heading)), Fraction(math.sin(heading))
+    dx, dy = Fraction(disc[0]) - Fraction(cx), Fraction(disc[1]) - Fraction(cy)
+    bound = Fraction(half_length)
+    s = max(-bound, min(bound, (dx * ux + dy * uy) / (ux * ux + uy * uy)))
+    return dx - s * ux, dy - s * uy
 
 
 def segment_hits(p1, p2, obstacles):
     """Whether any (cx, cy, radius) disc touches the table segment p1p2, by
-    the plain segment test with no reject: the reference whose answer the
-    game loop must give at every pose."""
+    the plain segment test from the endpoint p1 with no reject: a formulation
+    independent of the game loop's, which must give its answer at every pose.
+    It holds only for short tables: measured from p1, offsets cancel at the
+    table's scale, and past a length of about 1.3e154 its squared length
+    overflows."""
     abx = p2[0] - p1[0]
     aby = p2[1] - p1[1]
     denom = abx * abx + aby * aby
@@ -271,6 +308,50 @@ class TestCollision:
         assert not one_step_collides(a, b, (1.5, 0.0, 0.4))
         assert not one_step_collides(a, b, (-1.5, 0.0, 0.4))
 
+    @pytest.mark.parametrize("half_length", [0.5, 1e10, 1e50, 1e100, 1e150, 7e153, 1e300])
+    def test_long_table_hits_exactly_the_discs_within_reach(self, half_length):
+        # the table from (0, L) to (0, -L) and a radius-0.5 disc at (d, 0) on
+        # its normal through the center: a hit exactly when d < 0.5. Measured
+        # from an endpoint, the offsets once cancelled at scale L, making every
+        # d a hit, and past L = 6.7e153 the squared length overflowed, making
+        # none a hit
+        a, b = (0.0, half_length), (0.0, -half_length)
+        for d in (0.0, 0.3, 0.45, 0.55, 0.7, 1.0, 2.0, 4.65):
+            assert one_step_collides(a, b, (d, 0.0, 0.5)) == (d < 0.5), d
+
+    def test_verdict_matches_exact_distance_at_every_scale(self):
+        # the game's verdict against the exact distance from the disc to the
+        # pose it tested, for half lengths from 1e-300 to 1e300. The table
+        # starts centered on the origin; the disc lies at unit scale or at the
+        # table's own, kept within [1e-100, 1e100] because the game squares
+        # the distance: one whose square underflows reads as 0
+        # (test_distance_that_underflows_still_collides), and one whose square
+        # overflows, past about 1.3e154, as infinite, so even a disc that
+        # large around it is missed. Cases within 1e-12 of the boundary,
+        # relative to the largest coordinate, are skipped.
+        rng = random.Random(28)
+        hits = misses = 0
+        for _ in range(3000):
+            half_length = 10.0 ** rng.uniform(-300.0, 300.0)
+            scale = rng.choice((1.0, min(max(half_length, 1e-100), 1e100)))
+            angle = rng.uniform(-math.pi, math.pi)
+            a = (half_length * math.cos(angle), half_length * math.sin(angle))
+            b = (-a[0], -a[1])
+            disc = (scale * rng.uniform(-3.0, 3.0), scale * rng.uniform(-3.0, 3.0))
+            start = (0.0, 0.0, angle, half_length)
+            reach = math.hypot(*map(float, exact_offset(start, disc)))
+            radius = reach * rng.uniform(0.5, 1.5) if rng.random() < 0.8 else rng.choice((0.0, 5e-324))
+            collides, pose = one_step_game(a, b, (*disc, radius), v_max=1e-9 * scale)
+            tol = Fraction(1e-12 * max(abs(pose[0]), abs(pose[1]), abs(disc[0]), abs(disc[1]), radius))
+            ox, oy = exact_offset(pose, disc)
+            dist_sq = ox * ox + oy * oy
+            if max(Fraction(radius) - tol, 0) ** 2 <= dist_sq <= (Fraction(radius) + tol) ** 2:
+                continue
+            assert collides == (dist_sq < Fraction(radius) ** 2), (half_length, disc, radius)
+            hits += collides
+            misses += not collides
+        assert hits > 1000 and misses > 1000
+
     @pytest.mark.parametrize("config", ["table1", "noise"])
     def test_game_ends_at_the_first_pose_the_reference_hits(self, config_dir, config):
         # every pose of the configs' n = 8 games, replayed through the
@@ -295,9 +376,11 @@ class TestCollision:
 
     def test_distance_that_underflows_still_collides(self):
         # agent 1 at the origin, the table along -x, a 1e-300 disc 1e-300
-        # away on +x: every squared offset underflows to 0.0, so the segment
+        # away on +x. Measured from the center at -0.5 the 1e-300 rounds
+        # away, and after the 1e-200 step the disc lies about 2e-206 off the
+        # table's end: that offset's square underflows to 0.0, so the segment
         # test calls it a hit for any radius above 0, a subnormal one too. A
-        # reject by x alone (1e-300 >= radius) would miss it; the reject's
+        # reject by y alone (2e-206 >= radius) would miss it; the reject's
         # floor keeps it in.
         a, b = (0.0, 0.0), (-1.0, 0.0)
         assert one_step_collides(a, b, (1e-300, 0.0, 1e-300), v_max=1e-200)
@@ -306,9 +389,10 @@ class TestCollision:
 
     @pytest.mark.parametrize("obstacle, kind", [((0.1, 0.0, 0.5), "collision"), ((5.0, 3.0, 0.5), "none")])
     def test_zero_length_table_is_tested_as_a_point(self, obstacle, kind):
-        # the squared length of a 2e-170 table underflows to 0.0; the table is
-        # then tested as the point where agent 1 holds it: a disc around the
-        # start is hit on the first step, one off the path is never hit
+        # no squared length is formed: measured from the center, a 2e-170
+        # table's half axis rounds away, so the table is tested as its
+        # center: a disc around the start is hit on the first step, one off
+        # the path is never hit
         env = Environment(
             obstacles=(TaggedObstacle((obstacle[0], obstacle[1]), obstacle[2], owner=1),),
             start=(0.0, 0.0),
@@ -905,6 +989,12 @@ class TestRunGame:
             Limits(goal_eps=0.0)
         with pytest.raises(ValueError):
             Limits(dt=-1.0)
+        # every table has a finite speed cap
+        for v_max in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^v_max must be finite and > 0$"):
+                Limits(v_max=v_max)
+        with pytest.raises(TypeError):
+            Limits(v_max=None)
 
     @pytest.mark.parametrize(
         "name, period, noise_cv",

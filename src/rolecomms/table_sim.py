@@ -133,8 +133,8 @@ class InferredObstacle(NamedTuple):
     """Obstacle reconstructed from a partner's action; saturated marks a
     residual stronger than the field can produce above the distance floor.
 
-    A tuple, cheap to build once per listener step; infer_obstacle applies
-    TaggedObstacle's radius and center checks to each one it builds."""
+    A tuple, built as _make builds it, with tuple.__new__, once per listener
+    step; infer_obstacle applies TaggedObstacle's radius and center checks."""
 
     cx: float
     cy: float
@@ -207,7 +207,8 @@ class Limits:
 class TrajectoryStep(NamedTuple):
     """One game step as a flat row in CSV column order: the table pose after
     the step, both commanded (unclamped) velocities, the roles ("S" or "L")
-    and each agent's current inferred obstacle, None before its first."""
+    and each agent's current inferred obstacle, None before its first.
+    run_game builds each row as _make does, with tuple.__new__."""
 
     step: int
     cx: float
@@ -403,7 +404,7 @@ def infer_obstacle(
     # the center check of TaggedObstacle
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError("obstacle center must be finite")
-    return InferredObstacle(cx, cy, nominal_radius, saturated)
+    return tuple.__new__(InferredObstacle, (cx, cy, nominal_radius, saturated))
 
 
 def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> float:
@@ -421,10 +422,17 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     Rounding keeps the float curve non-increasing, so once the curve is
     certified above mag at the low end of a window of relative width
     _STEER_WINDOW around the root and below mag at its high end, a midpoint
-    outside the window is judged by its side of the root alone. Midpoints
-    inside the window, and all of them when the certificate fails, are
-    judged on the curve, computed inline because this runs once per
-    listener step. The result is the plain bisection's, bit for bit.
+    outside the window is judged by its side of the root alone. This runs
+    in two phases. Phase one, while the certificate holds and until a
+    midpoint falls inside the window, judges only by the root and skips the
+    `mid == lo or mid == hi` exit, which cannot fire there: the window,
+    at least about 4,500 ulps wide, stays strictly inside (lo, hi). The
+    certificate is refused where rho0 + rho0 overflows, so lo + hi stays
+    finite and each step halves the bracket until a midpoint falls inside.
+    Phase two, the whole loop, judges the midpoints inside the window, and
+    all of them when the certificate fails, on the curve, computed inline
+    because this runs once per listener step. The result is the plain
+    bisection's, bit for bit.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0
@@ -433,11 +441,22 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     root = 2.0 / (inv_rho0 + math.sqrt(inv_rho0 * inv_rho0 + 4.0 * (mag / w_rep)))
     below = root * (1.0 - 0.5 * _STEER_WINDOW)
     above = root * (1.0 + 0.5 * _STEER_WINDOW)
-    if not (
+    if (
         lo < below
         and above < hi
+        and hi + hi < math.inf
         and w_rep * (1.0 / below - inv_rho0) * (1.0 / below) > mag > w_rep * (1.0 / above - inv_rho0) * (1.0 / above)
     ):
+        # phase one; the loop below is phase two
+        while (hi - lo) > tol:
+            mid = 0.5 * (lo + hi)
+            if mid < below:
+                lo = mid
+            elif mid > above:
+                hi = mid
+            else:
+                break
+    else:
         below, above = -math.inf, math.inf
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
@@ -515,6 +534,9 @@ def run_game(
     # one partner estimate, as a listener keeps exactly one inferred obstacle.
     motion1, motion2 = own1, own2
     inf1 = inf2 = None
+    # what each listener acts on, rebuilt per new inference: only explicit
+    # deliveries change a motion set, and explicit games have no listener
+    acted1, acted2 = motion1, motion2
 
     explicit = strategy.name == "explicit"
     dynamic = strategy.name == "dynamic"
@@ -562,16 +584,16 @@ def run_game(
             new = infer_obstacle(corrupt(v1, cv, rng), (p1x, p1y), goal, params, nominal_r)
             if new is not None:
                 inf2 = new
-            obs = motion2 if inf2 is None else motion2 + (inf2[:3],)
-            v2 = _field_velocity(p2x, p2y, gx, gy, obs, w_att, w_rep, w_v, rho0)
+                acted2 = motion2 + (new[:3],)
+            v2 = _field_velocity(p2x, p2y, gx, gy, acted2, w_att, w_rep, w_v, rho0)
             roles = ("S", "L")
         else:
             v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
             new = infer_obstacle(corrupt(v2, cv, rng), (p2x, p2y), goal, params, nominal_r)
             if new is not None:
                 inf1 = new
-            obs = motion1 if inf1 is None else motion1 + (inf1[:3],)
-            v1 = _field_velocity(p1x, p1y, gx, gy, obs, w_att, w_rep, w_v, rho0)
+                acted1 = motion1 + (new[:3],)
+            v1 = _field_velocity(p1x, p1y, gx, gy, acted1, w_att, w_rep, w_v, rho0)
             roles = ("L", "S")
 
         # dynamics: each command is scaled down to at most v_max, along its
@@ -602,7 +624,7 @@ def run_game(
         heading += dt * omega
 
         if trajectory is not None:
-            trajectory.append(TrajectoryStep(step, cx_, cy_, heading, *v1, *v2, *roles, inf1, inf2))
+            trajectory.append(tuple.__new__(TrajectoryStep, (step, cx_, cy_, heading, *v1, *v2, *roles, inf1, inf2)))
 
         # the new pose's endpoints, center -/+ (ux, uy): next step's positions
         cos_h = math.cos(heading)
@@ -640,7 +662,9 @@ def run_game(
                 s = -half_len
             ddx = dx - s * cos_h
             ddy = dy - s * sin_h
-            if math.sqrt(ddx * ddx + ddy * ddy) < orad:
+            # hypot once the sum of squares overflows, as in the speed cap
+            dist = math.sqrt(ddx * ddx + ddy * ddy)
+            if (dist if dist < math.inf else math.hypot(ddx, ddy)) < orad:
                 outcome_kind = "collision"
                 break
         if outcome_kind == "collision":
@@ -730,12 +754,18 @@ def trajectory_csv_lines(trajectory: Sequence[TrajectoryStep]) -> list[str]:
 
     Floats render as format(x, ".12g"), which "%.12g" matches. Velocities
     are the commanded (unclamped) actions. Inferred-obstacle fields are
-    empty while an agent has no inference.
+    empty while an agent has no inference, and rendered once per object.
     """
     lines = [TRAJECTORY_COLUMNS]
+    last1 = last2 = None
+    inf1 = inf2 = ",,"
     for ts in trajectory:
-        inf1 = ",," if ts.inferred1 is None else _INFERRED % ts.inferred1[:3]
-        inf2 = ",," if ts.inferred2 is None else _INFERRED % ts.inferred2[:3]
+        if ts.inferred1 is not last1:
+            last1 = ts.inferred1
+            inf1 = ",," if last1 is None else _INFERRED % last1[:3]
+        if ts.inferred2 is not last2:
+            last2 = ts.inferred2
+            inf2 = ",," if last2 is None else _INFERRED % last2[:3]
         lines.append(_ROW % (*ts[:10], inf1, inf2))
     return lines
 

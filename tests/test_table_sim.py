@@ -2,6 +2,7 @@ import json
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -387,6 +388,21 @@ class TestCollision:
         assert one_step_collides(a, b, (1e-300, 0.0, 5e-324), v_max=1e-200)
         assert not one_step_collides(a, b, (1e-300, 0.0, 0.0), v_max=1e-200)
 
+    @pytest.mark.parametrize("strategy", [Strategy("speaker_speaker"), Strategy("dynamic", period=1)],
+                             ids=["speaker_speaker", "dynamic"])
+    def test_distance_whose_square_overflows_still_collides(self, strategy):
+        # a 1e200 disc at (5e199, 0) holds both start and goal: the table
+        # lies about 5e199 from its center, whose square overflows, so hypot
+        # measures the distance and the disc is hit on the first step
+        env = Environment(
+            obstacles=(TaggedObstacle((5e199, 0.0), 1e200, owner=1),),
+            start=(0.0, 0.0),
+            goal=(10.0, 0.0),
+            geometry_mode=KnownRadius(1e200),
+        )
+        out = run_game(env, strategy, FieldParams(), Limits(), 0)
+        assert (out.failure_kind, out.steps) == ("collision", 1)
+
     @pytest.mark.parametrize("obstacle, kind", [((0.1, 0.0, 0.5), "collision"), ((5.0, 3.0, 0.5), "none")])
     def test_zero_length_table_is_tested_as_a_point(self, obstacle, kind):
         # no squared length is formed: measured from the center, a 2e-170
@@ -644,6 +660,51 @@ class TestSteeredInversion:
                     mags.append(repulsive_magnitude(rho, params))
             cases += [(mag, params, tol) for mag in mags for tol in (1e-10, 1e-12, 0.0)]
         self.assert_parity(cases)
+
+    def test_largest_ranges_return(self):
+        # rho0 from 1e307 up to the largest float, where lo + hi can overflow
+        # once rho0 + rho0 does; every call returns, with the plain result
+        rng = random.Random(29)
+        top = math.log10(sys.float_info.max)
+        rho0s = [1e307, 8.98e307, 8.99e307, 1e308, sys.float_info.max]
+        rho0s += [10.0 ** rng.uniform(307, top) for _ in range(10)]
+        cases = []
+        for rho0 in rho0s:
+            params = FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=rho0)
+            for tol in (1e-10, 1e-12, 0.0):
+                for _ in range(6):
+                    mag = repulsive_magnitude(10.0 ** rng.uniform(math.log10(RHO_MIN), math.log10(rho0)), params)
+                    if mag > 0.0:
+                        cases += [(m, params, tol) for m in [mag, *path_mags(mag, params, tol, rng, 4)]]
+        assert len(cases) > 300
+        self.assert_parity(cases)
+
+    def test_root_whose_certificate_fails(self):
+        # roots within 1e-13 of either end of the bracket: the window of
+        # relative width _STEER_WINDOW around each leaves (RHO_MIN, rho0), so
+        # no midpoint is judged by the root alone
+        params = FieldParams(w_rep=0.45, rho0=2.0)
+        half = 0.5 * table_sim._STEER_WINDOW
+        rng = random.Random(5)
+        cases = []
+        for rho in (RHO_MIN * (1.0 + 1e-13), params.rho0 * (1.0 - 1e-13)):
+            assert rho * (1.0 - half) < RHO_MIN or rho * (1.0 + half) > params.rho0
+            mag = repulsive_magnitude(rho, params)
+            for tol in (1e-10, 1e-12, 0.0):
+                cases += [(m, params, tol) for m in [mag, *path_mags(mag, params, tol, rng, 20)]]
+        self.assert_parity(cases)
+
+    def test_exact_hits_at_midpoints_inside_the_window(self):
+        # at tol 0 the bisection runs on into the window around the root, so
+        # some midpoints fall inside it; path_mags turns each into an exact
+        # hit, which the second phase must find on the curve
+        params = FieldParams(w_rep=0.45, rho0=2.0)
+        rho = 0.7
+        mids = []
+        plain_bisection(repulsive_magnitude(rho, params), params, 0.0, mids)
+        assert sum(abs(mid - rho) < 0.5 * table_sim._STEER_WINDOW * rho for mid in mids) >= 5
+        mags = path_mags(repulsive_magnitude(rho, params), params, 0.0, random.Random(7), len(mids))
+        self.assert_parity([(mag, params, tol) for mag in mags for tol in (1e-12, 0.0)])
 
 
 class TestMessages:
@@ -1177,27 +1238,53 @@ class TestTrajectoryCsv:
             lines = trajectory_csv_lines(out.trajectory)
             assert lines == (golden_dir / name).read_text().splitlines(), name
 
-    def test_matches_format_rendering(self):
-        # every float column as format(x, ".12g"), over signed zeros, the
-        # extremes of the exponent range and a saturated inferred obstacle
+    @staticmethod
+    def rendered(steps):
+        """The CSV lines, each row rendered on its own: every float column
+        as format(x, ".12g") and empty inferred-obstacle fields for None."""
+
         def fmt(x):
             return format(x, ".12g")
 
+        lines = [TRAJECTORY_COLUMNS]
+        for ts in steps:
+            row = [str(ts.step), fmt(ts.cx), fmt(ts.cy), fmt(ts.heading), fmt(ts.v1x), fmt(ts.v1y),
+                   fmt(ts.v2x), fmt(ts.v2y), ts.role1, ts.role2]
+            for inf in (ts.inferred1, ts.inferred2):
+                row += ["", "", ""] if inf is None else [fmt(inf.cx), fmt(inf.cy), fmt(inf.radius)]
+            lines.append(",".join(row))
+        return lines
+
+    def test_matches_format_rendering(self):
+        # over signed zeros, the extremes of the exponent range and a
+        # saturated inferred obstacle
         saturated = InferredObstacle(-0.0, 1e15, 0.5, saturated=True)
         steps = [
             TrajectoryStep(0, 0.0, -0.0, 1e-300, -0.0, 1e15, 1 / 3, -2e-7, "S", "L", None, saturated),
             TrajectoryStep(1, -1e15, 2.5, -0.0, 1e-300, 0.0, -1e-300, 123456789.123456789, "L", "S",
                            InferredObstacle(5.000000000002, 0.299999999999, 1e-300), saturated),
         ]
-        expected = [TRAJECTORY_COLUMNS]
-        for ts in steps:
-            row = [str(ts.step), fmt(ts.cx), fmt(ts.cy), fmt(ts.heading), fmt(ts.v1x), fmt(ts.v1y),
-                   fmt(ts.v2x), fmt(ts.v2y), ts.role1, ts.role2]
-            for inf in (ts.inferred1, ts.inferred2):
-                row += ["", "", ""] if inf is None else [fmt(inf.cx), fmt(inf.cy), fmt(inf.radius)]
-            expected.append(",".join(row))
+        expected = self.rendered(steps)
         assert trajectory_csv_lines(steps) == expected
         assert expected[1] == "0,0,-0,1e-300,-0,1e+15,0.333333333333,-2e-07,S,L,,,,-0,1e+15,0.5"
+
+    def test_each_row_renders_its_own_inference(self):
+        # an inference persists across rows, and the renderer reuses its
+        # fields while the object stays the same; an equal but distinct one
+        # (0.0 == -0.0, rendered "0" and "-0"), a different one and None
+        # must each show in their own row, in either agent's columns
+        first = InferredObstacle(0.0, 1.5, 0.5)
+        equal = InferredObstacle(-0.0, 1.5, 0.5)
+        other = InferredObstacle(2.25, -1.0, 0.5, saturated=True)
+        assert equal == first and equal is not first
+        seq = [None, first, first, equal, equal, other, other, None, None, first]
+        steps = [
+            TrajectoryStep(k, 0.1 * k, 0.0, 1.0, 0.1, 0.2, 0.3, 0.4, "L", "S", inf, seq[-1 - k])
+            for k, inf in enumerate(seq)
+        ]
+        lines = trajectory_csv_lines(steps)
+        assert lines == self.rendered(steps)
+        assert [line.split(",")[10] for line in lines[1:]] == ["", "0", "0", "-0", "-0", "2.25", "2.25", "", "", "0"]
 
     def test_step_fields_follow_the_csv_columns(self):
         # one flat row per step, in column order; the heading is the theta column
@@ -1218,6 +1305,23 @@ class TestTrajectoryCsv:
         assert len(rows) == out.steps
         assert all(row[10:13] == ["", "", ""] for row in rows)
         assert any(row[13:16] != ["", "", ""] for row in rows)
+
+    def test_rows_and_inferences_keep_their_types(self):
+        # run_game builds rows and inferences as plain tuples of their
+        # classes: each must still carry its named fields
+        env = make_env([TaggedObstacle((5.0, 0.3), 0.5, owner=1)])
+        limits = Limits(max_steps=200, goal_eps=0.5, dt=1.0, v_max=0.35)
+        out = run_game(env, Strategy("dynamic", period=2), self.params, limits, 0, record_trajectory=True)
+        inferred = {id(inf): inf for ts in out.trajectory for inf in ts[10:] if inf is not None}
+        assert len(inferred) > 10
+        for ts in out.trajectory:
+            assert type(ts) is TrajectoryStep and len(ts) == len(TrajectoryStep._fields)
+            assert TrajectoryStep(**ts._asdict()) == ts
+            assert (ts.step, ts.heading, ts.role2, ts.inferred2) == (ts[0], ts[3], ts[9], ts[11])
+        for inf in inferred.values():
+            assert type(inf) is InferredObstacle and len(inf) == 4
+            assert InferredObstacle(inf.cx, inf.cy, inf.radius, inf.saturated) == inf
+            assert (inf.radius, inf.saturated) == (0.5, False)
 
     def test_rerun_identical(self, config_dir):
         env = load_fig2_env(config_dir)

@@ -68,16 +68,14 @@ def _block_mixer():
     return mix_block
 
 
-def derive_seed(seed: int, *salts: int) -> int:
-    """Derive an independent child seed from a base seed and salt values.
+def derive_seed(seed: int, salt: int) -> int:
+    """Derive an independent child seed from a base seed and a salt.
 
-    Each salt is absorbed through one splitmix64 round, so distinct salt
-    tuples give statistically independent streams.
+    The salt is absorbed through one splitmix64 round, so distinct salts
+    give statistically independent streams.
     """
     s = _mix64(seed & _MASK64)
-    for salt in salts:
-        s = _mix64((s + _WEYL + (salt & _MASK64)) & _MASK64)
-    return s
+    return _mix64((s + _WEYL + (salt & _MASK64)) & _MASK64)
 
 
 class Rng:
@@ -116,21 +114,21 @@ class Rng:
         return block.pop()
 
 
-def gaussian(rng: Rng, mean: float, stddev: float) -> float:
-    """One sample from N(mean, stddev^2) via the Box-Muller transform.
+def gaussian(rng: Rng, stddev: float) -> float:
+    """One sample from N(0, stddev^2) via the Box-Muller transform.
 
-    stddev = 0 returns the mean exactly and consumes no draws; otherwise the
-    call pops exactly two uniforms from the stream's block, as `uniform` does.
-    A negative, NaN or infinite stddev raises ValueError.
+    stddev = 0 returns 0.0 and consumes no draws; otherwise the call pops
+    exactly two uniforms from the stream's block, as `uniform` does. A
+    negative, NaN or infinite stddev raises ValueError.
     """
     if not 0.0 <= stddev < _INF:
         raise ValueError(f"stddev must be finite and >= 0, got {stddev}")
     if stddev == 0.0:
-        return mean
+        return 0.0
     block = rng._block
     u1 = block.pop() if block else rng._refill()
     u2 = block.pop() if block else rng._refill()
-    return mean + stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
+    return stddev * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
 
 
 _EIG_MAX_DIM = 8

@@ -290,12 +290,12 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
         return tuple(values)
     if len(values) == 2:
         vx, vy = values
-        return (vx + gaussian(rng, 0.0, cv * abs(vx)), vy + gaussian(rng, 0.0, cv * abs(vy)))
+        return (vx + gaussian(rng, cv * abs(vx)), vy + gaussian(rng, cv * abs(vy)))
     cx, cy, r = values  # any length but 2 and 3 fails to unpack
     return (
-        cx + gaussian(rng, 0.0, cv * abs(cx)),
-        cy + gaussian(rng, 0.0, cv * abs(cy)),
-        r + gaussian(rng, 0.0, cv * abs(r)),
+        cx + gaussian(rng, cv * abs(cx)),
+        cy + gaussian(rng, cv * abs(cy)),
+        r + gaussian(rng, cv * abs(r)),
     )
 
 
@@ -499,10 +499,11 @@ def run_game(
     success when the table center reaches the goal, in collision when any
     obstacle disc touches the table segment, or in timeout at max_steps.
 
-    Speakers act strictly on observed + received obstacles; an agent's
-    inferred obstacle only steers it while it is the listener, and persists
-    across role switches until a new inference replaces it. Observed partner
-    actions are the unclamped commands, so inference inverts the exact field.
+    Each agent acts on its own obstacles plus at most one partner estimate,
+    the latest delivery or (while listening) inference; an inference persists
+    across role switches until a new one replaces it, and role-game speakers
+    act on their own obstacles alone. Observed partner actions are the
+    unclamped commands, so inference inverts the exact field.
 
     With record_trajectory, the outcome carries one flat TrajectoryStep row
     per step played: the table pose after the step, both commanded
@@ -529,14 +530,10 @@ def run_game(
     env_obs = tuple((o.center[0], o.center[1], o.radius, max(o.radius, _REJECT_FLOOR)) for o in env.obstacles)
     own1 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 1)
     own2 = tuple((o.center[0], o.center[1], o.radius) for o in env.obstacles if o.owner == 2)
-    # motion: own obstacles plus at most one received one. Each explicit
-    # delivery replaces the previous received obstacle, so an agent acts on
-    # one partner estimate, as a listener keeps exactly one inferred obstacle.
-    motion1, motion2 = own1, own2
+    # heard: own obstacles plus at most one partner estimate, which the latest
+    # explicit delivery or the listener's latest inference replaces
+    heard1, heard2 = own1, own2
     inf1 = inf2 = None
-    # what each listener acts on, rebuilt per new inference: only explicit
-    # deliveries change a motion set, and explicit games have no listener
-    acted1, acted2 = motion1, motion2
 
     explicit = strategy.name == "explicit"
     dynamic = strategy.name == "dynamic"
@@ -569,31 +566,31 @@ def run_game(
                 mcx, mcy, mr = corrupt(own[idx], cv, rng)
                 received = ((mcx, mcy, max(mr, 0.0)),)
                 if sender == 1:
-                    motion2 = own2 + received
+                    heard2 = own2 + received
                 else:
-                    motion1 = own1 + received
+                    heard1 = own1 + received
         elif dynamic:
             speaker = 1 + (step // period) % 2
 
         if speaker is None:
             roles = ("S", "S")
-            v1 = _field_velocity(p1x, p1y, gx, gy, motion1, w_att, w_rep, w_v, rho0)
-            v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
+            v1 = _field_velocity(p1x, p1y, gx, gy, heard1, w_att, w_rep, w_v, rho0)
+            v2 = _field_velocity(p2x, p2y, gx, gy, heard2, w_att, w_rep, w_v, rho0)
         elif speaker == 1:
-            v1 = _field_velocity(p1x, p1y, gx, gy, motion1, w_att, w_rep, w_v, rho0)
+            v1 = _field_velocity(p1x, p1y, gx, gy, own1, w_att, w_rep, w_v, rho0)
             new = infer_obstacle(corrupt(v1, cv, rng), (p1x, p1y), goal, params, nominal_r)
             if new is not None:
                 inf2 = new
-                acted2 = motion2 + (new[:3],)
-            v2 = _field_velocity(p2x, p2y, gx, gy, acted2, w_att, w_rep, w_v, rho0)
+                heard2 = own2 + (new[:3],)
+            v2 = _field_velocity(p2x, p2y, gx, gy, heard2, w_att, w_rep, w_v, rho0)
             roles = ("S", "L")
         else:
-            v2 = _field_velocity(p2x, p2y, gx, gy, motion2, w_att, w_rep, w_v, rho0)
+            v2 = _field_velocity(p2x, p2y, gx, gy, own2, w_att, w_rep, w_v, rho0)
             new = infer_obstacle(corrupt(v2, cv, rng), (p2x, p2y), goal, params, nominal_r)
             if new is not None:
                 inf1 = new
-                acted1 = motion1 + (new[:3],)
-            v1 = _field_velocity(p1x, p1y, gx, gy, acted1, w_att, w_rep, w_v, rho0)
+                heard1 = own1 + (new[:3],)
+            v1 = _field_velocity(p1x, p1y, gx, gy, heard1, w_att, w_rep, w_v, rho0)
             roles = ("L", "S")
 
         # dynamics: each command is scaled down to at most v_max, along its
@@ -690,7 +687,7 @@ def generate_environment(
     seed: int,
     n: int,
     geometry_mode: GeometryMode,
-    workspace: Workspace = Workspace(),
+    workspace: Workspace,
 ) -> Environment:
     """Sample n obstacles uniformly in the corridor between start and goal.
 

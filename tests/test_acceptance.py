@@ -177,7 +177,7 @@ def test_criterion_3_noise_expectation():
     n = 100_000
     acc = np.zeros(2)
     for _ in range(n):
-        noise = (gaussian(rng, 0.0, w1), gaussian(rng, 0.0, w2))
+        noise = (gaussian(rng, w1), gaussian(rng, w2))
         acc += noisy_listener_action(K, s, noise)
     mean = acc / n
     sigma = np.array([abs(K[0, 1] / K[1, 1]) * w2, abs(K[1, 0] / K[0, 0]) * w1])

@@ -408,7 +408,7 @@ class TestNoisyListenerAction:
         n = 100_000
         acc = np.zeros(2)
         for _ in range(n):
-            noise = (gaussian(rng, 0.0, w1), gaussian(rng, 0.0, w2))
+            noise = (gaussian(rng, w1), gaussian(rng, w2))
             acc += noisy_listener_action(K, s, noise)
         mean = acc / n
         target = -K @ s

@@ -273,7 +273,7 @@ import sys
 from rolecomms.numerics import Rng, gaussian
 before = "numpy" in sys.modules
 rng = Rng(int(sys.argv[1]))
-values = [gaussian(rng, 0.5, 2.0) if op == "g" else rng.uniform() for op in sys.argv[2]]
+values = [0.5 + gaussian(rng, 2.0) if op == "g" else rng.uniform() for op in sys.argv[2]]
 print(before, "numpy" in sys.modules, *(v.hex() for v in values))
 """
 
@@ -325,7 +325,7 @@ class TestBlockStream:
     def assert_stream_matches(self, seed: int, gauss_at: tuple[int, ...]) -> None:
         rng = Rng(seed)
         ops = self.calls(gauss_at)
-        got = [gaussian(rng, 0.5, 2.0) if op == "g" else rng.uniform() for op in ops]
+        got = [0.5 + gaussian(rng, 2.0) if op == "g" else rng.uniform() for op in ops]
         assert got == self.scalar_values(seed, ops)
         assert rng.uniform() == self.scalar_uniform(seed, self.DRAWS + 1)
 
@@ -349,38 +349,39 @@ class TestBlockStream:
 
 
 class TestGaussian:
-    def test_zero_stddev_returns_mean_exactly(self):
+    def test_zero_stddev_returns_zero_exactly(self):
         rng = Rng(1)
-        assert gaussian(rng, 3.0, 0.0) == 3.0
+        assert math.copysign(1.0, gaussian(rng, 0.0)) == 1.0
+        assert 3.0 + gaussian(rng, 0.0) == 3.0
         # and consumes nothing: identical next draw to a fresh stream
         assert rng.uniform() == Rng(1).uniform()
 
     def test_negative_stddev_raises(self):
         with pytest.raises(ValueError):
-            gaussian(Rng(1), 0.0, -1.0)
+            gaussian(Rng(1), -1.0)
 
     @pytest.mark.parametrize("stddev", [math.nan, math.inf])
     def test_nan_or_infinite_stddev_raises_without_draws(self, stddev):
         rng = Rng(1)
         with pytest.raises(ValueError, match="stddev must be finite"):
-            gaussian(rng, 0.0, stddev)
+            gaussian(rng, stddev)
         assert rng.uniform() == Rng(1).uniform()
 
     def test_same_seed_same_sample(self):
-        assert gaussian(Rng(77), 0.0, 1.0) == gaussian(Rng(77), 0.0, 1.0)
+        assert gaussian(Rng(77), 1.0) == gaussian(Rng(77), 1.0)
 
     def test_clt_mean_bound(self):
         rng = Rng(2026)
         n = 100_000
         total = 0.0
         for _ in range(n):
-            total += gaussian(rng, 0.0, 1.0)
+            total += gaussian(rng, 1.0)
         assert abs(total / n) < 4.0 / math.sqrt(n)
 
     def test_sample_variance(self):
         rng = Rng(515)
         n = 100_000
-        samples = [gaussian(rng, 0.0, 1.0) for _ in range(n)]
+        samples = [gaussian(rng, 1.0) for _ in range(n)]
         mean = sum(samples) / n
         var = sum((x - mean) ** 2 for x in samples) / n
         assert abs(var - 1.0) < 0.02

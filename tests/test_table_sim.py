@@ -1043,6 +1043,60 @@ class TestRunGame:
                 checked += 1
         assert checked > 0
 
+    def test_listener_keeps_its_inference_when_a_new_one_is_none(self):
+        # each agent sees one disc: a listener acts on its own obstacles plus
+        # its latest inference, which a step inferring nothing leaves in
+        # place, also on the first step back in the listener role
+        env = make_env([TaggedObstacle((3.0, 0.8), 0.5, owner=1), TaggedObstacle((6.0, -0.8), 0.5, owner=2)])
+        own = {agent: [(*o.center, o.radius) for o in env.obstacles if o.owner == agent] for agent in (1, 2)}
+        kept = {1: 0, 2: 0}
+        kept_after_switch = {1: 0, 2: 0}
+        previous = {1: (None, None), 2: (None, None)}
+        for pose, ts in game_steps(env, Strategy("dynamic", period=3), self.params, self.limits, 0):
+            q = dict(zip((1, 2), endpoints(*pose, env.table_half_length)))
+            for agent, role, inferred, command in (
+                (1, ts.role1, ts.inferred1, (ts.v1x, ts.v1y)),
+                (2, ts.role2, ts.inferred2, (ts.v2x, ts.v2y)),
+            ):
+                acted = own[agent] + ([inferred[:3]] if role == "L" and inferred is not None else [])
+                assert command == velocity(q[agent], env.goal, acted, self.params)
+                if role == "L" and inferred is not None and inferred is previous[agent][1]:
+                    kept[agent] += 1
+                    kept_after_switch[agent] += previous[agent][0] == "S"
+            previous = {1: (ts.role1, ts.inferred1), 2: (ts.role2, ts.inferred2)}
+        assert all(kept[agent] > kept_after_switch[agent] > 0 for agent in (1, 2))
+
+    @pytest.mark.parametrize("period", [0, 3])
+    def test_explicit_delivery_replaces_the_received_obstacle(self, period):
+        # each agent sees two discs, so the closest one a sender reports
+        # changes along the way: the receiver then acts on its own discs and
+        # the latest delivery alone, never on an earlier one as well
+        env = make_env([
+            TaggedObstacle((3.0, 1.2), 0.5, owner=1),
+            TaggedObstacle((3.5, -1.4), 0.5, owner=2),
+            TaggedObstacle((6.5, 1.1), 0.5, owner=1),
+            TaggedObstacle((7.0, -1.3), 0.5, owner=2),
+        ])
+        own = {agent: [(*o.center, o.radius) for o in env.obstacles if o.owner == agent] for agent in (1, 2)}
+        received = {1: [], 2: []}
+        delivered = {1: set(), 2: set()}
+        for pose, ts in game_steps(env, Strategy("explicit", period=period), self.params, self.limits, 0):
+            q = dict(zip((1, 2), endpoints(*pose, env.table_half_length)))
+            if period == 0:
+                senders = (1, 2)
+            elif ts.step > 0 and ts.step % period == 0:
+                senders = (1,) if (ts.step // period) % 2 == 1 else (2,)
+            else:
+                senders = ()
+            for sender in senders:
+                receiver = 3 - sender
+                message = own[sender][closest_observed_index(own[sender], q[sender])]
+                received[receiver] = [message]
+                delivered[receiver].add(message)
+            assert (ts.v1x, ts.v1y) == velocity(q[1], env.goal, own[1] + received[1], self.params)
+            assert (ts.v2x, ts.v2y) == velocity(q[2], env.goal, own[2] + received[2], self.params)
+        assert len(delivered[1]) == len(delivered[2]) == 2
+
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             Limits(max_steps=0)

@@ -78,6 +78,14 @@ def _gain_2x2(K) -> np.ndarray:
     return k
 
 
+def _square(x: float) -> float:
+    """x ** 2 rounded by C's pow, as numpy's was: not always x * x; inf where ** overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def role_gain(Kstar, alloc: str) -> np.ndarray:
     """Effective 2x2 feedback gain under the role allocation named `alloc`.
 
@@ -246,20 +254,22 @@ def optimal_variances(K, w1_sq: float, w2_sq: float, speaker: int = 1) -> Varian
     which is always <= w_s^2, with equality iff the cross gain K_ls is zero.
     A speaker variance that overflows, or underflows to 0, raises ValueError.
     """
-    k = _gain_2x2(K)
+    k = _gain_2x2(K).tolist()
     if not (w1_sq > 0 and w2_sq > 0):
         raise ValueError("noise variances must be > 0")
     if speaker not in (1, 2):
         raise ValueError(f"speaker index must be 1 or 2, got {speaker}")
     # i indexes the speaker and j the listener
     i, j = (0, 1) if speaker == 1 else (1, 0)
-    if k[i, i] == 0.0:
+    if k[i][i] == 0.0:
         raise SingularGainError(f"K{i + 1}{i + 1} must be nonzero when agent {i + 1} speaks")
-    pair = [w1_sq, w2_sq]
+    pair = [float(w1_sq), float(w2_sq)]
     # an overflow shows as a variance that is not finite, and an underflow as
-    # a variance of 0, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair[i] = k[i, i] ** 2 * w1_sq * w2_sq / (k[i, i] ** 2 * pair[j] + k[j, i] ** 2 * pair[i])
+    # 0, reported below; Python raises on x / 0.0, which IEEE 754 makes x * inf
+    k_ss = _square(k[i][i])
+    num = k_ss * pair[0] * pair[1]
+    den = k_ss * pair[j] + _square(k[j][i]) * pair[i]
+    pair[i] = num / den if den else num * math.inf
     if not 0.0 < pair[i] < math.inf:
         raise ValueError(f"sigma{i + 1}_sq must come out finite and > 0, got {pair[i]}")
     return VariancePair(*pair)
@@ -284,7 +294,7 @@ def expected_kl(
     The log's quotient and its denominator must not underflow to 0, and the
     divergence must be finite; each raises ValueError otherwise.
     """
-    k = _gain_2x2(K)
+    (k11, k12), (k21, _) = _gain_2x2(K).tolist()
     for name, v in (
         ("sigma1_sq", sigma1_sq),
         ("sigma2_sq", sigma2_sq),
@@ -295,21 +305,23 @@ def expected_kl(
             raise ValueError(f"{name} must be finite and > 0, got {v}")
     if not (sigma_s2_sq >= 0 and math.isfinite(sigma_s2_sq)):
         raise ValueError(f"sigma_s2_sq must be finite and >= 0, got {sigma_s2_sq}")
-    if k[0, 0] == 0.0:
+    if k11 == 0.0:
         raise SingularGainError("K11 must be nonzero when agent 1 speaks")
+    sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq = map(float, (sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq))
+    if sigma1_sq * sigma2_sq == 0.0:
+        raise ValueError(f"sigma1_sq * sigma2_sq underflows to 0, got {sigma1_sq} and {sigma2_sq}")
+    quotient = w1_sq * w2_sq / (sigma1_sq * sigma2_sq)
+    if quotient == 0.0:
+        raise ValueError("w1_sq * w2_sq / (sigma1_sq * sigma2_sq) underflows to 0")
     # an overflow shows as a divergence that is not finite, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sigma1_sq * sigma2_sq == 0.0:
-            raise ValueError(f"sigma1_sq * sigma2_sq underflows to 0, got {sigma1_sq} and {sigma2_sq}")
-        quotient = w1_sq * w2_sq / (sigma1_sq * sigma2_sq)
-        if quotient == 0.0:
-            raise ValueError("w1_sq * w2_sq / (sigma1_sq * sigma2_sq) underflows to 0")
-        kl = (
-            k[0, 1] ** 2 * sigma_s2_sq / (2.0 * w1_sq)
-            + 0.5 * math.log(quotient)
-            + sigma1_sq / (2.0 * w1_sq)
-            + (sigma2_sq + k[1, 0] ** 2 * sigma1_sq / k[0, 0] ** 2) / (2.0 * w2_sq)
-        )
+    cross = _square(k21) * sigma1_sq
+    k11_sq = _square(k11)
+    kl = (
+        _square(k12) * sigma_s2_sq / (2.0 * w1_sq)
+        + 0.5 * math.log(quotient)
+        + sigma1_sq / (2.0 * w1_sq)
+        + (sigma2_sq + (cross / k11_sq if k11_sq else cross * math.inf)) / (2.0 * w2_sq)
+    )
     if not math.isfinite(kl):
         raise ValueError(f"expected_kl is not finite, got {kl}")
     return kl

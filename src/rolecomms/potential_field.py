@@ -12,6 +12,11 @@ range rho0; rho is the distance from p to the obstacle *boundary* (center
 distance minus radius), floored at RHO_MIN. A listener inverts the same law
 to place its partner's obstacle (table_sim.infer_obstacle).
 
+The law's domain, where no square it forms overflows, is rho0 at most
+MAX_LENGTH, coordinates and radii within about 10 MAX_LENGTH, and commands
+within MAX_LENGTH; FieldParams, table_sim's Environment, Workspace and
+Limits, and check_finite_commands keep the game in it.
+
 The law has no speed cap: the game loop (table_sim.run_game) caps each
 command it applies, and checks collision only at the end of each step, so a
 step can still carry the table through an obstacle.
@@ -24,6 +29,8 @@ from dataclasses import dataclass
 
 RHO_MIN = 1e-3
 ATTRACTOR_EPS = 1e-6
+# the declared range of every length the game reads; not a setting
+MAX_LENGTH = 1e100
 
 
 @dataclass(frozen=True)
@@ -34,14 +41,14 @@ class FieldParams:
     rho0: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_att", "w_rep", "w_v", "rho0"):
+        for name in ("w_att", "w_rep", "w_v"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         # below the floor the law turns attractive and the listener's
         # bracket (RHO_MIN, rho0] is empty
-        if not self.rho0 > RHO_MIN:
-            raise ValueError(f"rho0 must be > RHO_MIN ({RHO_MIN}), got {self.rho0}")
+        if not RHO_MIN < self.rho0 <= MAX_LENGTH:
+            raise ValueError(f"rho0 must be in (RHO_MIN, MAX_LENGTH] = ({RHO_MIN}, {MAX_LENGTH}], got {self.rho0}")
 
 
 def repulsive_magnitude(rho: float, params: FieldParams) -> float:

@@ -24,6 +24,7 @@ from .errors import GenerationError
 from .numerics import Rng, derive_seed, gaussian
 from .potential_field import (
     ATTRACTOR_EPS,
+    MAX_LENGTH,
     RHO_MIN,
     FieldParams,
     repulsive_magnitude,
@@ -50,8 +51,8 @@ _REJECT_FLOOR = 2.0**-500
 
 def _check_radius(radius: float) -> None:
     """The radius rule of every obstacle, given or inferred, and of KnownRadius."""
-    if not (radius >= 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    if not 0 <= radius <= MAX_LENGTH:
+        raise ValueError(f"radius must be in [0, {MAX_LENGTH}], got {radius}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class UnknownRadius:
     r_max: float
 
     def __post_init__(self):
-        if not (0 < self.r_min <= self.r_max and math.isfinite(self.r_max)):
-            raise ValueError(f"need 0 < r_min <= r_max, both finite, got [{self.r_min}, {self.r_max}]")
+        if not 0 < self.r_min <= self.r_max <= MAX_LENGTH:
+            raise ValueError(f"need 0 < r_min <= r_max <= {MAX_LENGTH}, got [{self.r_min}, {self.r_max}]")
 
     @property
     def nominal_radius(self) -> float:
@@ -100,8 +101,8 @@ class TaggedObstacle:
 
     def __post_init__(self):
         _check_radius(self.radius)
-        if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
-            raise ValueError("obstacle center must be finite")
+        if not (abs(self.center[0]) <= MAX_LENGTH and abs(self.center[1]) <= MAX_LENGTH):
+            raise ValueError(f"obstacle center coordinates must be at most {MAX_LENGTH} in magnitude, got {self.center}")
         if self.owner not in (1, 2):
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
 
@@ -118,8 +119,8 @@ class Environment:
         # the game divides by it, so its reciprocal must be finite too
         if not (self.table_half_length > 0 and math.isfinite(1.0 / self.table_half_length)):
             raise ValueError(f"table_half_length must be > 0 with a finite reciprocal, got {self.table_half_length}")
-        if not all(math.isfinite(x) for x in (*self.start, *self.goal, self.table_half_length)):
-            raise ValueError("start, goal and table_half_length must be finite")
+        if not all(abs(x) <= MAX_LENGTH for x in (*self.start, *self.goal, self.table_half_length)):
+            raise ValueError(f"start, goal and table_half_length must be at most {MAX_LENGTH} in magnitude")
         # the listener infers with the mode's nominal radius, so every radius
         # must be one the mode allows
         mode = self.geometry_mode
@@ -134,7 +135,8 @@ class InferredObstacle(NamedTuple):
     residual stronger than the field can produce above the distance floor.
 
     A tuple, built as _make builds it, with tuple.__new__, once per listener
-    step; infer_obstacle applies TaggedObstacle's radius and center checks."""
+    step; infer_obstacle applies TaggedObstacle's radius check, and requires
+    a finite center, which may lie beyond MAX_LENGTH."""
 
     cx: float
     cy: float
@@ -196,12 +198,11 @@ class Limits:
     def __post_init__(self):
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(f"max_steps must be in [1, {MAX_STEPS}]")
-        if not self.goal_eps > 0:
-            raise ValueError("goal_eps must be > 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if not (self.v_max > 0 and math.isfinite(self.v_max)):
-            raise ValueError("v_max must be finite and > 0")
+        for name in ("goal_eps", "dt", "v_max"):
+            if not 0 < getattr(self, name) <= MAX_LENGTH:
+                raise ValueError(f"{name} must be in (0, {MAX_LENGTH}], got {getattr(self, name)}")
+        if not self.max_steps * self.dt * self.v_max <= MAX_LENGTH:
+            raise ValueError(f"the reach max_steps * dt * v_max must be at most {MAX_LENGTH}")
 
 
 class TrajectoryStep(NamedTuple):
@@ -254,6 +255,8 @@ class Workspace:
     def __post_init__(self):
         if not 1 <= self.retry_cap <= MAX_RETRY_CAP:
             raise ValueError(f"retry_cap must be in [1, {MAX_RETRY_CAP}]")
+        if not all(abs(x) <= MAX_LENGTH for x in (*self.x_range, *self.y_range, self.clearance)):
+            raise ValueError(f"x_range, y_range and clearance must be at most {MAX_LENGTH} in magnitude")
         # the environment's own rules, checked before any environment is generated
         Environment((), self.start, self.goal, KnownRadius(0.0), self.table_half_length)
 
@@ -305,33 +308,22 @@ _CHANNEL_Z_MAX = 8.6
 
 def check_finite_commands(params: FieldParams, k: int, cv: float) -> None:
     """Raise ValueError unless every command an agent acting on at most k
-    obstacles (its own plus one received or inferred) can form is finite,
-    with the channel at cv.
-
-    Each intermediate of the worst case must be finite: a term's scale, its
-    magnitude over a distance of at least ATTRACTOR_EPS; the field sum
-    w_att + k * repulsive_magnitude(RHO_MIN), the largest attraction plus k
-    of the largest repulsions; the command, w_v times that sum; the sum of
-    both agents' commands, which the table's mean velocity takes; and the
-    field sum and the command times 1 + 8.6 * cv, for the corrupted command
-    and the listener's residual.
-
-    That suffices because the corrupted command adds at most 8.6 * cv times
-    the command, so the residual, v / w_v plus the attraction, is a
-    repulsive sum plus noise / w_v and stays finite. The inferred center lies
-    rho + radius from the speaker along that finite residual (or at the
-    speaker, when the residual's squared length overflows), so it is finite
-    too. The table moves by dt times the mean of two finite capped commands
-    per step.
+    obstacles (its own plus one received or inferred) can form, with the
+    channel at cv, is at most MAX_LENGTH, and so is each intermediate of the
+    worst case: a term's scale, its magnitude over ATTRACTOR_EPS; the field
+    sum w_att + k * repulsive_magnitude(RHO_MIN); the command, w_v times
+    that sum; both agents' commands summed; and the field sum and the
+    command times 1 + 8.6 * cv, the channel's largest draw, which bound the
+    listener's residual v / w_v + att and the corrupted command.
     """
     rep_max = repulsive_magnitude(RHO_MIN, params)
     field_sum = params.w_att + k * rep_max
     command = params.w_v * field_sum
     noisy = 1.0 + _CHANNEL_Z_MAX * cv
     worst = (max(params.w_att, rep_max) / ATTRACTOR_EPS, command + command, field_sum * noisy, command * noisy)
-    if not all(map(math.isfinite, worst)):
+    if not all(x <= MAX_LENGTH for x in worst):
         raise ValueError(
-            f"field weights allow a non-finite command for an agent acting on {k} obstacles at cv {cv}"
+            f"field weights allow a command above {MAX_LENGTH} for an agent acting on {k} obstacles at cv {cv}"
         )
 
 
@@ -388,20 +380,14 @@ def infer_obstacle(
         rx += dx * scale
         ry += dy * scale
     mag = math.sqrt(rx * rx + ry * ry)
-    if mag < RESIDUAL_EPS:
-        return None
-    # rounding's bound, tested second so that the common return above costs
-    # one compare; hypot decides where the squared length overflows, from
-    # residuals near 1e154, which rounding leaves once w_att passes 1e170
-    gate = _RESIDUAL_ROUNDING * params.w_att
-    if mag < gate or (mag == math.inf and math.hypot(rx, ry) < gate):
+    # rounding's bound second, so that the common return costs one compare
+    if mag < RESIDUAL_EPS or mag < _RESIDUAL_ROUNDING * params.w_att:
         return None
     saturated = mag >= repulsive_magnitude(RHO_MIN, params)
     rho = RHO_MIN if saturated else _invert_repulsive_magnitude(mag, params, tol)
     offset = (rho + nominal_radius) / mag
     cx = px - rx * offset
     cy = py - ry * offset
-    # the center check of TaggedObstacle
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError("obstacle center must be finite")
     return tuple.__new__(InferredObstacle, (cx, cy, nominal_radius, saturated))
@@ -426,13 +412,11 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     in two phases. Phase one, while the certificate holds and until a
     midpoint falls inside the window, judges only by the root and skips the
     `mid == lo or mid == hi` exit, which cannot fire there: the window,
-    at least about 4,500 ulps wide, stays strictly inside (lo, hi). The
-    certificate is refused where rho0 + rho0 overflows, so lo + hi stays
-    finite and each step halves the bracket until a midpoint falls inside.
-    Phase two, the whole loop, judges the midpoints inside the window, and
-    all of them when the certificate fails, on the curve, computed inline
-    because this runs once per listener step. The result is the plain
-    bisection's, bit for bit.
+    at least about 4,500 ulps wide, stays strictly inside (lo, hi). Phase
+    two, the whole loop, judges the midpoints inside the window, and all of
+    them when the certificate fails, on the curve, computed inline because
+    this runs once per listener step. The result is the plain bisection's,
+    bit for bit.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0
@@ -444,7 +428,6 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     if (
         lo < below
         and above < hi
-        and hi + hi < math.inf
         and w_rep * (1.0 / below - inv_rho0) * (1.0 / below) > mag > w_rep * (1.0 / above - inv_rho0) * (1.0 / above)
     ):
         # phase one; the loop below is phase two
@@ -594,23 +577,21 @@ def run_game(
             roles = ("L", "S")
 
         # dynamics: each command is scaled down to at most v_max, along its
-        # own direction: past about 1.3e154 a finite command's sum of squares
-        # overflows, and its speed is then taken from hypot. The center
-        # translates with the mean command; the heading rate is the cross
-        # product of the unit table axis with agent 1's command relative to
-        # the mean, over the half length (agent 2's arm gives the same value
-        # by antisymmetry). Endpoints are re-derived from center and heading,
-        # so the table stays exactly rigid.
+        # own direction. The center translates with the mean command; the
+        # heading rate is the cross product of the unit table axis with agent
+        # 1's command relative to the mean, over the half length (agent 2's
+        # arm gives the same value by antisymmetry). Endpoints are re-derived
+        # from center and heading, so the table stays exactly rigid.
         c1x, c1y = v1
         c2x, c2y = v2
         speed = math.sqrt(c1x * c1x + c1y * c1y)
         if speed > v_cap:
-            scale = v_cap / (speed if speed < math.inf else math.hypot(c1x, c1y))
+            scale = v_cap / speed
             c1x *= scale
             c1y *= scale
         speed = math.sqrt(c2x * c2x + c2y * c2y)
         if speed > v_cap:
-            scale = v_cap / (speed if speed < math.inf else math.hypot(c2x, c2y))
+            scale = v_cap / speed
             c2x *= scale
             c2y *= scale
         vcx = 0.5 * (c1x + c2x)
@@ -659,9 +640,7 @@ def run_game(
                 s = -half_len
             ddx = dx - s * cos_h
             ddy = dy - s * sin_h
-            # hypot once the sum of squares overflows, as in the speed cap
-            dist = math.sqrt(ddx * ddx + ddy * ddy)
-            if (dist if dist < math.inf else math.hypot(ddx, ddy)) < orad:
+            if math.sqrt(ddx * ddx + ddy * ddy) < orad:
                 outcome_kind = "collision"
                 break
         if outcome_kind == "collision":

@@ -10,6 +10,7 @@ import pytest
 
 from rolecomms import bench, cli, linear_roles
 from rolecomms.cli import build_parser, main
+from rolecomms.potential_field import MAX_LENGTH
 from rolecomms.table_sim import MAX_RETRY_CAP
 
 
@@ -330,14 +331,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "half_length, center, kind, steps",
-        [(7e153, [0.0, 0.0], "collision", 1), (1e150, [5.0, 0.0], "timeout", 200)],
+        [(MAX_LENGTH, [0.0, 0.0], "collision", 1), (MAX_LENGTH, [5.0, 0.0], "timeout", 200)],
     )
     def test_long_table_collides_with_the_discs_it_touches(self, capsys, tmp_path, half_length, center, kind, steps):
-        # the table starts across the origin: a disc there is hit at once, and
-        # one on the goal line 5 away is never reached, since the endpoints'
-        # pulls toward the goal cancel. Measured from an endpoint, the squared
-        # length of the 7e153 table overflowed, and the 1e150 table's offsets
-        # cancelled, giving the opposite verdicts.
+        # the longest table the range accepts starts across the origin: a
+        # disc there is hit at once, and one on the goal line 5 away is never
+        # reached, since the endpoints' pulls toward the goal cancel.
+        # Measured from an endpoint, the table's offsets cancelled, and a
+        # disc anywhere near it was hit.
         env = env_file(tmp_path, "long.json", table_half_length=half_length,
                        obstacles=[obstacle(center=center, radius=0.5, owner=1)])
         code, out, _ = run_cli(capsys, "simulate", "--env", str(env), "--strategy", "speaker_speaker")
@@ -364,36 +365,70 @@ class TestSimulate:
         traj = tmp_path / "never.csv"
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), *argv, "--trajectory-out", str(traj))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite command" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allow a command above 1e+100" in err
         assert not traj.exists()
 
     @pytest.mark.parametrize("argv", [("--n", "8"), ("--n", "2", "--cv", "1.0")], ids=["env", "cv"])
     def test_field_bound_checked_for_the_game_played(self, capsys, tmp_path, argv):
-        # the config's own conditions (n = 2, cv = 0) stay finite: 2 * w_v *
-        # (w_att + 3 * repulsive_magnitude(RHO_MIN)) is about 1.2e308. An
-        # agent of an 8-obstacle environment acts on at most 9, and cv = 1
-        # scales the command by 9.6; either overflows.
-        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 2e301}}
+        # the config's own conditions (n = 2, cv = 0) stay within the range:
+        # 2 * w_v * (w_att + 3 * repulsive_magnitude(RHO_MIN)) is about
+        # 7.2e99. An agent of an 8-obstacle environment acts on at most 9,
+        # and cv = 1 scales the command by 9.6; either passes 1e100.
+        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 1.2e93}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--n", "2", "--strategy", "dynamic")
         assert code == 0
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--strategy", "dynamic", *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite command" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allow a command above 1e+100" in err
 
     def test_field_bound_counts_every_obstacle_as_bench_does(self, capsys, tmp_path):
         # four obstacles, two per agent: the k = 3 of the larger owner count
-        # plus one stays finite (about 1.2e308, as above), but k = n + 1 = 5,
-        # the rule bench applies, overflows
-        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 2e301}}
+        # plus one stays within the range (about 7.2e99, as above), but
+        # k = n + 1 = 5, the rule bench applies, passes 1e100
+        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 1.2e93}}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         obstacles = [obstacle(center=[2.0 * i + 2.0, 3.0], owner=1 + i % 2) for i in range(4)]
         env = env_file(tmp_path, "four.json", obstacles=obstacles)
         code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--env", str(env))
         assert (code, out) == (2, "")
-        assert err == "error: field weights allow a non-finite command for an agent acting on 5 obstacles at cv 0.0\n"
+        assert err == "error: field weights allow a command above 1e+100 for an agent acting on 5 obstacles at cv 0.0\n"
+
+    @pytest.mark.parametrize(
+        "env, config, argv",
+        [
+            # a disc of radius 1e200 holding the table: the field law once
+            # squared its distance past the float range and saw no disc
+            ({"obstacles": [obstacle(center=[5e199, 0.0], radius=1e200)],
+              "geometry_mode": {"kind": "known", "r_fixed": 1e200}}, None, ()),
+            # a goal whose attraction once vanished
+            ({"goal": [1e200, 0.0]}, None, ()),
+            # an obstacle an explicit sender once never found closest
+            ({"obstacles": [obstacle(center=[1e200, 0.0], radius=0.5)]}, None, ("--strategy", "explicit")),
+            # one step of dt 1e308 once carried the table to x = 1.25e307
+            (None, {"limits": {"dt": 1e308}}, ("--seed", "2", "--n", "8", "--strategy", "dynamic", "--T", "1")),
+            # a workspace whose width once overflowed during generation and
+            # ended in a traceback, exit 1
+            (None, {"workspace": {"x_range": [-1e308, 1e308]}}, ("--n", "2", "--seed", "3")),
+            (None, {"workspace": {"y_range": [-1e308, 1e308]}}, ("--n", "2", "--seed", "3")),
+        ],
+        ids=["huge_disc", "far_goal", "far_obstacle", "dt", "x_range", "y_range"],
+    )
+    def test_length_beyond_the_range_exits_2_before_playing(self, capsys, tmp_path, env, config, argv):
+        args = ["simulate", "--strategy", "speaker_speaker", *argv]
+        if env is not None:
+            args += ["--env", str(env_file(tmp_path, "env.json", **env))]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"conditions": [{"strategy": "speaker_speaker", "n": 2}], **config}))
+            args += ["--config", str(path)]
+        traj = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, *args, "--trajectory-out", str(traj))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "1e+100" in err
+        assert not traj.exists()
 
     def test_same_invocation_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -641,6 +676,23 @@ class TestBench:
             (("field", "w_v"), 1e308),
             # every table has a finite speed cap
             (("limits", "v_max"), None),
+            # lengths beyond the declared range, MAX_LENGTH
+            (("radii", "r_fixed"), 1e200),
+            (("radii", "r_max"), 1e200),
+            (("workspace", "start"), [1e200, 0.0]),
+            (("workspace", "goal"), [10.0, -1e200]),
+            (("workspace", "table_half_length"), 1e200),
+            (("workspace", "x_range"), [-1e308, 1e308]),
+            (("workspace", "y_range"), [-1e308, 1e308]),
+            (("workspace", "clearance"), 1e200),
+            (("limits", "goal_eps"), 1e200),
+            (("limits", "dt"), 1e308),
+            (("limits", "v_max"), 1e200),
+            # a reach max_steps * dt * v_max of 200 * 1e99 * 0.25
+            (("limits", "dt"), 1e99),
+            (("field", "rho0"), 1e200),
+            # a command of about 6e101, finite but beyond the range
+            (("field", "w_v"), 1e95),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
     )

@@ -490,12 +490,17 @@ class TestOptimalVariances:
             return w1_sq, k[1, 1] ** 2 * w1_sq * w2_sq / (k[1, 1] ** 2 * w1_sq + k[0, 1] ** 2 * w2_sq)
 
         rng = random.Random(19)
+        cases = []
         for _ in range(500):
             k = np.array([[rng.uniform(-3, 3) * 10.0 ** rng.uniform(-4, 4) for _ in range(2)] for _ in range(2)])
             w1_sq, w2_sq = (10.0 ** rng.uniform(-4, 4) for _ in range(2))
-            for speaker, formula in ((1, speaker_1), (2, speaker_2)):
-                got = optimal_variances(k, w1_sq, w2_sq, speaker=speaker)
-                assert [float(v).hex() for v in got] == [float(v).hex() for v in formula(k, w1_sq, w2_sq)]
+            cases += [(k, w1_sq, w2_sq, speaker, formula) for speaker, formula in ((1, speaker_1), (2, speaker_2))]
+        # numpy's scalar K22 ** 2 rounds as C's pow, one ulp from K22 * K22 here
+        k = np.array([[2.085954771600872e136, 25.890005706104617], [1.5195383322768272e126, 4.94114785028231e-43]])
+        cases.append((k, 103636.30193465206, 1.5732754145777626e289, 2, speaker_2))
+        for k, w1_sq, w2_sq, speaker, formula in cases:
+            got = optimal_variances(k, w1_sq, w2_sq, speaker=speaker)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in formula(k, w1_sq, w2_sq)]
 
 
 class TestExpectedKl:
@@ -549,6 +554,11 @@ class TestExpectedKl:
             mid = 0.5 * (a + b)
             f = lambda p: expected_kl(K, p[0], p[1], 1.0, 1.0, 0.3)
             assert f(mid) <= 0.5 * (f(a) + f(b)) + 1e-12
+
+    def test_gain_whose_square_overflows_reads_as_infinite(self, recwarn):
+        # K11 ** 2 overflows, so the K21 term is 0 and the divergence 1/2 + 1/2
+        assert expected_kl([[1e200, 0.0], [1.0, 1.0]], 1.0, 1.0, 1.0, 1.0, 0.0) == 1.0
+        assert [str(w.message) for w in recwarn] == []
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError, match=r"^sigma1_sq must be finite and > 0, got 0.0$"):

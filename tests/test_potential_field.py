@@ -139,7 +139,7 @@ class TestFieldParams:
     def test_rejects_rho0_at_or_below_the_distance_floor(self, rho0):
         # below the floor the law turns attractive, and the listener's
         # bracket (RHO_MIN, rho0] is empty
-        with pytest.raises(ValueError, match=rf"^rho0 must be > RHO_MIN \(0\.001\), got {rho0}$"):
+        with pytest.raises(ValueError, match=rf"^rho0 must be in \(RHO_MIN, MAX_LENGTH\] = \(0\.001, 1e\+100\], got {rho0}$"):
             FieldParams(rho0=rho0)
 
     def test_accepts_rho0_just_above_the_distance_floor(self):

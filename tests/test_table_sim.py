@@ -1,8 +1,9 @@
 import json
 import math
 import random
+import re
 import struct
-import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from rolecomms.errors import ConfigError, GenerationError
 from rolecomms.numerics import _BLOCK, _HEAD, Rng
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
+    MAX_LENGTH,
     RHO_MIN,
     FieldParams,
     agent_velocity,
@@ -186,16 +188,18 @@ class TestSpeedCap:
         assert capped_steps > 10
 
     @pytest.mark.parametrize("strategy", [Strategy("speaker_speaker"), Strategy("dynamic", 1)])
-    def test_command_whose_square_overflows_is_capped_along_its_direction(
+    def test_command_at_the_range_edge_is_capped_along_its_direction(
         self, default_field, default_limits, default_workspace, strategy
     ):
-        # at w_v = 1e200 every command's sum of squares overflows; capped to
-        # v_max along its direction, the game plays as it does at w_v = 1e100
-        # instead of standing still
+        # at the largest w_v the field bound accepts, where both agents'
+        # worst-case commands sum to MAX_LENGTH, each command is capped to
+        # v_max along its direction: the game plays as it does at w_v = 1e50
         env = generate_environment(0, 4, KnownRadius(0.5), default_workspace)
+        top = largest_accepted(lambda w_v: replace(default_field, w_v=w_v), 5, 0.0)
+        assert 1e92 < top < 1e94
         poses = []
-        for w_v in (1e100, 1e200):
-            params = FieldParams(default_field.w_att, default_field.w_rep, w_v, default_field.rho0)
+        for w_v in (1e50, top):
+            params = replace(default_field, w_v=w_v)
             out = run_game(env, strategy, params, default_limits, 0, record_trajectory=True)
             poses.append([(ts.cx, ts.cy, ts.heading) for ts in out.trajectory[:20]])
         assert [len(p) for p in poses] == [20, 20]
@@ -309,32 +313,30 @@ class TestCollision:
         assert not one_step_collides(a, b, (1.5, 0.0, 0.4))
         assert not one_step_collides(a, b, (-1.5, 0.0, 0.4))
 
-    @pytest.mark.parametrize("half_length", [0.5, 1e10, 1e50, 1e100, 1e150, 7e153, 1e300])
+    @pytest.mark.parametrize("half_length", [0.5, 1e10, 1e50, 1e90, MAX_LENGTH])
     def test_long_table_hits_exactly_the_discs_within_reach(self, half_length):
         # the table from (0, L) to (0, -L) and a radius-0.5 disc at (d, 0) on
-        # its normal through the center: a hit exactly when d < 0.5. Measured
-        # from an endpoint, the offsets once cancelled at scale L, making every
-        # d a hit, and past L = 6.7e153 the squared length overflowed, making
-        # none a hit
+        # its normal through the center: a hit exactly when d < 0.5, up to
+        # the longest table the range accepts. Measured from an endpoint, the
+        # offsets once cancelled at scale L, making every d a hit
         a, b = (0.0, half_length), (0.0, -half_length)
         for d in (0.0, 0.3, 0.45, 0.55, 0.7, 1.0, 2.0, 4.65):
             assert one_step_collides(a, b, (d, 0.0, 0.5)) == (d < 0.5), d
 
     def test_verdict_matches_exact_distance_at_every_scale(self):
         # the game's verdict against the exact distance from the disc to the
-        # pose it tested, for half lengths from 1e-300 to 1e300. The table
-        # starts centered on the origin; the disc lies at unit scale or at the
-        # table's own, kept within [1e-100, 1e100] because the game squares
-        # the distance: one whose square underflows reads as 0
-        # (test_distance_that_underflows_still_collides), and one whose square
-        # overflows, past about 1.3e154, as infinite, so even a disc that
-        # large around it is missed. Cases within 1e-12 of the boundary,
-        # relative to the largest coordinate, are skipped.
+        # pose it tested, for half lengths from 1e-300 to MAX_LENGTH. The
+        # table starts centered on the origin; the disc lies at unit scale or
+        # at the table's own, kept within [1e-100, MAX_LENGTH / 10] so that
+        # its center and radius stay in the range, and because the game
+        # squares the distance: one whose square underflows reads as 0
+        # (test_distance_that_underflows_still_collides). Cases within 1e-12
+        # of the boundary, relative to the largest coordinate, are skipped.
         rng = random.Random(28)
         hits = misses = 0
         for _ in range(3000):
-            half_length = 10.0 ** rng.uniform(-300.0, 300.0)
-            scale = rng.choice((1.0, min(max(half_length, 1e-100), 1e100)))
+            half_length = 10.0 ** rng.uniform(-300.0, 100.0)
+            scale = rng.choice((1.0, min(max(half_length, 1e-100), 0.1 * MAX_LENGTH)))
             angle = rng.uniform(-math.pi, math.pi)
             a = (half_length * math.cos(angle), half_length * math.sin(angle))
             b = (-a[0], -a[1])
@@ -390,15 +392,15 @@ class TestCollision:
 
     @pytest.mark.parametrize("strategy", [Strategy("speaker_speaker"), Strategy("dynamic", period=1)],
                              ids=["speaker_speaker", "dynamic"])
-    def test_distance_whose_square_overflows_still_collides(self, strategy):
-        # a 1e200 disc at (5e199, 0) holds both start and goal: the table
-        # lies about 5e199 from its center, whose square overflows, so hypot
-        # measures the distance and the disc is hit on the first step
+    def test_distance_at_the_range_edge_still_collides(self, strategy):
+        # a disc of radius MAX_LENGTH at (MAX_LENGTH / 2, 0) holds both start
+        # and goal: the table lies about MAX_LENGTH / 2 from its center, and
+        # the disc is hit on the first step
         env = Environment(
-            obstacles=(TaggedObstacle((5e199, 0.0), 1e200, owner=1),),
+            obstacles=(TaggedObstacle((0.5 * MAX_LENGTH, 0.0), MAX_LENGTH, owner=1),),
             start=(0.0, 0.0),
             goal=(10.0, 0.0),
-            geometry_mode=KnownRadius(1e200),
+            geometry_mode=KnownRadius(MAX_LENGTH),
         )
         out = run_game(env, strategy, FieldParams(), Limits(), 0)
         assert (out.failure_kind, out.steps) == ("collision", 1)
@@ -451,24 +453,11 @@ class TestInference:
         def field(w_att):
             return FieldParams(w_att=w_att, w_rep=self.params.w_rep, w_v=w_v, rho0=self.params.rho0)
 
-        def accepted(bits):
-            try:
-                check_finite_commands(field(struct.unpack("<d", struct.pack("<Q", bits))[0]), 2, 0.0)
-            except ValueError:
-                return False
-            return True
-
-        # the largest w_att the finite-command check accepts, by bisection on
-        # the bit patterns of positive floats, which sort as the floats do
-        lo, hi = float_bits(1.0), float_bits(math.inf)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-        top = struct.unpack("<d", struct.pack("<Q", lo))[0]
-        assert 1e302 < top < 1e303
+        # a term's scale, w_att / ATTRACTOR_EPS, bounds w_att by MAX_LENGTH * 1e-6
+        top = largest_accepted(field, 2, 0.0)
+        assert 1e93 < top <= 1e94
         rng = random.Random(w_v)
-        # up to 1e170 the squared residual stays finite; above, it overflows
-        weights = [1.0, 1e6, 1e7, 1e8, 1e100, 1e170, 1e200, top]
+        weights = [1.0, 1e6, 1e7, 1e8, 1e50, 1e90, top]
         weights += [10.0 ** rng.uniform(0.0, math.log10(top)) for _ in range(12)]
         phantoms = 0
         for w_att in weights:
@@ -613,14 +602,13 @@ class TestSteeredInversion:
 
     @pytest.mark.parametrize(
         "rho0_decades, root_decades",
-        [((math.log10(2e-3), 200), None), ((150, 200), 20)],
-        ids=["whole_range", "subnormal_inverse_square"],
+        [((math.log10(2e-3), 100), None), ((90, 100), 20)],
+        ids=["whole_range", "range_edge"],
     )
     def test_extreme_weights_and_ranges(self, rho0_decades, root_decades):
-        # w_rep from 1e-300 to 1e300 and rho0 over rho0_decades, log-uniform;
-        # one root per draw, log-uniform in the bracket or within root_decades
-        # below rho0, at each tol. A rho0 beyond 1e154 squares 1/rho0 into
-        # subnormals, where the closed form loses its precision.
+        # w_rep from 1e-300 to 1e300 and rho0 over rho0_decades, log-uniform,
+        # up to MAX_LENGTH; one root per draw, log-uniform in the bracket or
+        # within root_decades below rho0, at each tol
         rng = random.Random(16)
         cases = []
         for _ in range(80):
@@ -650,7 +638,7 @@ class TestSteeredInversion:
         # roots within 1e-12 of rho0, absolute and relative
         rng = random.Random(3)
         fields = [FieldParams(w_rep=0.45, rho0=2.0), FieldParams(w_rep=0.45, rho0=2.1)]
-        fields += [FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(-2.6, 200)) for _ in range(20)]
+        fields += [FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(-2.6, 100)) for _ in range(20)]
         cases = []
         for params in fields:
             rho0 = params.rho0
@@ -662,12 +650,11 @@ class TestSteeredInversion:
         self.assert_parity(cases)
 
     def test_largest_ranges_return(self):
-        # rho0 from 1e307 up to the largest float, where lo + hi can overflow
-        # once rho0 + rho0 does; every call returns, with the plain result
+        # rho0 from 1e99 up to MAX_LENGTH, the largest FieldParams accepts:
+        # every call returns, with the plain result
         rng = random.Random(29)
-        top = math.log10(sys.float_info.max)
-        rho0s = [1e307, 8.98e307, 8.99e307, 1e308, sys.float_info.max]
-        rho0s += [10.0 ** rng.uniform(307, top) for _ in range(10)]
+        rho0s = [1e99, 5e99, math.nextafter(MAX_LENGTH, 0.0), MAX_LENGTH]
+        rho0s += [10.0 ** rng.uniform(99, 100) for _ in range(11)]
         cases = []
         for rho0 in rho0s:
             params = FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=rho0)
@@ -800,6 +787,24 @@ class TestCorrupt:
 def float_bits(x: float) -> int:
     """The IEEE 754 bit pattern of x, so that 0.0 and -0.0 differ."""
     return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def largest_accepted(field, k, cv):
+    """The largest weight w >= 1 for which check_finite_commands accepts
+    field(w) at k and cv, by bisection on the bit patterns of positive
+    floats, which sort as the floats do."""
+    def accepted(bits):
+        try:
+            check_finite_commands(field(struct.unpack("<d", struct.pack("<Q", bits))[0]), k, cv)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = float_bits(1.0), float_bits(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<Q", lo))[0]
 
 
 def naive_velocity(q, goal, obstacles, params):
@@ -1100,14 +1105,16 @@ class TestRunGame:
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             Limits(max_steps=0)
-        with pytest.raises(ValueError):
-            Limits(goal_eps=0.0)
-        with pytest.raises(ValueError):
-            Limits(dt=-1.0)
-        # every table has a finite speed cap
-        for v_max in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^v_max must be finite and > 0$"):
-                Limits(v_max=v_max)
+        # each length in the declared range: every table has a finite speed
+        # cap, and one step of dt 1e308 once carried the table to 1.25e307
+        for name in ("goal_eps", "dt", "v_max"):
+            for value in (0.0, -1.0, math.inf, math.nan, 1e308, math.nextafter(MAX_LENGTH, math.inf)):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be in (0, 1e+100], got {value}')}$"):
+                    Limits(**{name: value})
+        # 200 steps of dt 1e99 at v_max 0.25 reach 5e100
+        with pytest.raises(ValueError, match=r"^the reach max_steps \* dt \* v_max must be at most 1e\+100$"):
+            Limits(dt=1e99)
+        assert Limits(max_steps=8, goal_eps=MAX_LENGTH, dt=MAX_LENGTH / 8, v_max=1.0).dt == MAX_LENGTH / 8
         with pytest.raises(TypeError):
             Limits(v_max=None)
 
@@ -1233,9 +1240,9 @@ class TestEnvironmentGeneration:
     @pytest.mark.parametrize(
         "r_min, r_max",
         [(0.0, 0.5), (-0.1, 0.5), (0.6, 0.5), (0.3, math.inf), (math.inf, math.inf),
-         (0.3, math.nan), (math.nan, 0.5)],
+         (0.3, math.nan), (math.nan, 0.5), (0.3, math.nextafter(MAX_LENGTH, math.inf))],
         ids=["zero_min", "negative_min", "min_above_max", "inf_max", "inf_both", "nan_max",
-             "nan_min"],
+             "nan_min", "max_beyond_range"],
     )
     def test_unknown_radius_rejects_bad_bounds(self, r_min, r_max):
         # an infinite bound once reached generation and failed there as an
@@ -1245,9 +1252,9 @@ class TestEnvironmentGeneration:
 
     def test_obstacle_validation(self):
         # radius, then center, then owner, as environment files report them
-        with pytest.raises(ValueError, match="radius must be finite and >= 0, got -1.0"):
+        with pytest.raises(ValueError, match=r"^radius must be in \[0, 1e\+100\], got -1.0$"):
             TaggedObstacle((math.nan, 0.0), -1.0, 3)
-        with pytest.raises(ValueError, match="obstacle center must be finite"):
+        with pytest.raises(ValueError, match=r"^obstacle center coordinates must be at most 1e\+100 in magnitude, got \(nan, 0.0\)$"):
             TaggedObstacle((math.nan, 0.0), 1.0, 3)
         with pytest.raises(ValueError, match="owner must be 1 or 2, got 3"):
             TaggedObstacle((0.0, 0.0), 1.0, 3)
@@ -1273,6 +1280,81 @@ class TestEnvironmentGeneration:
         d["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
             decode(Environment, d, "environment")
+
+
+class TestDeclaredRange:
+    """Every length the game reads lies within MAX_LENGTH, refused where it
+    enters, so that no square the game forms overflows."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (KnownRadius, "radius must be in [0, 1e+100]"),
+            (lambda x: UnknownRadius(0.5, x), "need 0 < r_min <= r_max <= 1e+100"),
+            (lambda x: TaggedObstacle((0.0, 0.0), x, 1), "radius must be in [0, 1e+100]"),
+            (lambda x: TaggedObstacle((x, 0.0), 1.0, 1), "obstacle center coordinates must be at most 1e+100"),
+            (lambda x: TaggedObstacle((0.0, -x), 1.0, 2), "obstacle center coordinates must be at most 1e+100"),
+            (lambda x: Environment((), (x, 0.0), (10.0, 0.0), KnownRadius(0.5)), "start, goal and table_half_length"),
+            (lambda x: Environment((), (0.0, 0.0), (10.0, -x), KnownRadius(0.5)), "start, goal and table_half_length"),
+            (lambda x: Environment((), (0.0, 0.0), (10.0, 0.0), KnownRadius(0.5), x), "start, goal and table_half_length"),
+            (lambda x: Workspace(start=(0.0, x)), "start, goal and table_half_length"),
+            (lambda x: Workspace(x_range=(-x, 8.0)), "x_range, y_range and clearance"),
+            (lambda x: Workspace(y_range=(-2.5, x)), "x_range, y_range and clearance"),
+            (lambda x: Workspace(clearance=x), "x_range, y_range and clearance"),
+            (lambda x: FieldParams(rho0=x), "rho0 must be in (RHO_MIN, MAX_LENGTH]"),
+            (lambda x: infer_obstacle((1.0, 0.0), (0.0, 0.0), (10.0, 0.0), FieldParams(), x), "radius must be in"),
+        ],
+        ids=["known_radius", "unknown_radius", "obstacle_radius", "center_x", "center_y", "start", "goal",
+             "table_half_length", "workspace_start", "x_range", "y_range", "clearance", "rho0", "nominal_radius"],
+    )
+    def test_length_beyond_the_range_is_refused(self, make, message):
+        make(MAX_LENGTH)
+        for x in (math.nextafter(MAX_LENGTH, math.inf), 1e200):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                make(x)
+
+    def test_command_beyond_the_range_is_refused(self):
+        # finite, but above MAX_LENGTH: 2 w_v (w_att + 3 repulsive_magnitude(RHO_MIN))
+        # is about 6e101 at w_v = 1e95
+        message = "field weights allow a command above 1e+100 for an agent acting on 3 obstacles at cv 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_finite_commands(FieldParams(w_v=1e95), 3, 0.0)
+        check_finite_commands(FieldParams(w_v=1e93), 3, 0.0)
+
+    @pytest.mark.parametrize("cv", [0.0, 1.0])
+    def test_every_length_at_the_bound_stays_finite(self, cv):
+        # start and goal at the edges, the longest table, discs of the
+        # largest radius at the corners, rho0, goal_eps and the reach at the
+        # bound, and the largest weights the field bound accepts at this cv,
+        # in every strategy: every pose, command and inference stays finite
+        # over a whole game, and a disc holding the table and agent 1, its
+        # center MAX_LENGTH / 2 from the table, is hit on the first step
+        bound = MAX_LENGTH
+        discs = [((bound, bound), 1), ((bound, -bound), 2), ((bound, 0.0), 1)]
+        held = (-0.5 * bound, 0.5 * bound)
+        # bench's k, the obstacle count plus one, with the held disc
+        k = len(discs) + 2
+        weights = FieldParams(rho0=bound)
+        for name in ("w_att", "w_rep", "w_v"):
+            weights = replace(weights, **{name: largest_accepted(lambda w: replace(weights, **{name: w}), k, cv)})
+        limits = Limits(max_steps=8, goal_eps=bound, dt=1.0, v_max=bound / 8)
+        inferred = 0
+        for name, period in (("explicit", 0), ("explicit", 1), ("dynamic", 1), ("speaker_listener", 0),
+                             ("speaker_speaker", 0)):
+            strategy = Strategy(name, period, cv)
+            for extra, outcome in (((), ("timeout", 8)), (((held, 1),), ("collision", 1))):
+                obstacles = tuple(TaggedObstacle(c, bound, owner) for c, owner in (*discs, *extra))
+                env = Environment(obstacles, (-bound, 0.0), (bound, 0.0), KnownRadius(bound), bound)
+                out = run_game(env, strategy, weights, limits, 3, record_trajectory=True)
+                assert (out.failure_kind, out.steps) == outcome, strategy
+                for ts in out.trajectory:
+                    values = list(ts[1:8])
+                    for guess in (ts.inferred1, ts.inferred2):
+                        if guess is not None:
+                            values += guess[:3]
+                            inferred += 1
+                    assert all(map(math.isfinite, values)), (strategy, ts)
+        assert inferred > 0
 
 
 class TestTrajectoryCsv:

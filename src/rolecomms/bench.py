@@ -6,10 +6,11 @@ each seed's environment is generated once per (n, geometry), in the calling
 process, then played by every condition sharing it; with a process pool,
 the calling process hashes them while the workers play. Aggregation is keyed
 by seed and sorted, so the report is bit-identical for any worker count or
-completion order. The process pool, `ProcessPoolExecutor`, is imported on
-first use, by a run on more than one worker: concurrent.futures loads
-multiprocessing, socket, logging and subprocess, which a 1-worker run, a
-single game and the analysis never need.
+completion order. The module global `ProcessPoolExecutor` names the process
+pool class; it is None until set, and a run on more than one worker then
+imports concurrent.futures' own: that module loads multiprocessing, socket,
+logging and subprocess, which a 1-worker run, a single game and the
+analysis never need.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
 identical config must reproduce the report byte for byte, whether the package
@@ -22,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
@@ -219,16 +219,10 @@ class BenchmarkReport:
 # execution
 
 
-def __getattr__(name: str):
-    # the pool class, imported on first access and cached as a module global;
-    # run_benchmark reads it as a module attribute, so a class swapped in by
-    # name is the one that runs
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the pool class run_benchmark uses on more than one worker; None imports
+# concurrent.futures' ProcessPoolExecutor at that first use, and a class set
+# here by name is the one that runs
+ProcessPoolExecutor = None
 
 
 def _run_chunk(args) -> list[tuple[int, int, int, str]]:
@@ -287,22 +281,21 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     most one process per task and per usable CPU starts: the CPUs this
     process may run on where the platform reports them (a `taskset` or cpuset
     narrows them), else `os.cpu_count()`. More than one worker runs the tasks
-    on the module's `ProcessPoolExecutor`, imported at that first use; one
-    worker plays them in this process and never imports it.
+    on the module global `ProcessPoolExecutor`, or, while it is None, on
+    concurrent.futures' own, imported then; one worker plays them in this
+    process and never imports it.
     """
     seeds = [config.base_seed + i for i in range(config.games_per_condition)]
-    sharing: dict[tuple, tuple[int, ...]] = {}
+    sharing: dict[tuple, list[int]] = {}
     for cond_idx, condition in enumerate(config.conditions):
-        key = (condition.n, condition.geometry)
-        sharing[key] = sharing.get(key, ()) + (cond_idx,)
-    kept: dict[tuple, list[int]] = {}
-    skipped: dict[tuple, list[int]] = {}
+        sharing.setdefault((condition.n, condition.geometry), []).append(cond_idx)
+    # per key, each seed's environment, None where its generation failed
     generated: dict[tuple, list] = {}
     tasks = []
     for key, cond_idxs in sharing.items():
         condition = config.conditions[cond_idxs[0]]
         mode = condition.geometry_mode(config.radii)
-        envs = []
+        envs = generated[key] = []
         for seed in seeds:
             try:
                 envs.append(generate_environment(seed, condition.n, mode, config.workspace))
@@ -311,9 +304,6 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         games = [(seed, env) for seed, env in zip(seeds, envs) if env is not None]
         if not games:
             raise ConfigError(f"{condition}: every seed failed environment generation")
-        kept[key] = [seed for seed, _ in games]
-        skipped[key] = [seed for seed, env in zip(seeds, envs) if env is None]
-        generated[key] = envs
         strategies = [(i, config.conditions[i].comm_strategy()) for i in cond_idxs]
         for lo in range(0, len(games), CHUNK_SEEDS):
             tasks.append((strategies, config.field_params, config.limits, games[lo : lo + CHUNK_SEEDS]))
@@ -324,7 +314,10 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         # a noisy game's stream loads numpy; loaded here, every forked worker
         # inherits it instead of importing it itself
         import numpy  # noqa: F401
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_class = ProcessPoolExecutor
+    if workers > 1 and pool_class is None:
+        from concurrent.futures import ProcessPoolExecutor as pool_class
+    with pool_class(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # pool.map submits every task at once, so the workers play while this process hashes
         chunks = (map if pool is None else pool.map)(_run_chunk, tasks)
         env_hash = {key: _env_sequence_hash(seeds, envs) for key, envs in generated.items()}
@@ -333,13 +326,14 @@ def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     results = []
     for cond_idx, condition in enumerate(config.conditions):
         key = (condition.n, condition.geometry)
+        kept = tuple(seed for seed, env in zip(seeds, generated[key]) if env is not None)
         results.append(
             ConditionResult(
                 condition=condition,
-                seeds=tuple(kept[key]),
-                steps=tuple(outcomes[cond_idx, s][0] for s in kept[key]),
-                failure_kinds=tuple(outcomes[cond_idx, s][1] for s in kept[key]),
-                skipped_seeds=tuple(skipped[key]),
+                seeds=kept,
+                steps=tuple(outcomes[cond_idx, s][0] for s in kept),
+                failure_kinds=tuple(outcomes[cond_idx, s][1] for s in kept),
+                skipped_seeds=tuple(seed for seed, env in zip(seeds, generated[key]) if env is None),
                 env_hash=env_hash[key],
             )
         )

@@ -116,9 +116,11 @@ class Environment:
     table_half_length: float = 0.5
 
     def __post_init__(self):
-        # the game divides by it, so its reciprocal must be finite too
-        if not (self.table_half_length > 0 and math.isfinite(1.0 / self.table_half_length)):
-            raise ValueError(f"table_half_length must be > 0 with a finite reciprocal, got {self.table_half_length}")
+        # the table turns at most v_max / table_half_length, so over a game its
+        # heading moves at most the reach over the half length: bounded below
+        # as well as above, that stays within MAX_LENGTH squared, finite
+        if not 1 / MAX_LENGTH <= self.table_half_length:
+            raise ValueError(f"table_half_length must be at least {1 / MAX_LENGTH}, got {self.table_half_length}")
         if not all(abs(x) <= MAX_LENGTH for x in (*self.start, *self.goal, self.table_half_length)):
             raise ValueError(f"start, goal and table_half_length must be at most {MAX_LENGTH} in magnitude")
         # the listener infers with the mode's nominal radius, so every radius
@@ -404,19 +406,18 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
     midpoint; an exact hit returns at once.
 
     The closed-form root 2 / (1/rho0 + sqrt(1/rho0^2 + 4 mag/w_rep)), in a
-    form that neither overflows nor divides by zero, steers the loop.
+    form that neither overflows nor divides by zero, steers phase one.
     Rounding keeps the float curve non-increasing, so once the curve is
     certified above mag at the low end of a window of relative width
     _STEER_WINDOW around the root and below mag at its high end, a midpoint
-    outside the window is judged by its side of the root alone. This runs
-    in two phases. Phase one, while the certificate holds and until a
-    midpoint falls inside the window, judges only by the root and skips the
-    `mid == lo or mid == hi` exit, which cannot fire there: the window,
-    at least about 4,500 ulps wide, stays strictly inside (lo, hi). Phase
-    two, the whole loop, judges the midpoints inside the window, and all of
-    them when the certificate fails, on the curve, computed inline because
-    this runs once per listener step. The result is the plain bisection's,
-    bit for bit.
+    outside the window is judged by its side of the root alone. Phase one,
+    while the certificate holds and until a midpoint falls inside the
+    window, judges only by the root and skips the `mid == lo or mid == hi`
+    exit, which cannot fire there: the window, at least about 4,500 ulps
+    wide, stays strictly inside (lo, hi). Phase two is the plain bisection
+    from where phase one stopped: it judges every midpoint on the curve,
+    computed inline because this runs once per listener step. The result
+    is the plain bisection's, bit for bit.
     """
     w_rep = params.w_rep
     inv_rho0 = 1.0 / params.rho0
@@ -439,25 +440,18 @@ def _invert_repulsive_magnitude(mag: float, params: FieldParams, tol: float) -> 
                 hi = mid
             else:
                 break
-    else:
-        below, above = -math.inf, math.inf
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mid < below:
+        inv = 1.0 / mid
+        f = w_rep * (inv - inv_rho0) * inv
+        if f == mag:
+            return mid
+        if f > mag:
             lo = mid
-        elif mid > above:
-            hi = mid
         else:
-            inv = 1.0 / mid
-            f = w_rep * (inv - inv_rho0) * inv
-            if f == mag:
-                return mid
-            if f > mag:
-                lo = mid
-            else:
-                hi = mid
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -688,7 +682,6 @@ def generate_environment(
             radius = geometry_mode.r_fixed
         else:
             radius = geometry_mode.r_min + (geometry_mode.r_max - geometry_mode.r_min) * rng.uniform()
-        placed = False
         for _ in range(workspace.retry_cap):
             x = x_lo + (x_hi - x_lo) * rng.uniform()
             y = y_lo + (y_hi - y_lo) * rng.uniform()
@@ -697,9 +690,8 @@ def generate_environment(
             dg = math.dist((x, y), workspace.goal)
             if ds >= required and dg >= required:
                 obstacles.append(TaggedObstacle(center=(x, y), radius=radius, owner=1 + i % 2))
-                placed = True
                 break
-        if not placed:
+        else:
             raise GenerationError(
                 f"could not place obstacle {i} within {workspace.retry_cap} retries (seed {seed})"
             )

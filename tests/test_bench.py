@@ -3,6 +3,7 @@ import importlib.metadata
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +284,15 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(rolecomms, "__version__", "9.9.9")
         assert config_fingerprint(echo) != installed_elsewhere
+
+    def test_package_version_is_declared_once(self):
+        # the installed metadata reads its version from rolecomms.__version__,
+        # the one the fingerprint hashes, so a version bump edits one file
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "rolecomms.__version__"}
 
 
 class TestCompare:

@@ -28,6 +28,12 @@ NO_ROOM_CONFIG = {
     "workspace": {"clearance": 10.0, "retry_cap": 5},
 }
 
+FAST_TURN_CONFIG = {
+    "conditions": [{"strategy": "speaker_speaker", "n": 1}],
+    "limits": {"v_max": 10.0},
+    "radii": {"r_fixed": 0.3},
+}
+
 
 def obstacle(**overrides):
     return {"center": [5.0, 0.3], "radius": 0.5, "owner": 1, **overrides}
@@ -462,6 +468,7 @@ class TestSimulate:
             ("--env", "{inf_start}"),
             ("--env", "{inf_half_length}"),
             ("--env", "{tiny_half_length}"),
+            ("--env", "{fast_turn}", "--config", "{fast_turn_config}", "--strategy", "speaker_speaker"),
             ("--env", "{fractional_owner}"),
             ("--env", "{string_radius}"),
             ("--env", "{string_center}"),
@@ -482,6 +489,7 @@ class TestSimulate:
             "inf_start",
             "inf_half_length",
             "tiny_half_length",
+            "fast_turn",
             "fractional_owner",
             "string_radius",
             "string_center",
@@ -498,13 +506,25 @@ class TestSimulate:
     def test_invalid_input_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
         no_room = tmp_path / "no_room.json"
         no_room.write_text(json.dumps(NO_ROOM_CONFIG))
+        fast_turn_config = tmp_path / "fast_turn_config.json"
+        fast_turn_config.write_text(json.dumps(FAST_TURN_CONFIG))
         files = {
             "no_room": no_room,
             "nan_goal": env_file(tmp_path, "nan_goal.json", goal=[math.nan, 0.0]),
             "inf_start": env_file(tmp_path, "inf_start.json", start=[math.inf, 0.0]),
             "inf_half_length": env_file(tmp_path, "inf_half_length.json", table_half_length=math.inf),
-            # its reciprocal overflows: the game once died with "math domain error"
-            "tiny_half_length": env_file(tmp_path, "tiny_half_length.json", table_half_length=5e-324),
+            # just below the range: the game once turned at an infinite rate
+            # and died with "math domain error"
+            "tiny_half_length": env_file(
+                tmp_path, "tiny_half_length.json", table_half_length=math.nextafter(1e-100, 0.0)
+            ),
+            # at v_max 10 a disc beside the start turned a 1e-308 table at an
+            # infinite rate: the game died in math.cos with a traceback
+            "fast_turn": env_file(
+                tmp_path, "fast_turn.json", table_half_length=1e-308,
+                geometry_mode={"kind": "known", "r_fixed": 0.3}, obstacles=[obstacle(center=[0.35, 0.0], radius=0.3)],
+            ),
+            "fast_turn_config": fast_turn_config,
             "fractional_owner": env_file(
                 tmp_path, "fractional_owner.json", obstacles=[obstacle(owner=1.7)]
             ),
@@ -682,6 +702,7 @@ class TestBench:
             (("workspace", "start"), [1e200, 0.0]),
             (("workspace", "goal"), [10.0, -1e200]),
             (("workspace", "table_half_length"), 1e200),
+            (("workspace", "table_half_length"), 1e-308),
             (("workspace", "x_range"), [-1e308, 1e308]),
             (("workspace", "y_range"), [-1e308, 1e308]),
             (("workspace", "clearance"), 1e200),

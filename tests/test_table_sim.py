@@ -325,18 +325,19 @@ class TestCollision:
 
     def test_verdict_matches_exact_distance_at_every_scale(self):
         # the game's verdict against the exact distance from the disc to the
-        # pose it tested, for half lengths from 1e-300 to MAX_LENGTH. The
-        # table starts centered on the origin; the disc lies at unit scale or
-        # at the table's own, kept within [1e-100, MAX_LENGTH / 10] so that
-        # its center and radius stay in the range, and because the game
-        # squares the distance: one whose square underflows reads as 0
+        # pose it tested, for every half length the range accepts, 1e-100 to
+        # MAX_LENGTH. The table starts centered on the origin; the disc lies
+        # at unit scale or at the table's own, at most MAX_LENGTH / 10 so
+        # that its center and radius stay in the range. That scale is at
+        # least 1e-100, because the game squares the distance: one whose
+        # square underflows reads as 0
         # (test_distance_that_underflows_still_collides). Cases within 1e-12
         # of the boundary, relative to the largest coordinate, are skipped.
         rng = random.Random(28)
         hits = misses = 0
         for _ in range(3000):
-            half_length = 10.0 ** rng.uniform(-300.0, 100.0)
-            scale = rng.choice((1.0, min(max(half_length, 1e-100), 0.1 * MAX_LENGTH)))
+            half_length = 10.0 ** rng.uniform(-100.0, 100.0)
+            scale = rng.choice((1.0, min(half_length, 0.1 * MAX_LENGTH)))
             angle = rng.uniform(-math.pi, math.pi)
             a = (half_length * math.cos(angle), half_length * math.sin(angle))
             b = (-a[0], -a[1])
@@ -407,16 +408,16 @@ class TestCollision:
 
     @pytest.mark.parametrize("obstacle, kind", [((0.1, 0.0, 0.5), "collision"), ((5.0, 3.0, 0.5), "none")])
     def test_zero_length_table_is_tested_as_a_point(self, obstacle, kind):
-        # no squared length is formed: measured from the center, a 2e-170
-        # table's half axis rounds away, so the table is tested as its
-        # center: a disc around the start is hit on the first step, one off
-        # the path is never hit
+        # no squared length is formed: measured from the center, the
+        # shortest table the range accepts has a half axis that rounds away,
+        # so the table is tested as its center: a disc around the start is
+        # hit on the first step, one off the path is never hit
         env = Environment(
             obstacles=(TaggedObstacle((obstacle[0], obstacle[1]), obstacle[2], owner=1),),
             start=(0.0, 0.0),
             goal=(10.0, 0.0),
             geometry_mode=KnownRadius(0.5),
-            table_half_length=1e-170,
+            table_half_length=1 / MAX_LENGTH,
         )
         params = FieldParams(w_att=1.0, w_rep=0.45, w_v=0.125, rho0=2.0)
         out = run_game(env, Strategy("speaker_speaker"), params, Limits(), 0)
@@ -424,11 +425,14 @@ class TestCollision:
         if kind == "collision":
             assert out.steps == 1
 
-    @pytest.mark.parametrize("half_length", [5e-324, 1e-310, 0.0, math.nan])
-    def test_table_whose_reciprocal_overflows_is_rejected(self, half_length):
-        # the game divides by the half length: at 1e-310 its turn rate was
+    @pytest.mark.parametrize(
+        "half_length", [math.nextafter(1e-100, 0.0), 1e-308, 5e-324, 1e-310, 0.0, -1.0, math.nan]
+    )
+    def test_table_shorter_than_the_range_is_rejected(self, half_length):
+        # the game turns at a rate inversely proportional to the half
+        # length: at 1e-310, and at 1e-308 with v_max 10, the heading became
         # infinite and the game died with "math domain error"
-        message = f"table_half_length must be > 0 with a finite reciprocal, got {half_length}"
+        message = f"table_half_length must be at least 1e-100, got {half_length}"
         for make in (
             lambda: Environment((), (0.0, 0.0), (10.0, 0.0), KnownRadius(0.5), half_length),
             lambda: Workspace(table_half_length=half_length),
@@ -1355,6 +1359,30 @@ class TestDeclaredRange:
                             inferred += 1
                     assert all(map(math.isfinite, values)), (strategy, ts)
         assert inferred > 0
+
+    @pytest.mark.parametrize("cv", [0.0, 1.0])
+    def test_shortest_table_at_the_largest_reach_stays_finite(self, cv):
+        # the shortest table, the largest reach and the largest weights the
+        # range accepts, with a disc owned by each agent beside the start:
+        # capped commands that differ turn the table at up to v_max /
+        # table_half_length, about 1e199, and in every strategy each pose
+        # and heading stays finite. At 1e-308 the heading became infinite
+        # and the game died in math.cos
+        bound = MAX_LENGTH
+        discs = (TaggedObstacle((0.0, 2.0), 1.0, 1), TaggedObstacle((0.0, -3.0), 1.0, 2))
+        weights = FieldParams(rho0=bound)
+        for name in ("w_att", "w_rep", "w_v"):
+            weights = replace(weights, **{name: largest_accepted(lambda w: replace(weights, **{name: w}), 3, cv)})
+        limits = Limits(max_steps=8, goal_eps=1.0, dt=1.0, v_max=bound / 8)
+        env = Environment(discs, (0.0, 0.0), (bound, 0.0), KnownRadius(1.0), 1 / bound)
+        turned = 0.0
+        for name, period in (("explicit", 0), ("explicit", 1), ("dynamic", 1), ("speaker_listener", 0),
+                             ("speaker_speaker", 0)):
+            out = run_game(env, Strategy(name, period, cv), weights, limits, 3, record_trajectory=True)
+            for ts in out.trajectory:
+                assert all(map(math.isfinite, (ts.cx, ts.cy, ts.heading))), (name, period, ts)
+                turned = max(turned, abs(ts.heading))
+        assert turned > 1e150
 
 
 class TestTrajectoryCsv:

@@ -10,7 +10,8 @@ completion order. The module global `ProcessPoolExecutor` names the process
 pool class; it is None until set, and a run on more than one worker then
 imports concurrent.futures' own: that module loads multiprocessing, socket,
 logging and subprocess, which a 1-worker run, a single game and the
-analysis never need.
+analysis never need. hashlib, which loads OpenSSL, is imported the same way,
+by the two functions that hash.
 Reports carry the full config echo plus a fingerprint of that config and of
 ``rolecomms.__version__``, and deliberately no timestamps: rerunning an
 identical config must reproduce the report byte for byte, whether the package
@@ -19,12 +20,12 @@ runs from ``src/`` or is installed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .codec import decode, encode
 from .errors import ComparisonError, ConfigError, GenerationError
@@ -93,6 +94,9 @@ class Condition:
 
 @dataclass(frozen=True)
 class RadiusSpec:
+    """The obstacle radii of both geometries: known's r_fixed, and
+    unknown's sampling range [r_min, r_max]."""
+
     r_fixed: float = 0.5
     r_min: float = 0.3
     r_max: float = 0.7
@@ -138,6 +142,9 @@ class TrendAssert:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """A bench config: the conditions, the games and seeds they share, the
+    game's field, limits, workspace and radii, and the trend asserts."""
+
     conditions: tuple[Condition, ...]
     games_per_condition: int = 1000
     base_seed: int = 20260809
@@ -168,8 +175,7 @@ class BenchmarkConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     condition: Condition
     seeds: tuple[int, ...]
     steps: tuple[int, ...]
@@ -202,8 +208,7 @@ class ConditionResult:
         return sum(fail_steps) / len(fail_steps)
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
+class BenchmarkReport(NamedTuple):
     config: dict
     fingerprint: str
     results: tuple[ConditionResult, ...]
@@ -242,6 +247,8 @@ def _env_sequence_hash(seeds, envs) -> str:
     """Digest of one (n, geometry) environment sequence as played: seed by
     seed, skip:{seed} where envs holds None, else the environment's
     canonical JSON bytes."""
+    import hashlib
+
     digest = hashlib.sha256()
     for seed, env in zip(seeds, envs):
         if env is None:
@@ -259,6 +266,8 @@ def config_fingerprint(config_echo: dict) -> str:
     installed. It is read from the package at each call, not bound when this
     module is imported, so the digest always hashes the package attribute.
     """
+    import hashlib
+
     from . import __version__
 
     canonical = json.dumps(config_echo, sort_keys=True, separators=(",", ":"))
@@ -365,8 +374,7 @@ def sign_test_p(n_pos: int, n_neg: int) -> float:
     return min(1.0, p)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     delta_lambda: float
     n_pos: int  # a succeeded where b failed
     n_neg: int  # b succeeded where a failed

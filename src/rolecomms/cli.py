@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -37,7 +37,8 @@ from .table_sim import (
 )
 
 # linear_roles.ROLE_MASKS's names, the role allocations of analyze's
-# stability mode; linear_roles, and with it numpy, is imported by analyze alone
+# stability mode; linear_roles, which holds the system file's schema and loads
+# numpy, is imported by analyze alone
 _ALLOC_CHOICES = ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic")
 
 
@@ -52,32 +53,13 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
 
 
-@dataclass(frozen=True)
-class SystemFile:
-    """The JSON system file of `rolecomms analyze`."""
-
-    A: tuple[tuple[float, ...], ...]
-    B: tuple[tuple[float, ...], ...]
-    Kstar: tuple[tuple[float, ...], ...]
-    W: tuple[float, ...] = ()
-    sigma_s2_sq: float | None = None
-
-    def __post_init__(self):
-        # the system's own rules on shapes and variances, checked on decoding
-        self.team()
-
-    def team(self):
-        """The system as a `linear_roles.TeamLinearSystem`."""
-        from .linear_roles import TeamLinearSystem
-
-        return TeamLinearSystem(A=self.A, B=self.B, Kstar=self.Kstar, W=self.W)
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _cmd_analyze(args) -> int:
+    from .linear_roles import SystemFile
+
     spec = decode(SystemFile, _load_json(args.system, "system"), "system")
     try:
         payload = _analysis(spec, args)
@@ -89,8 +71,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _analysis(spec: SystemFile, args) -> dict:
-    """The payload of the selected analyze mode."""
+def _analysis(spec, args) -> dict:
+    """The payload of the selected analyze mode for spec, a linear_roles.SystemFile."""
     from . import linear_roles as lr
 
     system, sigma_s2_sq = spec.team(), spec.sigma_s2_sq

@@ -14,7 +14,7 @@ iteration it induces is reported step by step without any convergence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def listener_policy_exact(centralized, posterior, own_state: int) -> np.ndarray:
     return mix / mix.sum()
 
 
-@dataclass(frozen=True)
-class InterdependenceTrace:
+class InterdependenceTrace(NamedTuple):
     """Per-iteration iterates and total-variation changes of the role-free
     fixed-point iteration. Diagnostic only: no convergence is claimed."""
 

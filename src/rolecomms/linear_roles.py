@@ -55,6 +55,25 @@ class TeamLinearSystem:
         return self.A.shape[0]
 
 
+@dataclass(frozen=True)
+class SystemFile:
+    """The JSON system file of `rolecomms analyze`."""
+
+    A: tuple[tuple[float, ...], ...]
+    B: tuple[tuple[float, ...], ...]
+    Kstar: tuple[tuple[float, ...], ...]
+    W: tuple[float, ...] = ()
+    sigma_s2_sq: float | None = None
+
+    def __post_init__(self):
+        # the system's own rules on shapes and variances, checked on decoding
+        self.team()
+
+    def team(self) -> TeamLinearSystem:
+        """The system as a TeamLinearSystem."""
+        return TeamLinearSystem(A=self.A, B=self.B, Kstar=self.Kstar, W=self.W)
+
+
 # The four role allocations, by the names `rolecomms analyze --alloc` takes,
 # and the gain entries each one masks. A speaking agent cannot use the other
 # agent's state, so its cross gain is zeroed: agent 1 speaking zeroes K12,
@@ -107,12 +126,54 @@ class StabilityReport(NamedTuple):
     max_real_part: float
 
 
+def _hurwitz_stable(m: list[list[float]]) -> bool:
+    """Whether every eigenvalue of the square float matrix m has a strictly
+    negative real part, decided exactly.
+
+    Every float is a dyadic rational, so m times the largest denominator of
+    its entries, a power of two, is an integer matrix with the same signs of
+    real parts. Its characteristic polynomial l^n + a1 l^(n-1) + ... + an
+    comes exact from Faddeev-LeVerrier, whose division by k is exact on
+    integers. The roots lie in the open left half plane iff every leading
+    principal minor of the Hurwitz matrix H[i][j] = a(2j - i + 1), with
+    a0 = 1 and a zero outside 0..n, is > 0 (Hurwitz 1895; Gantmacher, The
+    Theory of Matrices, vol. 2, ch. XV). Bareiss's fraction-free
+    elimination makes its k-th pivot the k-th such minor, so it stops at
+    the first one <= 0.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in m]
+    scale = max(den for row in ratios for _, den in row)
+    a = [[num * (scale // den) for num, den in row] for row in ratios]
+    n = len(a)
+    coeffs = [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # a M_k, then a_k = -tr(a M_k) / k and M_(k+1) = a M_k + a_k I
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in a]
+        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
+        mk = [[v + coeffs[-1] if i == j else v for j, v in enumerate(row)] for i, row in enumerate(am)]
+    h = [[coeffs[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = h[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                h[i][j] = (h[i][j] * pivot - h[i][k] * h[k][j]) // prev
+        prev = pivot
+    return True
+
+
 def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
     """Closed-loop eigenvalues of A - B * role_gain(Kstar, alloc) and the stability verdict.
 
-    Stable iff every eigenvalue has a strictly negative real part. The fixed
-    allocations require a 2x2 system; "dynamic" (whose averaged gain is the
-    full Kstar) is accepted for any supported dimension.
+    Stable iff every eigenvalue has a strictly negative real part, decided
+    exactly on the float closed loop by the Hurwitz criterion
+    (_hurwitz_stable); the eigenvalues and their largest real part are
+    reported as computed. The fixed allocations require a 2x2 system;
+    "dynamic" (whose averaged gain is the full Kstar) is accepted for any
+    supported dimension.
     """
     if alloc == "dynamic":
         gain = sys.Kstar
@@ -130,8 +191,7 @@ def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
         eigs = eigenvalues(closed)
     if not all(cmath.isfinite(e) for e in eigs):
         raise ValueError(f"the closed-loop eigenvalues are not finite, got {list(eigs)}")
-    max_re = max(e.real for e in eigs)
-    return StabilityReport(eigs, max_re < 0.0, max_re)
+    return StabilityReport(eigs, _hurwitz_stable(closed.tolist()), max(e.real for e in eigs))
 
 
 def rotation_action(sys: TeamLinearSystem, s, phase: int) -> np.ndarray:

@@ -35,6 +35,9 @@ MAX_LENGTH = 1e100
 
 @dataclass(frozen=True)
 class FieldParams:
+    """The weights of the field law: attraction w_att, repulsion w_rep,
+    command gain w_v and the repulsive range rho0."""
+
     w_att: float = 1.0
     w_rep: float = 1.0
     w_v: float = 0.1

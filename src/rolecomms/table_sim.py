@@ -109,6 +109,10 @@ class TaggedObstacle:
 
 @dataclass(frozen=True)
 class Environment:
+    """One game's world: the tagged obstacles, the table's start and goal,
+    the geometry mode the obstacles were drawn under, and the table's half
+    length."""
+
     obstacles: tuple[TaggedObstacle, ...]
     start: tuple[float, float]
     goal: tuple[float, float]
@@ -192,6 +196,9 @@ MAX_RETRY_CAP = 10_000
 
 @dataclass(frozen=True)
 class Limits:
+    """The game's clock and stopping rules: the step budget, the goal
+    radius, the step length dt and the speed cap v_max."""
+
     max_steps: int = 200
     goal_eps: float = 0.5
     dt: float = 1.0
@@ -227,15 +234,10 @@ class TrajectoryStep(NamedTuple):
     inferred2: InferredObstacle | None
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(NamedTuple):
     steps: int
     failure_kind: str  # "collision" | "timeout" | "none"
     trajectory: tuple[TrajectoryStep, ...] | None = None
-
-    def __post_init__(self):
-        if self.failure_kind not in ("collision", "timeout", "none"):
-            raise ValueError(f"unknown failure kind {self.failure_kind!r}")
 
     @property
     def success(self) -> bool:

@@ -2,7 +2,6 @@ import hashlib
 import importlib.metadata
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,9 +24,9 @@ from rolecomms.bench import (
     run_benchmark,
     sign_test_p,
 )
-from rolecomms.cli import SystemFile
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ComparisonError, ConfigError, GenerationError
+from rolecomms.linear_roles import SystemFile
 from rolecomms.potential_field import FieldParams
 from rolecomms.table_sim import (
     MAX_RETRY_CAP,
@@ -345,7 +344,7 @@ class TestCompare:
 
     def test_mismatched_environments_rejected(self):
         report, cond_a, cond_b = self.synthetic_report([True] * 10, [False] * 10)
-        other_env = replace(report.results[1], env_hash="y")
+        other_env = report.results[1]._replace(env_hash="y")
         broken = BenchmarkReport(
             config={}, fingerprint="f", results=(report.results[0], other_env)
         )

@@ -78,8 +78,16 @@ class TestAnalyze:
             "stable": True,
         }
 
+    def test_stability_of_a_loop_with_roots_on_the_axis(self, capsys, tmp_path):
+        # a double root at 0, whose computed real parts are about -3e-17
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"A": [[1, 1, 0], [-1, -1, 0], [0, 0, -1]], "B": [[0] * 3] * 3, "Kstar": np.eye(3).tolist()}))
+        code, out, _ = run_cli(capsys, "analyze", "--system", str(path), "--mode", "stability", "--alloc", "dynamic")
+        assert code == 0
+        assert json.loads(out)["stable"] is False
+
     def test_stability_other_allocations(self, capsys, system_file):
-        system = cli.SystemFile(**json.loads(Path(system_file).read_text())).team()
+        system = linear_roles.SystemFile(**json.loads(Path(system_file).read_text())).team()
         for alloc in ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic"):
             code, out, _ = run_cli(
                 capsys, "analyze", "--system", system_file, "--mode", "stability",
@@ -1091,3 +1099,36 @@ def test_process_pool_loads_only_when_a_run_uses_one(fresh_python, config_dir, s
     assert probe["seen"][:2] == [[], []]
     assert {"concurrent", "multiprocessing"} <= set(probe["seen"][2])
     assert probe["same"] == [True, True]
+
+
+# hashlib and the analysis module, each if loaded: after importing the CLI
+# and loading table1, after a noisy simulate, after an analyze, then after a
+# 1-worker bench
+_HASHLIB_PROBE = """
+import contextlib, io, json, sys
+import rolecomms.cli
+from rolecomms import bench, cli
+system, config_path, out = sys.argv[1:]
+def loaded():
+    return [name for name in ("hashlib", "rolecomms.linear_roles") if name in sys.modules]
+bench.config_from_dict(json.load(open(config_path)))
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["simulate", "--seed", "7", "--n", "8", "--cv", "0.1"])
+    seen.append(loaded())
+    cli.main(["analyze", "--system", system, "--mode", "stability"])
+    seen.append(loaded())
+    cli.main(["bench", "--config", config_path, "--out", out, "--games", "2"])
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_hashing_and_the_analysis_schema_load_only_where_used(fresh_python, config_dir, system_file, tmp_path):
+    out = fresh_python(_HASHLIB_PROBE, system_file, str(config_dir / "table1.json"), str(tmp_path / "b"))
+    assert json.loads(out.splitlines()[-1]) == [
+        [],
+        [],
+        ["rolecomms.linear_roles"],
+        ["hashlib", "rolecomms.linear_roles"],
+    ]

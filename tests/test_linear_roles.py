@@ -183,6 +183,58 @@ class TestStability:
         assert rep.stable is (max(e.real for e in eigenvalues) < 0.0)
 
 
+# an orthogonal matrix of halves: with the dyadic blocks below, HALVES @ M @
+# HALVES.T is exact in floats, so each 4x4 loop has exactly its blocks' roots
+HALVES = 0.5 * np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]])
+DELTA = 2.0**-40
+# a double root at 0; roots -DELTA/2 +- i sqrt(DELTA - DELTA^2/4), just left of
+# the axis; roots DELTA/2 +- i sqrt(3 DELTA - DELTA^2/4), just right of it
+ON_AXIS = [[1.0, 1.0], [-1.0, -1.0]]
+JUST_LEFT = [[1.0, 1.0], [-1.0 - 2 * DELTA, -1.0 - DELTA]]
+JUST_RIGHT = [[1.0, 1.0], [-1.0 - 2 * DELTA, -1.0 + DELTA]]
+
+
+def block_diag(first, second) -> np.ndarray:
+    first, second = np.array(first), np.array(second)
+    m = np.zeros((len(first) + len(second),) * 2)
+    m[: len(first), : len(first)] = first
+    m[len(first) :, len(first) :] = second
+    return m
+
+
+class TestExactStability:
+    @pytest.mark.parametrize(
+        "block, stable", [(ON_AXIS, False), (JUST_LEFT, True), (JUST_RIGHT, False)], ids=["on", "left", "right"]
+    )
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_roots_on_and_just_off_the_axis(self, n, block, stable):
+        # LAPACK reads the double root at 0 as real parts -3.3e-17 (3x3) and
+        # -1.1e-17 (4x4); the verdict is the exact one
+        if n == 3:
+            closed = block_diag(block, [[-1.0]])
+        else:
+            rest = [[-1.0, 0.5], [0.0, -2.0]]
+            closed = HALVES @ block_diag(block, rest) @ HALVES.T
+            assert np.array_equal(HALVES.T @ closed @ HALVES, block_diag(block, rest))
+        sys = TeamLinearSystem(A=closed, B=np.zeros((n, n)), Kstar=np.eye(n))
+        rep = stability_report(sys, "dynamic")
+        assert rep.stable is stable
+        assert rep.max_real_part == max(e.real for e in rep.eigenvalues)
+
+    def test_agrees_with_lapack_away_from_the_axis(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            closed = np.array([[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]) - rng.uniform(0, 4) * np.eye(n)
+            max_re = max(np.linalg.eigvals(closed).real)
+            if abs(max_re) > 1e-6:
+                rep = stability_report(TeamLinearSystem(A=closed, B=np.zeros((n, n)), Kstar=np.eye(n)), "dynamic")
+                assert rep.stable is bool(max_re < 0)
+                checked += 1
+        assert checked > 300
+
+
 class TestRotationAction:
     def test_hand_worked_two_agent_phases(self):
         sys = TeamLinearSystem(A=np.zeros((2, 2)), B=np.eye(2), Kstar=[[1.0, 2.0], [3.0, 4.0]])

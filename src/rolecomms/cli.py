@@ -26,6 +26,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .codec import decode
 from .errors import ConfigError, GenerationError, NumericError
+from .numerics import MAX_SEED
 from .table_sim import (
     GEOMETRY_KINDS,
     STRATEGY_NAMES,
@@ -115,17 +116,16 @@ def _analysis(spec, args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
     period = args.T if args.strategy in ("explicit", "dynamic") else 0
     # a bad config file is reported before a bad condition
     config = bench_mod.config_from_dict(_load_json(args.config, "config")) if args.config else None
     env = None if args.env is None else decode(Environment, _load_json(args.env, "environment"), "environment")
     n = args.n if env is None else len(env.obstacles)
     condition = bench_mod.Condition(args.strategy, period, n, args.geometry, args.cv)
-    # the game played is checked as a one-condition bench config, field bound included
     if config is None:
         config = bench_mod.BenchmarkConfig(conditions=(condition,))
-    else:
-        config = replace(config, conditions=(condition,), asserts=())
     if env is None:
         env = generate_environment(args.seed, n, condition.geometry_mode(config.radii), config.workspace)
     if args.trajectory_out is not None:

@@ -173,7 +173,8 @@ def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
     (_hurwitz_stable); the eigenvalues and their largest real part are
     reported as computed. The fixed allocations require a 2x2 system;
     "dynamic" (whose averaged gain is the full Kstar) is accepted for any
-    supported dimension.
+    supported dimension. The spectrum is solved first, so `eigenvalues`'
+    8x8 bound also bounds the exact test, whose cost grows about as n^5.
     """
     if alloc == "dynamic":
         gain = sys.Kstar

@@ -23,6 +23,9 @@ import math
 from .errors import NumericError
 
 _MASK64 = (1 << 64) - 1
+# the seeds a stream tells apart are [0, MAX_SEED]: Rng and derive_seed read a
+# seed mod 2**64, so where a seed enters, any other is refused
+MAX_SEED = _MASK64
 _WEYL = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _INF = math.inf

@@ -14,8 +14,8 @@ to place its partner's obstacle (table_sim.infer_obstacle).
 
 The law's domain, where no square it forms overflows, is rho0 at most
 MAX_LENGTH, coordinates and radii within about 10 MAX_LENGTH, and commands
-within MAX_LENGTH; FieldParams, table_sim's Environment, Workspace and
-Limits, and check_finite_commands keep the game in it.
+within MAX_LENGTH; FieldParams, whose weights MAX_WEIGHT bounds, and
+table_sim's Environment, Workspace and Limits keep the game in it.
 
 The law has no speed cap: the game loop (table_sim.run_game) caps each
 command it applies, and checks collision only at the end of each step, so a
@@ -31,6 +31,14 @@ RHO_MIN = 1e-3
 ATTRACTOR_EPS = 1e-6
 # the declared range of every length the game reads; not a setting
 MAX_LENGTH = 1e100
+# the declared range of every field weight; not a setting. At the bound the
+# repulsion at the floor, repulsive_magnitude(RHO_MIN), is at most 1e36 and a
+# term's scale, its magnitude over ATTRACTOR_EPS, at most 1e42. An agent
+# acting on k obstacles commands at most w_v (w_att + k 1e36), and the
+# channel's largest draw scales that by 1 + 8.6 cv (|z| < 8.6 when u1 >=
+# 2**-53), so both agents' commands stay below 2 * 9.6 * 1e30 (1e30 + k 1e36)
+# < 1e100 = MAX_LENGTH for any k below 1e30, whatever the cv
+MAX_WEIGHT = 1e30
 
 
 @dataclass(frozen=True)
@@ -46,8 +54,8 @@ class FieldParams:
     def __post_init__(self):
         for name in ("w_att", "w_rep", "w_v"):
             v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            if not 0 < v <= MAX_WEIGHT:
+                raise ValueError(f"{name} must be in (0, MAX_WEIGHT] = (0, {MAX_WEIGHT}], got {v}")
         # below the floor the law turns attractive and the listener's
         # bracket (RHO_MIN, rho0] is empty
         if not RHO_MIN < self.rho0 <= MAX_LENGTH:

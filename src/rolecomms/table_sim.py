@@ -306,31 +306,6 @@ def corrupt(values: Sequence[float], cv: float, rng: Rng) -> tuple[float, ...]:
     )
 
 
-# |z| of one Box-Muller sample: at most sqrt(-2 ln 2**-53) < 8.6, as u1 >= 2**-53
-_CHANNEL_Z_MAX = 8.6
-
-
-def check_finite_commands(params: FieldParams, k: int, cv: float) -> None:
-    """Raise ValueError unless every command an agent acting on at most k
-    obstacles (its own plus one received or inferred) can form, with the
-    channel at cv, is at most MAX_LENGTH, and so is each intermediate of the
-    worst case: a term's scale, its magnitude over ATTRACTOR_EPS; the field
-    sum w_att + k * repulsive_magnitude(RHO_MIN); the command, w_v times
-    that sum; both agents' commands summed; and the field sum and the
-    command times 1 + 8.6 * cv, the channel's largest draw, which bound the
-    listener's residual v / w_v + att and the corrupted command.
-    """
-    rep_max = repulsive_magnitude(RHO_MIN, params)
-    field_sum = params.w_att + k * rep_max
-    command = params.w_v * field_sum
-    noisy = 1.0 + _CHANNEL_Z_MAX * cv
-    worst = (max(params.w_att, rep_max) / ATTRACTOR_EPS, command + command, field_sum * noisy, command * noisy)
-    if not all(x <= MAX_LENGTH for x in worst):
-        raise ValueError(
-            f"field weights allow a command above {MAX_LENGTH} for an agent acting on {k} obstacles at cv {cv}"
-        )
-
-
 def infer_obstacle(
     observed_partner_velocity: Sequence[float],
     partner_pos: Sequence[float],

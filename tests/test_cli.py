@@ -10,7 +10,8 @@ import pytest
 
 from rolecomms import bench, cli, linear_roles
 from rolecomms.cli import build_parser, main
-from rolecomms.potential_field import MAX_LENGTH
+from rolecomms.numerics import MAX_SEED
+from rolecomms.potential_field import MAX_LENGTH, MAX_WEIGHT
 from rolecomms.table_sim import MAX_RETRY_CAP
 
 
@@ -256,6 +257,16 @@ class TestAnalyze:
         assert err.startswith("error: " + start) and err.count("\n") == 1
         assert [str(w.message) for w in recwarn] == []
 
+    def test_system_beyond_the_eigensolver_exits_2(self, capsys, tmp_path):
+        # stability_report solves the spectrum before the exact Hurwitz test,
+        # whose cost grows about as n^5, so the eigensolver's 8x8 bound
+        # bounds that test too
+        identity = [[float(i == j) for j in range(9)] for i in range(9)]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"A": identity, "B": identity, "Kstar": identity, "W": [1.0] * 9}))
+        code, out, err = run_cli(capsys, "analyze", "--system", str(path), "--mode", "stability", "--alloc", "dynamic")
+        assert (code, out, err) == (2, "", "error: matrix dimension 9 is outside the supported 1..8\n")
+
     def test_non_converging_spectrum_exits_2_with_one_error_line(self, capsys, recwarn, tmp_path):
         # a finite 3x3 closed loop on which LAPACK's iteration does not
         # converge once ended in a NumericError traceback and exit 1
@@ -379,36 +390,33 @@ class TestSimulate:
         traj = tmp_path / "never.csv"
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), *argv, "--trajectory-out", str(traj))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "allow a command above 1e+100" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{weight} must be in (0, MAX_WEIGHT]" in err
         assert not traj.exists()
 
-    @pytest.mark.parametrize("argv", [("--n", "8"), ("--n", "2", "--cv", "1.0")], ids=["env", "cv"])
-    def test_field_bound_checked_for_the_game_played(self, capsys, tmp_path, argv):
-        # the config's own conditions (n = 2, cv = 0) stay within the range:
-        # 2 * w_v * (w_att + 3 * repulsive_magnitude(RHO_MIN)) is about
-        # 7.2e99. An agent of an 8-obstacle environment acts on at most 9,
-        # and cv = 1 scales the command by 9.6; either passes 1e100.
-        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 1.2e93}}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--n", "2", "--strategy", "dynamic")
-        assert code == 0
-        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--strategy", "dynamic", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "allow a command above 1e+100" in err
+    @pytest.mark.parametrize("weight", ["w_att", "w_rep", "w_v"])
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_weight_range_edge(self, capsys, tmp_path, command, weight):
+        # MAX_WEIGHT itself plays; the next float up exits 2 with one line
+        for value, code in ((MAX_WEIGHT, 0), (math.nextafter(MAX_WEIGHT, math.inf), 2)):
+            config = {"games_per_condition": 2, "conditions": [{"strategy": "dynamic", "T": 1, "n": 4}],
+                      "field": {weight: value}}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = ("--n", "4") if command == "simulate" else ("--out", str(tmp_path / f"out{code}"))
+            got, out, err = run_cli(capsys, command, "--config", str(path), *argv)
+            assert got == code, err
+            if code == 2:
+                assert (out, err) == ("", f"error: config.field: {weight} must be in (0, MAX_WEIGHT] = "
+                                          f"(0, 1e+30], got {value}\n")
 
-    def test_field_bound_counts_every_obstacle_as_bench_does(self, capsys, tmp_path):
-        # four obstacles, two per agent: the k = 3 of the larger owner count
-        # plus one stays within the range (about 7.2e99, as above), but
-        # k = n + 1 = 5, the rule bench applies, passes 1e100
-        config = {"conditions": [{"strategy": "dynamic", "T": 1, "n": 2}], "field": {"w_v": 1.2e93}}
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        obstacles = [obstacle(center=[2.0 * i + 2.0, 3.0], owner=1 + i % 2) for i in range(4)]
-        env = env_file(tmp_path, "four.json", obstacles=obstacles)
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--env", str(env))
-        assert (code, out) == (2, "")
-        assert err == "error: field weights allow a command above 1e+100 for an agent acting on 5 obstacles at cv 0.0\n"
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (MAX_SEED, 0), (MAX_SEED + 1, 2)])
+    def test_seed_outside_the_stream_range_exits_2(self, capsys, tmp_path, seed, code):
+        # a stream reads its seed mod 2**64: -1 once played as 2**64 - 1
+        traj = tmp_path / "traj.csv"
+        got, out, err = run_cli(capsys, "simulate", "--seed", str(seed), "--n", "4", "--trajectory-out", str(traj))
+        assert (got, traj.exists()) == (code, code == 0)
+        if code == 2:
+            assert (out, err) == ("", f"error: --seed must be in [0, {MAX_SEED}], got {seed}\n")
 
     @pytest.mark.parametrize(
         "env, config, argv",
@@ -621,6 +629,19 @@ class TestBench:
         assert report["config"]["games_per_condition"] == 3
         assert report["config"]["base_seed"] == 77
 
+    @pytest.mark.parametrize(
+        "base_seed, games, code",
+        [(-1, 1, 2), (MAX_SEED, 1, 0), (MAX_SEED, 2, 2), (MAX_SEED + 1, 1, 2)],
+    )
+    def test_seed_outside_the_stream_range_exits_2(self, capsys, tiny_bench_config, tmp_path, base_seed, games, code):
+        # every seed played, base_seed to base_seed + games - 1, lies in [0, MAX_SEED]
+        out_dir = tmp_path / "out"
+        got, out, err = run_cli(capsys, "bench", "--config", str(tiny_bench_config), "--out", str(out_dir),
+                                "--games", str(games), "--base-seed", str(base_seed))
+        assert (got, out_dir.exists()) == (code, code == 0)
+        if code == 2:
+            assert out == "" and err.startswith("error: seeds base_seed to") and err.count("\n") == 1
+
     def test_failing_assert_exits_1(self, capsys, tmp_path):
         config = {
             "base_seed": 5,
@@ -698,7 +719,7 @@ class TestBench:
             (("limits", "max_steps"), 2**63),
             (("games_per_condition",), bench.MAX_GAMES + 1),
             (("workspace", "retry_cap"), MAX_RETRY_CAP + 1),
-            # field weights whose worst-case command overflows
+            # field weights beyond their declared range, MAX_WEIGHT
             (("field", "w_att"), 1.7e308),
             (("field", "w_rep"), 1e308),
             (("field", "w_v"), 1e308),
@@ -720,7 +741,7 @@ class TestBench:
             # a reach max_steps * dt * v_max of 200 * 1e99 * 0.25
             (("limits", "dt"), 1e99),
             (("field", "rho0"), 1e200),
-            # a command of about 6e101, finite but beyond the range
+            # a weight finite but beyond its range
             (("field", "w_v"), 1e95),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,

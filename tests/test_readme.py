@@ -1,6 +1,8 @@
-"""Every name README gives for the package's code resolves."""
+"""Every name README gives for the package's code resolves, and every bound
+it states beside a declared constant equals the constant."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -56,3 +58,21 @@ def test_library_layout_is_found():
     # the table's rows are the parameters above, so an unparsed table would test nothing
     modules = [module for module, _ in layout_rows()]
     assert modules and len(modules) == len(set(modules))
+
+
+# the declared bounds README states, each as "N (`rolecomms.module.NAME`)" or
+# "`rolecomms.module.NAME` = N"
+BOUNDS = ("MAX_OBSTACLES", "MAX_GAMES", "MAX_STEPS", "MAX_RETRY_CAP", "MAX_LENGTH", "MAX_WEIGHT", "MAX_SEED")
+NUMBER = r"(\d[\d,]*(?:\.\d+)?(?:e[+-]?\d+)?)"
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_stated_bound_equals_its_constant(name):
+    pairs = re.findall(NUMBER + r"\s+\(`(rolecomms\.[\w.]+)`\)", README)
+    pairs += [(number, dotted) for dotted, number in re.findall(r"`(rolecomms\.[\w.]+)` = " + NUMBER, README)]
+    stated = [(number, dotted) for number, dotted in pairs if dotted.rsplit(".", 1)[1] == name]
+    assert stated, f"README states no bound beside {name}"
+    for number, dotted in stated:
+        module, attr = dotted.rsplit(".", 1)
+        value = getattr(importlib.import_module(module), attr)
+        assert json.loads(number.replace(",", "")) == value, f"README states {number} for {dotted}, which is {value}"

@@ -16,6 +16,7 @@ from rolecomms.numerics import _BLOCK, _HEAD, Rng
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     MAX_LENGTH,
+    MAX_WEIGHT,
     RHO_MIN,
     FieldParams,
     agent_velocity,
@@ -32,7 +33,6 @@ from rolecomms.table_sim import (
     TrajectoryStep,
     UnknownRadius,
     Workspace,
-    check_finite_commands,
     closest_observed_index,
     corrupt,
     generate_environment,
@@ -191,14 +191,12 @@ class TestSpeedCap:
     def test_command_at_the_range_edge_is_capped_along_its_direction(
         self, default_field, default_limits, default_workspace, strategy
     ):
-        # at the largest w_v the field bound accepts, where both agents'
-        # worst-case commands sum to MAX_LENGTH, each command is capped to
-        # v_max along its direction: the game plays as it does at w_v = 1e50
+        # at the largest w_v FieldParams accepts, MAX_WEIGHT, each command is
+        # capped to v_max along its direction: the game plays as it does at
+        # w_v = 1e20
         env = generate_environment(0, 4, KnownRadius(0.5), default_workspace)
-        top = largest_accepted(lambda w_v: replace(default_field, w_v=w_v), 5, 0.0)
-        assert 1e92 < top < 1e94
         poses = []
-        for w_v in (1e50, top):
+        for w_v in (1e20, MAX_WEIGHT):
             params = replace(default_field, w_v=w_v)
             out = run_game(env, strategy, params, default_limits, 0, record_trajectory=True)
             poses.append([(ts.cx, ts.cy, ts.heading) for ts in out.trajectory[:20]])
@@ -457,12 +455,9 @@ class TestInference:
         def field(w_att):
             return FieldParams(w_att=w_att, w_rep=self.params.w_rep, w_v=w_v, rho0=self.params.rho0)
 
-        # a term's scale, w_att / ATTRACTOR_EPS, bounds w_att by MAX_LENGTH * 1e-6
-        top = largest_accepted(field, 2, 0.0)
-        assert 1e93 < top <= 1e94
         rng = random.Random(w_v)
-        weights = [1.0, 1e6, 1e7, 1e8, 1e50, 1e90, top]
-        weights += [10.0 ** rng.uniform(0.0, math.log10(top)) for _ in range(12)]
+        weights = [1.0, 1e6, 1e7, 1e8, 1e20, MAX_WEIGHT]
+        weights += [10.0 ** rng.uniform(0.0, math.log10(MAX_WEIGHT)) for _ in range(12)]
         phantoms = 0
         for w_att in weights:
             params = field(w_att)
@@ -610,13 +605,14 @@ class TestSteeredInversion:
         ids=["whole_range", "range_edge"],
     )
     def test_extreme_weights_and_ranges(self, rho0_decades, root_decades):
-        # w_rep from 1e-300 to 1e300 and rho0 over rho0_decades, log-uniform,
-        # up to MAX_LENGTH; one root per draw, log-uniform in the bracket or
-        # within root_decades below rho0, at each tol
+        # w_rep from 1e-300 to MAX_WEIGHT and rho0 over rho0_decades,
+        # log-uniform, up to MAX_LENGTH; one root per draw, log-uniform in
+        # the bracket or within root_decades below rho0, at each tol
         rng = random.Random(16)
         cases = []
         for _ in range(80):
-            params = FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(*rho0_decades))
+            w_rep = 10.0 ** rng.uniform(-300, math.log10(MAX_WEIGHT))
+            params = FieldParams(w_rep=w_rep, rho0=10.0 ** rng.uniform(*rho0_decades))
             low = math.log10(RHO_MIN) if root_decades is None else math.log10(params.rho0) - root_decades
             rho = 10.0 ** rng.uniform(low, math.log10(params.rho0))
             for tol in (1e-10, 1e-12, 0.0):
@@ -642,7 +638,10 @@ class TestSteeredInversion:
         # roots within 1e-12 of rho0, absolute and relative
         rng = random.Random(3)
         fields = [FieldParams(w_rep=0.45, rho0=2.0), FieldParams(w_rep=0.45, rho0=2.1)]
-        fields += [FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=10.0 ** rng.uniform(-2.6, 100)) for _ in range(20)]
+        fields += [
+            FieldParams(w_rep=10.0 ** rng.uniform(-300, math.log10(MAX_WEIGHT)), rho0=10.0 ** rng.uniform(-2.6, 100))
+            for _ in range(20)
+        ]
         cases = []
         for params in fields:
             rho0 = params.rho0
@@ -661,7 +660,7 @@ class TestSteeredInversion:
         rho0s += [10.0 ** rng.uniform(99, 100) for _ in range(11)]
         cases = []
         for rho0 in rho0s:
-            params = FieldParams(w_rep=10.0 ** rng.uniform(-300, 300), rho0=rho0)
+            params = FieldParams(w_rep=10.0 ** rng.uniform(-300, math.log10(MAX_WEIGHT)), rho0=rho0)
             for tol in (1e-10, 1e-12, 0.0):
                 for _ in range(6):
                     mag = repulsive_magnitude(10.0 ** rng.uniform(math.log10(RHO_MIN), math.log10(rho0)), params)
@@ -791,24 +790,6 @@ class TestCorrupt:
 def float_bits(x: float) -> int:
     """The IEEE 754 bit pattern of x, so that 0.0 and -0.0 differ."""
     return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
-def largest_accepted(field, k, cv):
-    """The largest weight w >= 1 for which check_finite_commands accepts
-    field(w) at k and cv, by bisection on the bit patterns of positive
-    floats, which sort as the floats do."""
-    def accepted(bits):
-        try:
-            check_finite_commands(field(struct.unpack("<d", struct.pack("<Q", bits))[0]), k, cv)
-        except ValueError:
-            return False
-        return True
-
-    lo, hi = float_bits(1.0), float_bits(math.inf)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-    return struct.unpack("<d", struct.pack("<Q", lo))[0]
 
 
 def naive_velocity(q, goal, obstacles, params):
@@ -1287,8 +1268,9 @@ class TestEnvironmentGeneration:
 
 
 class TestDeclaredRange:
-    """Every length the game reads lies within MAX_LENGTH, refused where it
-    enters, so that no square the game forms overflows."""
+    """Every length the game reads lies within MAX_LENGTH and every field
+    weight within MAX_WEIGHT, refused where it enters, so that no square or
+    command the game forms overflows."""
 
     @pytest.mark.parametrize(
         "make, message",
@@ -1317,30 +1299,27 @@ class TestDeclaredRange:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 make(x)
 
-    def test_command_beyond_the_range_is_refused(self):
-        # finite, but above MAX_LENGTH: 2 w_v (w_att + 3 repulsive_magnitude(RHO_MIN))
-        # is about 6e101 at w_v = 1e95
-        message = "field weights allow a command above 1e+100 for an agent acting on 3 obstacles at cv 0.0"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check_finite_commands(FieldParams(w_v=1e95), 3, 0.0)
-        check_finite_commands(FieldParams(w_v=1e93), 3, 0.0)
+    @pytest.mark.parametrize("name", ["w_att", "w_rep", "w_v"])
+    def test_weight_beyond_the_range_is_refused(self, name):
+        # MAX_WEIGHT keeps every command within the length range, whatever
+        # the obstacle count or cv
+        assert getattr(FieldParams(**{name: MAX_WEIGHT}), name) == MAX_WEIGHT
+        for x in (math.nextafter(MAX_WEIGHT, math.inf), 1e95, math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \(0, MAX_WEIGHT\] = \(0, 1e\+30\], got "):
+                FieldParams(**{name: x})
 
     @pytest.mark.parametrize("cv", [0.0, 1.0])
     def test_every_length_at_the_bound_stays_finite(self, cv):
         # start and goal at the edges, the longest table, discs of the
         # largest radius at the corners, rho0, goal_eps and the reach at the
-        # bound, and the largest weights the field bound accepts at this cv,
-        # in every strategy: every pose, command and inference stays finite
-        # over a whole game, and a disc holding the table and agent 1, its
-        # center MAX_LENGTH / 2 from the table, is hit on the first step
+        # bound, and every weight at MAX_WEIGHT, in every strategy: every
+        # pose, command and inference stays finite over a whole game, and a
+        # disc holding the table and agent 1, its center MAX_LENGTH / 2 from
+        # the table, is hit on the first step
         bound = MAX_LENGTH
         discs = [((bound, bound), 1), ((bound, -bound), 2), ((bound, 0.0), 1)]
         held = (-0.5 * bound, 0.5 * bound)
-        # bench's k, the obstacle count plus one, with the held disc
-        k = len(discs) + 2
-        weights = FieldParams(rho0=bound)
-        for name in ("w_att", "w_rep", "w_v"):
-            weights = replace(weights, **{name: largest_accepted(lambda w: replace(weights, **{name: w}), k, cv)})
+        weights = FieldParams(MAX_WEIGHT, MAX_WEIGHT, MAX_WEIGHT, bound)
         limits = Limits(max_steps=8, goal_eps=bound, dt=1.0, v_max=bound / 8)
         inferred = 0
         for name, period in (("explicit", 0), ("explicit", 1), ("dynamic", 1), ("speaker_listener", 0),
@@ -1362,18 +1341,18 @@ class TestDeclaredRange:
 
     @pytest.mark.parametrize("cv", [0.0, 1.0])
     def test_shortest_table_at_the_largest_reach_stays_finite(self, cv):
-        # the shortest table, the largest reach and the largest weights the
-        # range accepts, with a disc owned by each agent beside the start:
-        # capped commands that differ turn the table at up to v_max /
-        # table_half_length, about 1e199, and in every strategy each pose
-        # and heading stays finite. At 1e-308 the heading became infinite
-        # and the game died in math.cos
+        # the shortest table, the largest reach and every weight at
+        # MAX_WEIGHT, with a disc owned by each agent beside the start:
+        # capped commands that differ turn the table at up to dt * v_max /
+        # table_half_length a step, about 1e199, and in every strategy each
+        # pose and heading stays finite. At 1e-308 the heading became
+        # infinite and the game died in math.cos. The reach lies in dt:
+        # commands under MAX_WEIGHT stay far below a cap of 1e99, but each
+        # one here passes the unit cap
         bound = MAX_LENGTH
         discs = (TaggedObstacle((0.0, 2.0), 1.0, 1), TaggedObstacle((0.0, -3.0), 1.0, 2))
-        weights = FieldParams(rho0=bound)
-        for name in ("w_att", "w_rep", "w_v"):
-            weights = replace(weights, **{name: largest_accepted(lambda w: replace(weights, **{name: w}), 3, cv)})
-        limits = Limits(max_steps=8, goal_eps=1.0, dt=1.0, v_max=bound / 8)
+        weights = FieldParams(MAX_WEIGHT, MAX_WEIGHT, MAX_WEIGHT, bound)
+        limits = Limits(max_steps=8, goal_eps=1.0, dt=bound / 8, v_max=1.0)
         env = Environment(discs, (0.0, 0.0), (bound, 0.0), KnownRadius(1.0), 1 / bound)
         turned = 0.0
         for name, period in (("explicit", 0), ("explicit", 1), ("dynamic", 1), ("speaker_listener", 0),

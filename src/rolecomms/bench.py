@@ -24,7 +24,7 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
 
 from .codec import decode, encode
@@ -87,9 +87,6 @@ class Condition:
         # RadiusSpec names each geometry's parameters as the geometry does
         mode = GEOMETRY_KINDS[self.geometry]
         return mode(*(getattr(radii, f.name) for f in fields(mode)))
-
-    def key(self) -> tuple:
-        return (self.strategy, self.T, self.n, self.geometry, self.cv)
 
 
 @dataclass(frozen=True)
@@ -165,14 +162,15 @@ class BenchmarkConfig:
                 f"seeds base_seed to base_seed + games_per_condition - 1 must be in [0, {MAX_SEED}], "
                 f"got base_seed {self.base_seed}"
             )
-        keys = [condition.key() for condition in self.conditions]
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ConfigError(f"condition {key} is listed twice")
+        configured = set()
+        for condition in self.conditions:
+            if condition in configured:
+                raise ConfigError(f"condition {astuple(condition)} is listed twice")
+            configured.add(condition)
         for ta in self.asserts:
             for condition in (ta.a, ta.b):
-                if condition is not None and condition.key() not in keys:
-                    raise ConfigError(f"assert names condition {condition.key()}, which is not configured")
+                if condition is not None and condition not in configured:
+                    raise ConfigError(f"assert names condition {astuple(condition)}, which is not configured")
 
 
 class ConditionResult(NamedTuple):
@@ -215,7 +213,7 @@ class BenchmarkReport(NamedTuple):
 
     def result_for(self, condition: Condition) -> ConditionResult:
         for r in self.results:
-            if r.condition.key() == condition.key():
+            if r.condition == condition:
                 return r
         raise KeyError(f"condition {condition} not in report")
 
@@ -413,17 +411,17 @@ def evaluate_asserts(report: BenchmarkReport, asserts) -> list[str]:
             lam = report.result_for(ta.a).lambda_
             if lam < ta.value:
                 failures.append(
-                    f"lambda{ta.a.key()} = {lam:.4f} below required {ta.value}"
+                    f"lambda{astuple(ta.a)} = {lam:.4f} below required {ta.value}"
                 )
         else:
             cmp = compare_conditions(report, ta.a, ta.b)
             if cmp.delta_lambda <= 0:
                 failures.append(
-                    f"lambda{ta.a.key()} - lambda{ta.b.key()} = {cmp.delta_lambda:.4f}, expected > 0"
+                    f"lambda{astuple(ta.a)} - lambda{astuple(ta.b)} = {cmp.delta_lambda:.4f}, expected > 0"
                 )
             elif ta.significant and cmp.p_value >= ta.alpha:
                 failures.append(
-                    f"gap {ta.a.key()} > {ta.b.key()} not significant "
+                    f"gap {astuple(ta.a)} > {astuple(ta.b)} not significant "
                     f"(p = {cmp.p_value:.4g} >= {ta.alpha})"
                 )
     return failures

@@ -59,11 +59,11 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    from .linear_roles import SystemFile
+    from .linear_roles import TeamLinearSystem
 
-    spec = decode(SystemFile, _load_json(args.system, "system"), "system")
+    system = decode(TeamLinearSystem, _load_json(args.system, "system"), "system")
     try:
-        payload = _analysis(spec, args)
+        payload = _analysis(system, args)
     except (ValueError, NumericError) as exc:
         # the library's own input rules, and an eigensolver that fails on a
         # finite closed loop, reported as one error line
@@ -72,11 +72,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _analysis(spec, args) -> dict:
-    """The payload of the selected analyze mode for spec, a linear_roles.SystemFile."""
+def _analysis(system, args) -> dict:
+    """The payload of the selected analyze mode for system, a linear_roles.TeamLinearSystem."""
     from . import linear_roles as lr
 
-    system, sigma_s2_sq = spec.team(), spec.sigma_s2_sq
     if args.mode == "stability":
         rep = lr.stability_report(system, args.alloc)
         return {
@@ -101,7 +100,7 @@ def _analysis(spec, args) -> dict:
         pair = lr.optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=args.speaker)
         return {"mode": "variances", "speaker": args.speaker, **pair._asdict()}
     # kl mode: a variance not given defaults to the optimal one when agent 1 speaks
-    if sigma_s2_sq is None:
+    if system.sigma_s2_sq is None:
         raise ValueError("kl mode needs sigma_s2_sq (partner-state prior variance) in the system file")
     pair = lr.optimal_variances(system.Kstar, w1_sq, w2_sq, speaker=1)
     sigma1_sq = pair.sigma1_sq if args.sigma1_sq is None else args.sigma1_sq
@@ -110,8 +109,8 @@ def _analysis(spec, args) -> dict:
         "mode": "kl",
         "sigma1_sq": sigma1_sq,
         "sigma2_sq": sigma2_sq,
-        "sigma_s2_sq": sigma_s2_sq,
-        "expected_kl": lr.expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, sigma_s2_sq),
+        "sigma_s2_sq": system.sigma_s2_sq,
+        "expected_kl": lr.expected_kl(system.Kstar, sigma1_sq, sigma2_sq, w1_sq, w2_sq, system.sigma_s2_sq),
     }
 
 

@@ -14,6 +14,7 @@ iteration it induces is reported step by step without any convergence claim.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -37,19 +38,31 @@ def _distribution(table, ndim: int, name: str) -> np.ndarray:
     return t
 
 
+def _index(i, size: int, name: str) -> int:
+    """i as an integer index in [0, size); a bool, or an index outside, is refused."""
+    if isinstance(i, bool) or not 0 <= operator.index(i) < size:
+        raise ValueError(f"{name} must be an index in [0, {size}), got {i!r}")
+    return operator.index(i)
+
+
+def _marginalize(centralized, dist, own_state: int, own_axis: int, name: str) -> np.ndarray:
+    """The centralized policy's row for own_state on own_axis, with the other
+    (partner-state) axis marginalized under the distribution `dist`, normalized."""
+    pi = _distribution(centralized, 3, "centralized policy")
+    d = _distribution(dist, 1, name)
+    partner = pi.shape[1 - own_axis]
+    if d.shape[0] != partner:
+        raise ValueError(f"{name} length {d.shape[0]} does not match partner-state axis {partner}")
+    mix = d @ np.take(pi, _index(own_state, pi.shape[own_axis], "own_state"), axis=own_axis)
+    return mix / mix.sum()
+
+
 def speaker_policy_exact(centralized, belief, own_state: int) -> np.ndarray:
     """Action distribution of a speaker: partner state marginalized under belief.
 
     Returns sum_j pi[own_state, j, :] * belief[j], normalized.
     """
-    pi = _distribution(centralized, 3, "centralized policy")
-    b = _distribution(belief, 1, "belief")
-    if b.shape[0] != pi.shape[1]:
-        raise ValueError(
-            f"belief length {b.shape[0]} does not match partner-state axis {pi.shape[1]}"
-        )
-    mix = b @ pi[own_state]
-    return mix / mix.sum()
+    return _marginalize(centralized, belief, own_state, 0, "belief")
 
 
 def listener_posterior(prior, speaker_action: int, speaker_policy) -> np.ndarray:
@@ -63,7 +76,7 @@ def listener_posterior(prior, speaker_action: int, speaker_policy) -> np.ndarray
     pi = _distribution(speaker_policy, 2, "speaker policy")
     if p.shape[0] != pi.shape[0]:
         raise ValueError(f"prior length {p.shape[0]} does not match policy states {pi.shape[0]}")
-    unnorm = pi[:, speaker_action] * p
+    unnorm = pi[:, _index(speaker_action, pi.shape[1], "speaker_action")] * p
     total = unnorm.sum()
     if total <= 0.0:
         raise InconsistentObservationError(
@@ -79,14 +92,7 @@ def listener_policy_exact(centralized, posterior, own_state: int) -> np.ndarray:
     the listener's point of view: returns
     sum_i pi[i, own_state, :] * posterior(i), normalized.
     """
-    pi = _distribution(centralized, 3, "centralized policy")
-    post = _distribution(posterior, 1, "posterior")
-    if post.shape[0] != pi.shape[0]:
-        raise ValueError(
-            f"posterior length {post.shape[0]} does not match partner-state axis {pi.shape[0]}"
-        )
-    mix = post @ pi[:, own_state, :]
-    return mix / mix.sum()
+    return _marginalize(centralized, posterior, own_state, 1, "posterior")
 
 
 class InterdependenceTrace(NamedTuple):

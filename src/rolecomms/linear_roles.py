@@ -23,41 +23,13 @@ from .numerics import eigenvalues
 
 @dataclass(frozen=True)
 class TeamLinearSystem:
-    """Continuous-time plant sdot = A s + B a with centralized gain a* = -Kstar s.
+    """Continuous-time plant sdot = A s + B a with centralized gain a* = -Kstar s,
+    and the schema of `rolecomms analyze`'s JSON system file.
 
-    W holds the per-agent action noise variances (w_i^2).
+    A, B and Kstar are stored as tuples of float rows. W holds the per-agent
+    action noise variances (w_i^2); sigma_s2_sq, the partner-state prior
+    variance, is checked by expected_kl alone.
     """
-
-    A: np.ndarray
-    B: np.ndarray
-    Kstar: np.ndarray
-    W: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        for name in ("A", "B", "Kstar"):
-            m = getattr(self, name)
-            if isinstance(m, (list, tuple)) and len({np.shape(row) for row in m}) > 1:
-                raise ValueError(f"{name}: every row must have the same length")
-            m = np.asarray(m, dtype=float)
-            object.__setattr__(self, name, m)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} has non-finite entries")
-        if not (self.A.shape == self.B.shape == self.Kstar.shape):
-            raise ValueError("A, B, Kstar must share the same shape")
-        object.__setattr__(self, "W", tuple(float(w) for w in self.W))
-        if any(w < 0 for w in self.W):
-            raise ValueError("noise variances must be >= 0")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True)
-class SystemFile:
-    """The JSON system file of `rolecomms analyze`."""
 
     A: tuple[tuple[float, ...], ...]
     B: tuple[tuple[float, ...], ...]
@@ -66,12 +38,27 @@ class SystemFile:
     sigma_s2_sq: float | None = None
 
     def __post_init__(self):
-        # the system's own rules on shapes and variances, checked on decoding
-        self.team()
+        for name in ("A", "B", "Kstar"):
+            m = getattr(self, name)
+            if isinstance(m, (list, tuple)) and len({np.shape(row) for row in m}) > 1:
+                raise ValueError(f"{name}: every row must have the same length")
+            m = np.asarray(m, dtype=float)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"{name} must be square, got shape {m.shape}")
+            if not m.size:
+                raise ValueError(f"{name} must have at least one row")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, tuple(map(tuple, m.tolist())))
+        if not (len(self.A) == len(self.B) == len(self.Kstar)):
+            raise ValueError("A, B, Kstar must share the same shape")
+        object.__setattr__(self, "W", tuple(float(w) for w in self.W))
+        if any(w < 0 for w in self.W):
+            raise ValueError("noise variances must be >= 0")
 
-    def team(self) -> TeamLinearSystem:
-        """The system as a TeamLinearSystem."""
-        return TeamLinearSystem(A=self.A, B=self.B, Kstar=self.Kstar, W=self.W)
+    @property
+    def n(self) -> int:
+        return len(self.A)
 
 
 # The four role allocations, by the names `rolecomms analyze --alloc` takes,
@@ -177,7 +164,7 @@ def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
     8x8 bound also bounds the exact test, whose cost grows about as n^5.
     """
     if alloc == "dynamic":
-        gain = sys.Kstar
+        gain = np.array(sys.Kstar)
     else:
         # an unknown name is role_gain's error, whatever the shape
         if sys.n != 2 and alloc in ROLE_MASKS:
@@ -186,7 +173,7 @@ def stability_report(sys: TeamLinearSystem, alloc: str) -> StabilityReport:
     # an overflow shows as a closed loop or a spectrum that is not finite,
     # reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        closed = sys.A - sys.B @ gain
+        closed = np.array(sys.A) - np.array(sys.B) @ gain
         if not np.all(np.isfinite(closed)):
             raise ValueError(f"the closed-loop matrix A - B K is not finite, got {closed.tolist()}")
         eigs = eigenvalues(closed)
@@ -212,7 +199,7 @@ def rotation_action(sys: TeamLinearSystem, s, phase: int) -> np.ndarray:
         raise ValueError(f"state must have shape ({n},), got {s.shape}")
     if not 1 <= phase <= n:
         raise ValueError(f"phase must be in 1..{n}, got {phase}")
-    a_star = -sys.Kstar @ s
+    a_star = -np.array(sys.Kstar) @ s
     action = s.copy()
     corrector = phase % n  # 0-based index of the listening agent
     action[corrector] = a_star[corrector] + (n - 1) * (a_star[corrector] - s[corrector])
@@ -294,6 +281,8 @@ def noisy_listener_action(Kstar, s, noise) -> np.ndarray:
         raise SingularGainError("diagonal gain entries must be nonzero to invert actions")
     s = np.asarray(s, dtype=float)
     n = np.asarray(noise, dtype=float)
+    if s.shape != (2,) or n.shape != (2,):
+        raise ValueError(f"state and noise must have shape (2,), got {s.shape} and {n.shape}")
     extra = np.array([k[0, 1] / k[1, 1] * n[1], k[1, 0] / k[0, 0] * n[0]])
     return -k @ s + extra
 

@@ -23,8 +23,8 @@ import math
 from .errors import NumericError
 
 _MASK64 = (1 << 64) - 1
-# the seeds a stream tells apart are [0, MAX_SEED]: Rng and derive_seed read a
-# seed mod 2**64, so where a seed enters, any other is refused
+# the seeds a stream tells apart are [0, MAX_SEED]: Rng reads a seed mod 2**64,
+# and derive_seed, where every game's and environment's seed enters, refuses any other
 MAX_SEED = _MASK64
 _WEYL = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
@@ -75,9 +75,12 @@ def derive_seed(seed: int, salt: int) -> int:
     """Derive an independent child seed from a base seed and a salt.
 
     The salt is absorbed through one splitmix64 round, so distinct salts
-    give statistically independent streams.
+    give statistically independent streams. A seed outside [0, MAX_SEED]
+    raises ValueError.
     """
-    s = _mix64(seed & _MASK64)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
+    s = _mix64(seed)
     return _mix64((s + _WEYL + (salt & _MASK64)) & _MASK64)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.metadata
 import json
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from rolecomms.bench import (
 )
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ComparisonError, ConfigError, GenerationError
-from rolecomms.linear_roles import SystemFile
+from rolecomms.linear_roles import TeamLinearSystem
 from rolecomms.potential_field import FieldParams
 from rolecomms.table_sim import (
     MAX_RETRY_CAP,
@@ -185,7 +186,7 @@ class TestRunBenchmark:
             Condition("dynamic", 1, 2, "known", 0.0),
         ]
         report = run_benchmark(small_config(conditions, games=10))
-        by_key = {r.condition.key(): r for r in report.results}
+        by_key = {astuple(r.condition): r for r in report.results}
         assert (
             by_key[("dynamic", 1, 4, "known", 0.0)].env_hash
             == by_key[("speaker_speaker", 0, 4, "known", 0.0)].env_hash
@@ -446,11 +447,14 @@ class TestConfigSerialization:
         assert type(workspace.start) is tuple and type(workspace.goal) is tuple
 
     @pytest.mark.parametrize(
-        "name, tp", [("fig2_env.json", Environment), ("unstable_system.json", SystemFile)]
+        "name, tp", [("fig2_env.json", Environment), ("unstable_system.json", TeamLinearSystem)]
     )
     def test_committed_input_files_are_their_own_echo(self, config_dir, name, tp):
         raw = json.loads((config_dir / name).read_text())
         assert encode(decode(tp, raw, name)) == raw
+        # a frozen record: two decodings compare equal and hash alike
+        first, second = decode(tp, raw, name), decode(tp, raw, name)
+        assert first == second and hash(first) == hash(second)
 
 
 class TestReportFormats:

@@ -88,7 +88,7 @@ class TestAnalyze:
         assert json.loads(out)["stable"] is False
 
     def test_stability_other_allocations(self, capsys, system_file):
-        system = linear_roles.SystemFile(**json.loads(Path(system_file).read_text())).team()
+        system = linear_roles.TeamLinearSystem(**json.loads(Path(system_file).read_text()))
         for alloc in ("speaker_listener_1", "speaker_listener_2", "speaker_speaker", "dynamic"):
             code, out, _ = run_cli(
                 capsys, "analyze", "--system", system_file, "--mode", "stability",

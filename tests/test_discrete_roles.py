@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,27 @@ class TestListenerPolicy:
             post = listener_posterior(np.full(n, 1.0 / n), true_s1, speaker)
             out = listener_policy_exact(pi2, post, own_state=1)
             assert np.allclose(out, pi2[true_s1, 1])
+
+
+# each index once misread: -1 as the last state, True as a numpy mask, and
+# 2 raised numpy's IndexError
+_INDEX_CALLS = {
+    "speaker_own_state": lambda i: speaker_policy_exact(_PI, _BELIEF, i),
+    "listener_own_state": lambda i: listener_policy_exact(_PI, _BELIEF, i),
+    "speaker_action": lambda i: listener_posterior(_BELIEF, i, _SPEAKER),
+}
+
+
+@pytest.mark.parametrize("call", _INDEX_CALLS.values(), ids=_INDEX_CALLS)
+@pytest.mark.parametrize("index", [-1, True, 2], ids=["negative", "bool", "past_end"])
+def test_an_index_outside_the_axis_is_refused(call, index):
+    with pytest.raises(ValueError, match=r"must be an index in \[0, 2\), got " + re.escape(repr(index)) + "$"):
+        call(index)
+
+
+@pytest.mark.parametrize("call", _INDEX_CALLS.values(), ids=_INDEX_CALLS)
+def test_a_numpy_integer_index_is_read(call):
+    assert np.array_equal(call(np.int64(1)), call(1))
 
 
 class TestInterdependence:

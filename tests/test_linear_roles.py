@@ -94,6 +94,19 @@ class TestTeamLinearSystem:
         with pytest.raises(ValueError, match=f"^{name}: every row must have the same length$"):
             TeamLinearSystem(**matrices)
 
+    def test_a_frozen_record_of_float_rows(self):
+        from_arrays = TeamLinearSystem(A=UNSTABLE_A, B=UNSTABLE_B, Kstar=np.eye(2), W=(1, 2))
+        from_lists = TeamLinearSystem(A=UNSTABLE_A.tolist(), B=UNSTABLE_B.tolist(), Kstar=[[1, 0], [0, 1]], W=[1.0, 2.0])
+        assert from_arrays == from_lists and hash(from_arrays) == hash(from_lists)
+        assert from_arrays.A == ((1.0, 1.0), (0.0, 1.0))
+        with pytest.raises(TypeError):
+            from_arrays.A[0] = (99.0, 99.0)
+
+    def test_an_empty_matrix_is_refused(self):
+        # stored as (), which the record would refuse when rebuilt from its own fields
+        with pytest.raises(ValueError, match="^A must have at least one row$"):
+            TeamLinearSystem(A=np.zeros((0, 0)), B=np.zeros((0, 0)), Kstar=np.zeros((0, 0)))
+
 
 class TestStability:
     def test_fixed_speaker_listener_always_unstable(self):
@@ -312,7 +325,7 @@ def per_cycle_loop(sys, horizon, dts, s0, drift):
         worst = 0.0
         for c in range(cycles):
             t0 = c * n * dt
-            target = -sys.Kstar @ (s0 + drift * t0)
+            target = -np.asarray(sys.Kstar) @ (s0 + drift * t0)
             total = sum(rotation_action(sys, s0 + drift * (t0 + k * dt), k + 1) for k in range(n))
             worst = max(worst, float(np.max(np.abs(total / n - target))))
         yield cycles, worst
@@ -471,6 +484,16 @@ class TestNoisyListenerAction:
     def test_zero_diagonal_raises(self):
         with pytest.raises(SingularGainError):
             noisy_listener_action([[0.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [0.1, 0.1])
+
+    @pytest.mark.parametrize(
+        "s, noise",
+        [([1.0, 1.0], [0.1, 0.1, 5.0]), ([1.0, 1.0], [0.1]), ([1.0, 1.0, 1.0], [0.1, 0.1]), ([[1.0, 1.0]], [0.1, 0.1])],
+        ids=["noise_3", "noise_1", "state_3", "state_1x2"],
+    )
+    def test_state_and_noise_must_be_two_values(self, s, noise):
+        # a 3-value noise once dropped its third value, and a 1-value one raised IndexError
+        with pytest.raises(ValueError, match=r"^state and noise must have shape \(2,\), got "):
+            noisy_listener_action([[1.0, 2.0], [3.0, 4.0]], s, noise)
 
 
 class TestOptimalVariances:

@@ -13,6 +13,7 @@ from rolecomms.numerics import (
     _HEAD,
     _MASK64,
     _WEYL,
+    MAX_SEED,
     Rng,
     _mix64,
     derive_seed,
@@ -227,6 +228,12 @@ class TestRng:
     def test_derive_seed_varies_with_salt(self):
         seeds = {derive_seed(7, salt) for salt in range(100)}
         assert len(seeds) == 100
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    def test_derive_seed_refuses_a_seed_outside_the_range(self, seed):
+        # -1 once derived the same stream as MAX_SEED
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, {MAX_SEED}\], got {seed}$"):
+            derive_seed(seed, 0)
 
 
 def unxorshift(y: int, shift: int) -> int:

@@ -12,7 +12,7 @@ from rolecomms import table_sim
 from rolecomms.bench import config_from_dict
 from rolecomms.codec import decode, encode
 from rolecomms.errors import ConfigError, GenerationError
-from rolecomms.numerics import _BLOCK, _HEAD, Rng
+from rolecomms.numerics import _BLOCK, _HEAD, MAX_SEED, Rng
 from rolecomms.potential_field import (
     ATTRACTOR_EPS,
     MAX_LENGTH,
@@ -1193,6 +1193,15 @@ class TestMechanismIdentities:
 
 
 class TestEnvironmentGeneration:
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    def test_a_seed_outside_the_range_is_refused(self, seed):
+        # -1 once generated the environment of MAX_SEED, and played its game
+        env = generate_environment(MAX_SEED, 2, KnownRadius(0.5), Workspace())
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, "):
+            generate_environment(seed, 2, KnownRadius(0.5), Workspace())
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, "):
+            run_game(env, Strategy("dynamic", period=1, noise_cv=0.1), FieldParams(), Limits(), seed)
+
     def test_empty(self):
         env = generate_environment(1, 0, KnownRadius(0.5), Workspace())
         assert env.obstacles == ()
